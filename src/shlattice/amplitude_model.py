@@ -22,6 +22,12 @@ a_1 decays at rate r - 8/h^2 while the imaginary part keeps rate r, so
 walls prescribing even derivatives lock the rolls onto sin(x); s = -1
 swaps the roles and locks onto cos(x).  A right wall is the mirror image
 under x -> -x, which swaps the roles of a and b.
+
+Every right-hand side here is one `_LatticeKernel`: the wall is a ghost
+neighbour -s b_1 and a cubic weight 3 instead of 3 g^2, so interior and
+wall rows share one slice-based stencil.  Because the b-equation is the
+conjugate of the a-equation when b = conj(a), `run_model` integrates a
+alone for states in that real sector.
 """
 
 from __future__ import annotations
@@ -84,16 +90,99 @@ def _check_boundary_args(state: AmplitudeState, forcing: BoundaryForcing,
             f"forcing kind {forcing.kind} does not match sign choice {sign}")
 
 
+class _LatticeKernel:
+    """Right-hand side of one lattice, precomputed once per run.
+
+    With partner y (b for a, a for b) an amplitude row x evolves by
+    dx_j/dt = r x_j + c (x_{j+1} - 2 x_j + x_{j-1}) - w_j x_j^2 y_j, less
+    the wall drives at the ends.  Neighbours come from a ghost-padded
+    buffer: the periodic wrap, or -s y at a wall, where the cubic weight w
+    drops from 3 g^2 to 3.  The b-equation conjugates the drive phases.
+    """
+
+    def __init__(self, n: int, r: float, c: float, cubic: float,
+                 sign: float = 0.0, walls: Optional[tuple] = None, g2_h: float = 0.0):
+        # 0-d arrays scale a short array faster than Python scalars do,
+        # with the same complex arithmetic
+        self.r, self.c, self.two = (np.array(v, dtype=complex) for v in (r, c, 2.0))
+        self.sign, self.walls, self.g2_h, self.dt = sign, walls, g2_h, None
+        self.pad = np.empty(n + 2, dtype=complex)
+        self.mid, self.up, self.down = self.pad[1:-1], self.pad[2:], self.pad[:-2]
+        # ghosts (0, N+1) take x at (N-1, 0) to wrap, or -s y at (0, N-1)
+        step = max(n - 1, 1)
+        self.ghosts, self.source = self.pad[::n + 1], slice(None, None, step if sign else -step)
+        self.ghost_factor = np.array(-sign if sign else 1.0, dtype=complex)
+        self.cubic = np.full(n, cubic, dtype=complex)
+        if sign:
+            self.cubic[::step], self.phase = 3.0, sign * (1.0 - 1.0j)
+
+    def drives(self, t: float) -> Optional[list[float]]:
+        """Left and right wall drives (g^2/h)(alpha + beta) at time t."""
+        return None if self.walls is None else [
+            self.g2_h * (f.alpha_at(t) + f.beta_at(t)) for f in self.walls]
+
+    def __call__(self, x: np.ndarray, y: np.ndarray, drives=None,
+                 conj: bool = False) -> np.ndarray:
+        """dx/dt given the partner y; conj selects the b-equation's phases."""
+        self.mid[...] = x
+        np.multiply((y if self.sign else x)[self.source], self.ghost_factor, out=self.ghosts)
+        out = (self.r * x + self.c * (self.up - self.two * x + self.down)
+               - self.cubic * (x * x) * y)
+        if drives is not None:
+            phase = self.phase.conjugate() if conj else self.phase
+            out[0] -= phase * drives[0]
+            out[-1] -= phase.conjugate() * drives[1]
+        return out
+
+    def rhs(self, x: np.ndarray, drives) -> np.ndarray:
+        """Derivative of x = a in the real sector, or of x = (a, b)."""
+        if x.ndim == 1:
+            return self(x, np.conj(x), drives)
+        return np.array((self(x[0], x[1], drives), self(x[1], x[0], drives, True)))
+
+    def rk4(self, t: float, x: np.ndarray, dt: float) -> np.ndarray:
+        """One classical RK4 step, with the drives at the stage times."""
+        if dt != self.dt:
+            self.dt = dt
+            self.steps = tuple(np.array(v, dtype=complex) for v in (dt / 2, dt, dt / 6))
+        half, full, sixth = self.steps
+        mid = self.drives(t + dt / 2)
+        k1 = self.rhs(x, self.drives(t))
+        k2 = self.rhs(x + half * k1, mid)
+        k3 = self.rhs(x + half * k2, mid)
+        k4 = self.rhs(x + full * k3, self.drives(t + dt))
+        return x + sixth * (k1 + self.two * k2 + self.two * k3 + k4)
+
+
+def _kernel(state: AmplitudeState, params: ModelParams, forcing: BoundaryForcing,
+            forcing_right: Optional[BoundaryForcing] = None) -> _LatticeKernel:
+    if state.n != params.n_elements:
+        raise ValueError(
+            f"state has {state.n} elements but params expect {params.n_elements}")
+    g2 = params.gamma ** 2
+    args = (params.n_elements, params.r, 4.0 * g2 / params.h ** 2, 3.0 * g2)
+    if forcing.kind is ForcingKind.PERIODIC:
+        return _LatticeKernel(*args)
+    right = forcing if forcing_right is None else forcing_right
+    if right.kind is not forcing.kind:
+        raise ValueError(f"right wall kind {right.kind} does not match {forcing.kind}")
+    return _LatticeKernel(*args, SignChoice.from_kind(forcing.kind).factor,
+                          (forcing, right), g2 / params.h)
+
+
+def _element_rhs(state: AmplitudeState, params: ModelParams,
+                 forcing: BoundaryForcing, j, forcing_right=None):
+    kernel = _kernel(state, params, forcing, forcing_right)
+    da, db = kernel.rhs(np.array((state.a, state.b)), kernel.drives(state.t))
+    return da[j], db[j]
+
+
 def interior_rhs(state: AmplitudeState, params: ModelParams, j: int,
                  periodic: bool = False) -> tuple[complex, complex]:
     """Time derivative (da_j/dt, db_j/dt) of an interior element."""
-    a, b = state.a, state.b
-    jm, jp = _resolve_neighbours(state.n, j, periodic)
-    g2 = params.gamma ** 2
-    c = 4.0 * g2 / params.h ** 2
-    da = params.r * a[j] + c * (a[jp] - 2.0 * a[j] + a[jm]) - 3.0 * g2 * (a[j] * a[j]) * b[j]
-    db = params.r * b[j] + c * (b[jp] - 2.0 * b[j] + b[jm]) - 3.0 * g2 * (b[j] * b[j]) * a[j]
-    return da, db
+    _resolve_neighbours(state.n, j, periodic)
+    # rows with both neighbours are the same in every kernel
+    return _element_rhs(state, params, BoundaryForcing.periodic(), j)
 
 
 def left_boundary_rhs(state: AmplitudeState, params: ModelParams,
@@ -101,17 +190,7 @@ def left_boundary_rhs(state: AmplitudeState, params: ModelParams,
                       sign: SignChoice) -> tuple[complex, complex]:
     """Time derivative of the leftmost element, wall at x = -h/2."""
     _check_boundary_args(state, forcing, sign)
-    a, b = state.a, state.b
-    s = sign.factor
-    g2 = params.gamma ** 2
-    c = 4.0 * g2 / params.h ** 2
-    f = forcing.alpha_at(state.t) + forcing.beta_at(state.t)
-    drive = (g2 / params.h) * f
-    da = (params.r * a[0] + c * (a[1] - 2.0 * a[0] - s * b[0])
-          - 3.0 * (a[0] * a[0]) * b[0] - s * (1.0 - 1.0j) * drive)
-    db = (params.r * b[0] + c * (b[1] - 2.0 * b[0] - s * a[0])
-          - 3.0 * (b[0] * b[0]) * a[0] - s * (1.0 + 1.0j) * drive)
-    return da, db
+    return _element_rhs(state, params, forcing, 0)
 
 
 def right_boundary_rhs(state: AmplitudeState, params: ModelParams,
@@ -123,17 +202,7 @@ def right_boundary_rhs(state: AmplitudeState, params: ModelParams,
     and reverses the lattice.
     """
     _check_boundary_args(state, forcing, sign)
-    a, b = state.a, state.b
-    s = sign.factor
-    g2 = params.gamma ** 2
-    c = 4.0 * g2 / params.h ** 2
-    f = forcing.alpha_at(state.t) + forcing.beta_at(state.t)
-    drive = (g2 / params.h) * f
-    da = (params.r * a[-1] + c * (a[-2] - 2.0 * a[-1] - s * b[-1])
-          - 3.0 * (a[-1] * a[-1]) * b[-1] - s * (1.0 + 1.0j) * drive)
-    db = (params.r * b[-1] + c * (b[-2] - 2.0 * b[-1] - s * a[-1])
-          - 3.0 * (b[-1] * b[-1]) * a[-1] - s * (1.0 - 1.0j) * drive)
-    return da, db
+    return _element_rhs(state, params, forcing, -1)
 
 
 def model_rhs(state: AmplitudeState, params: ModelParams,
@@ -148,31 +217,7 @@ def model_rhs(state: AmplitudeState, params: ModelParams,
     supplies different signals for the right wall; by default the right
     wall mirrors the left one with the same signals.
     """
-    a, b = state.a, state.b
-    if state.n != params.n_elements:
-        raise ValueError(
-            f"state has {state.n} elements but params expect {params.n_elements}")
-    g2 = params.gamma ** 2
-    c = 4.0 * g2 / params.h ** 2
-
-    if forcing.kind is ForcingKind.PERIODIC:
-        ap, am = np.roll(a, -1), np.roll(a, 1)
-        bp, bm = np.roll(b, -1), np.roll(b, 1)
-        da = params.r * a + c * (ap - 2.0 * a + am) - 3.0 * g2 * (a * a) * b
-        db = params.r * b + c * (bp - 2.0 * b + bm) - 3.0 * g2 * (b * b) * a
-        return da, db
-
-    sign = SignChoice.from_kind(forcing.kind)
-    da = np.empty_like(a)
-    db = np.empty_like(b)
-    da[1:-1] = (params.r * a[1:-1] + c * (a[2:] - 2.0 * a[1:-1] + a[:-2])
-                - 3.0 * g2 * (a[1:-1] * a[1:-1]) * b[1:-1])
-    db[1:-1] = (params.r * b[1:-1] + c * (b[2:] - 2.0 * b[1:-1] + b[:-2])
-                - 3.0 * g2 * (b[1:-1] * b[1:-1]) * a[1:-1])
-    da[0], db[0] = left_boundary_rhs(state, params, forcing, sign)
-    right = forcing if forcing_right is None else forcing_right
-    da[-1], db[-1] = right_boundary_rhs(state, params, right, sign)
-    return da, db
+    return _element_rhs(state, params, forcing, slice(None), forcing_right)
 
 
 def gle_rhs(a: np.ndarray, r: float, c: float, d: float, h: float) -> np.ndarray:
@@ -181,8 +226,7 @@ def gle_rhs(a: np.ndarray, r: float, c: float, d: float, h: float) -> np.ndarray
         r a_j + (c/h^2)(a_{j+1} - 2 a_j + a_{j-1}) - d |a_j|^2 a_j
     """
     a = np.asarray(a, dtype=complex)
-    ap, am = np.roll(a, -1), np.roll(a, 1)
-    return r * a + (c / h ** 2) * (ap - 2.0 * a + am) - d * (np.abs(a) ** 2) * a
+    return _LatticeKernel(len(a), r, c / h ** 2, d).rhs(a, None)
 
 
 def reality_check(state: AmplitudeState) -> float:
@@ -195,6 +239,14 @@ def max_stable_dt(params: ModelParams) -> float:
     return 0.1 * params.h ** 2 / 8.0
 
 
+def _check_dt(dt: float, params: ModelParams) -> None:
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if dt > max_stable_dt(params) * (1.0 + 1e-12):
+        raise ValueError(
+            f"dt={dt} exceeds the stability margin {max_stable_dt(params):.4g}")
+
+
 def rk4_step(state: AmplitudeState, params: ModelParams,
              forcing: BoundaryForcing, dt: float,
              forcing_right: Optional[BoundaryForcing] = None) -> AmplitudeState:
@@ -203,23 +255,10 @@ def rk4_step(state: AmplitudeState, params: ModelParams,
     Time-dependent forcing is evaluated at the stage times, which assumes
     slowly varying signals (the model itself is only valid in that regime).
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if dt > max_stable_dt(params) * (1.0 + 1e-12):
-        raise ValueError(
-            f"dt={dt} exceeds the stability margin {max_stable_dt(params):.4g}")
-
-    def f(t, a, b):
-        return model_rhs(AmplitudeState(t, a, b), params, forcing, forcing_right)
-
-    t, a, b = state.t, state.a, state.b
-    k1a, k1b = f(t, a, b)
-    k2a, k2b = f(t + dt / 2, a + dt / 2 * k1a, b + dt / 2 * k1b)
-    k3a, k3b = f(t + dt / 2, a + dt / 2 * k2a, b + dt / 2 * k2b)
-    k4a, k4b = f(t + dt, a + dt * k3a, b + dt * k3b)
-    a_new = a + dt / 6 * (k1a + 2 * k2a + 2 * k3a + k4a)
-    b_new = b + dt / 6 * (k1b + 2 * k2b + 2 * k3b + k4b)
-    return AmplitudeState(t + dt, a_new, b_new)
+    _check_dt(dt, params)
+    kernel = _kernel(state, params, forcing, forcing_right)
+    a, b = kernel.rk4(state.t, np.array((state.a, state.b)), dt)
+    return AmplitudeState(state.t + dt, a, b)
 
 
 @dataclass
@@ -244,29 +283,42 @@ def run_model(state: AmplitudeState, params: ModelParams,
     The step is shrunk uniformly so the run lands exactly on t_end.  The
     trajectory is recorded every sample_stride steps (the final state is
     always included).  Raises DivergenceError on NaN or runaway growth.
+
+    A state exactly in the real sector (b == conj(a)) stays there, so only
+    a is integrated and b = conj(a) is returned; this matches stepping
+    (a, b) with `rk4_step`.
     """
     span = t_end - state.t
     if span <= 0:
         raise ValueError("t_end must exceed the state time")
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if sample_stride < 1:
+        raise ValueError(f"sample_stride must be at least 1, got {sample_stride}")
     n_steps = max(1, math.ceil(span / dt - 1e-12))
     dt_eff = span / n_steps
+    _check_dt(dt_eff, params)
+    kernel = _kernel(state, params, forcing, forcing_right)
+    real = bool(np.array_equal(state.b, np.conj(state.a)))
+    x = state.a if real else np.array((state.a, state.b))
 
-    times = [state.t]
-    av = [state.a.copy()]
-    bv = [state.b.copy()]
-    current = state
-    for step in range(1, n_steps + 1):
-        # overflow on the way to the finite check below is the detection
-        # mechanism, not an error in itself
-        with np.errstate(over="ignore", invalid="ignore"):
-            current = rk4_step(current, params, forcing, dt_eff, forcing_right)
-        if not (np.all(np.isfinite(current.a.view(float)))
-                and np.all(np.isfinite(current.b.view(float)))):
-            raise DivergenceError(f"NaN/Inf amplitude at t={current.t:.6g}")
-        if np.max(np.abs(current.a)) > _BLOWUP or np.max(np.abs(current.b)) > _BLOWUP:
-            raise DivergenceError(f"amplitude runaway at t={current.t:.6g}")
-        if step % sample_stride == 0 or step == n_steps:
-            times.append(current.t)
-            av.append(current.a.copy())
-            bv.append(current.b.copy())
-    return Trajectory(np.array(times), np.array(av), np.array(bv))
+    n_samples = 1 + n_steps // sample_stride + (n_steps % sample_stride > 0)
+    times = np.empty(n_samples)
+    samples = np.empty((1 if real else 2, n_samples, state.n), dtype=complex)
+    t, k = state.t, 1
+    times[0], samples[:, 0] = t, x
+    # overflow on the way to the check below is the detection mechanism,
+    # not an error in itself; max|x| is NaN when any entry is
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, n_steps + 1):
+            x = kernel.rk4(t, x, dt_eff)
+            t += dt_eff
+            if not np.abs(x).max() <= _BLOWUP:
+                if not np.all(np.isfinite(x.view(float))):
+                    raise DivergenceError(f"NaN/Inf amplitude at t={t:.6g}")
+                raise DivergenceError(f"amplitude runaway at t={t:.6g}")
+            if step % sample_stride == 0 or step == n_steps:
+                times[k], samples[:, k] = t, x
+                k += 1
+    a = samples[0]
+    return Trajectory(times, a, np.conj(a) if real else samples[1])

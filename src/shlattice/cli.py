@@ -1,15 +1,17 @@
 """Experiment harness: config ingestion, orchestration, CSV/manifest output.
 
-Every experiment writes one CSV of plot-ready data plus a ``manifest.json``
-echoing the resolved configuration.  Output is deterministic for a given
-(config, seed); exit codes are 0 on success, 1 on validation failure and
-2 on numerical divergence.
+Every experiment writes one CSV of plot-ready data plus a manifest echoing
+the resolved configuration: ``<csv-stem>.manifest.json`` for the run, and
+``manifest.json`` for the latest run in the output directory.  Output is
+deterministic for a given (config, seed); exit codes are 0 on success, 1 on
+validation failure and 2 on numerical divergence.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -190,14 +192,25 @@ def _forcing_from(cfg: dict, params, kind: str) -> BoundaryForcing:
     raise ValueError(f"unknown boundary kind '{kind}'")
 
 
+def _create_unique(out_dir: Path, stem: str):
+    """Create <stem>.csv exclusively, or <stem>_2.csv, <stem>_3.csv, ...
+    when an earlier run took the name."""
+    for i in itertools.count(1):
+        path = out_dir / (f"{stem}.csv" if i == 1 else f"{stem}_{i}.csv")
+        try:
+            return path, open(path, "x", newline="")
+        except FileExistsError:
+            continue
+
+
 def _write_outputs(cfg: dict, experiment: str, header: list[str],
                    rows: list[tuple], extra_meta: dict,
                    started: float) -> Path:
     out_dir = Path(cfg["output-dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S")
-    csv_path = out_dir / f"{experiment}-{stamp}.csv"
-    with open(csv_path, "w", newline="") as fh:
+    csv_path, fh = _create_unique(out_dir, f"{experiment}-{stamp}")
+    with fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -213,9 +226,10 @@ def _write_outputs(cfg: dict, experiment: str, header: list[str],
         "created_utc": datetime.now(timezone.utc).isoformat(),
         **extra_meta,
     }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    # one manifest per run, and manifest.json for the latest run
+    for name in (f"{csv_path.stem}.manifest.json", "manifest.json"):
+        (out_dir / name).write_text(text)
     print(csv_path)
     return csv_path
 

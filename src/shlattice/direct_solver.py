@@ -96,7 +96,8 @@ class SpectralStepper:
         self.f1 = dt * ((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr ** 2)) / lr ** 3).mean(1).real
         self.f2 = dt * ((2.0 + lr + elr * (lr - 2.0)) / lr ** 3).mean(1).real
         self.f3 = dt * ((-4.0 - 3.0 * lr - lr ** 2 + elr * (4.0 - lr)) / lr ** 3).mean(1).real
-        self.keep = np.arange(n // 2 + 1) <= n // 3
+        # two-thirds rule: modes above n // 3 are zeroed after each product
+        self.cutoff = n // 3 + 1
 
     def to_spectral(self, u: np.ndarray) -> np.ndarray:
         return np.fft.rfft(u)
@@ -108,7 +109,7 @@ class SpectralStepper:
         u = self.to_physical(v)
         w = np.fft.rfft(-u * u * u)
         if self.dealias:
-            w[~self.keep] = 0.0
+            w[self.cutoff:] = 0.0
         return w
 
     def step(self, v: np.ndarray) -> np.ndarray:

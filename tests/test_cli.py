@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from shlattice.cli import main, resolve_config
+from shlattice.cli import _create_unique, main, resolve_config
 
 
 def newest_csv(directory):
@@ -185,3 +185,30 @@ class TestOtherExperiments:
                      "--n-elements", "4", "--output-dir", str(tmp_path)])
         assert code == 0
         assert "slowly varying" in capsys.readouterr().err
+
+
+class TestSharedOutputDir:
+    def test_two_runs_keep_both_outputs(self, tmp_path):
+        args = ["boundary-profiles", "--profile-samples", "5",
+                "--output-dir", str(tmp_path)]
+        assert main(args) == 0
+        assert main(args) == 0
+        csvs = sorted(tmp_path.glob("*.csv"))
+        runs = sorted(tmp_path.glob("*.manifest.json"))
+        assert len(csvs) == 2 and len(runs) == 2
+        for path in runs:
+            manifest = json.loads(path.read_text())
+            assert path.name == manifest["csv"].replace(".csv", ".manifest.json")
+        latest = json.loads((tmp_path / "manifest.json").read_text())
+        assert latest["csv"] in {p.name for p in csvs}
+        assert latest["created_utc"] == max(
+            json.loads(p.read_text())["created_utc"] for p in runs)
+
+    def test_colliding_csv_name_takes_a_suffix(self, tmp_path):
+        names = []
+        for _ in range(3):
+            path, fh = _create_unique(tmp_path, "run-20000101T000000")
+            fh.close()
+            names.append(path.name)
+        assert names == ["run-20000101T000000.csv", "run-20000101T000000_2.csv",
+                         "run-20000101T000000_3.csv"]

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shlattice import (
     AmplitudeState,
@@ -263,6 +266,14 @@ class TestIntegration:
             rk4_step(st, params, BoundaryForcing.periodic(),
                      1.01 * max_stable_dt(params))
 
+    def test_rejects_bad_dt_and_stride(self):
+        params = params_for(n=4)
+        st = random_state(4, conjugate=True)
+        for dt, stride in ((0.0, 1), (-0.1, 1), (0.1, 0)):
+            with pytest.raises(ValueError):
+                run_model(st, params, BoundaryForcing.periodic(), 1.0, dt,
+                          sample_stride=stride)
+
     def test_divergence_abort(self):
         # b = -conj(a) flips the cubic sign and blows up
         params = params_for(r=0.5, n=4)
@@ -297,3 +308,145 @@ class TestRealityCheck:
         for _ in range(10_000):
             current = rk4_step(current, params, BoundaryForcing.periodic(), 0.04)
         assert reality_check(current) <= 1e-10
+
+
+# deterministic examples, so every run of the suite checks the same cases
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+WALLS = {"even": BoundaryForcing.even_given, "odd": BoundaryForcing.odd_given}
+
+
+def drawn_forcing(draw, kind, p):
+    if kind == "periodic":
+        return BoundaryForcing.periodic()
+    alpha = draw(st.floats(-0.1, 0.1))
+    omega = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    if omega:
+        return WALLS[kind](lambda t: alpha * math.cos(omega * t),
+                           draw(st.floats(-0.1, 0.1)), p=p)
+    return WALLS[kind](alpha, draw(st.floats(-0.1, 0.1)), p=p)
+
+
+@st.composite
+def real_sector_runs(draw):
+    """A real-sector state with random parameters, forcing and sampling."""
+    n = draw(st.integers(2, 9))
+    p = draw(st.integers(1, 2))
+    params = make_params(r=draw(st.floats(-0.1, 0.2)), gamma=draw(st.floats(0.0, 1.0)),
+                         p=p, n_elements=n, m_samples=32)
+    kind = draw(st.sampled_from(["periodic", "even", "odd"]))
+    forcing = drawn_forcing(draw, kind, p)
+    right = None
+    if kind != "periodic" and draw(st.booleans()):
+        right = drawn_forcing(draw, kind, p)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = draw(st.floats(0.01, 0.4)) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return dict(state=conjugate_state(draw(st.floats(-1.0, 1.0)), a), params=params,
+                forcing=forcing, forcing_right=right, t_span=draw(st.floats(0.3, 6.0)),
+                dt=draw(st.sampled_from([0.05, 0.1, 0.25])),
+                stride=draw(st.integers(1, 6)))
+
+
+def rk4_reference(state, params, forcing, t_end, dt, forcing_right, stride):
+    """run_model's sampling, stepping (a, b) with rk4_step."""
+    n_steps = max(1, math.ceil((t_end - state.t) / dt - 1e-12))
+    dt_eff = (t_end - state.t) / n_steps
+    samples = [state]
+    current = state
+    for step in range(1, n_steps + 1):
+        current = rk4_step(current, params, forcing, dt_eff, forcing_right)
+        if step % stride == 0 or step == n_steps:
+            samples.append(current)
+    return (np.array([s.t for s in samples]), np.array([s.a for s in samples]),
+            np.array([s.b for s in samples]))
+
+
+class TestRealSectorFastPath:
+    @PROPERTY
+    @given(real_sector_runs())
+    def test_matches_general_rk4_path(self, run):
+        state, t_end = run["state"], run["state"].t + run["t_span"]
+        traj = run_model(state, run["params"], run["forcing"], t_end, run["dt"],
+                         forcing_right=run["forcing_right"], sample_stride=run["stride"])
+        times, a, b = rk4_reference(state, run["params"], run["forcing"], t_end,
+                                    run["dt"], run["forcing_right"], run["stride"])
+        assert np.array_equal(traj.times, times)
+        assert traj.a.shape == a.shape and traj.b.shape == b.shape
+        assert np.array_equal(traj.b, np.conj(traj.a))
+        if run["forcing"].kind.value == "periodic":
+            assert np.array_equal(traj.a, a) and np.array_equal(traj.b, b)
+        else:
+            scale = np.max(np.abs(a))
+            assert np.max(np.abs(traj.a - a)) <= 1e-14 * scale
+            assert np.max(np.abs(traj.b - b)) <= 1e-14 * scale
+
+    def test_dt_guard(self):
+        params = params_for(n=4)
+        st0 = random_state(4, seed=2, conjugate=True)
+        dt = 1.01 * max_stable_dt(params)
+        with pytest.raises(ValueError, match="stability margin"):
+            run_model(st0, params, BoundaryForcing.periodic(), dt, dt)
+
+    def test_overflow_raises_divergence(self):
+        params = params_for(r=0.1, n=4)
+        st0 = conjugate_state(0.0, np.full(4, 1e160 + 0j))
+        with pytest.raises(DivergenceError, match="NaN/Inf"):
+            run_model(st0, params, BoundaryForcing.periodic(), 10.0, 0.1)
+
+
+def lyapunov(a, params, sign):
+    """V = sum_j [-r|a_j|^2 + (3/2) w_j |a_j|^4] + (4 g^2/h^2) sum |a_{j+1} - a_j|^2,
+    with w = g^2 inside and 1 at a wall element, which also adds
+    (4 g^2/h^2)(|a_j|^2 + s Re a_j^2); sign = 0 is periodic.  a is (nt, N)."""
+    g2 = params.gamma ** 2
+    c = 4.0 * g2 / params.h ** 2
+    w = np.full(a.shape[1], g2)
+    if sign:
+        links = np.diff(a, axis=1)
+        w[[0, -1]] = 1.0
+        ends = a[:, [0, -1]]
+        walls = c * np.sum(np.abs(ends) ** 2 + sign * (ends ** 2).real, axis=1)
+    else:
+        links = np.roll(a, -1, axis=1) - a
+        walls = 0.0
+    mag2 = np.abs(a) ** 2
+    return (np.sum(-params.r * mag2 + 1.5 * w * mag2 ** 2, axis=1)
+            + c * np.sum(np.abs(links) ** 2, axis=1) + walls)
+
+
+class TestLyapunovDecrease:
+    @pytest.mark.parametrize("gamma", [0.5, 1.0])
+    @pytest.mark.parametrize("kind", ["periodic", "even", "odd"])
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(r=st.floats(-0.05, 0.2), scale=st.floats(0.02, 0.5),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_unforced_run_never_increases_v(self, kind, gamma, r, scale, seed):
+        n = 6
+        params = make_params(r=r, gamma=gamma, p=1, n_elements=n, m_samples=32)
+        forcing = (BoundaryForcing.periodic() if kind == "periodic"
+                   else WALLS[kind](0.0, 0.0, p=1))
+        sign = {"periodic": 0.0, "even": 1.0, "odd": -1.0}[kind]
+        rng = np.random.default_rng(seed)
+        a0 = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        traj = run_model(conjugate_state(0.0, a0), params, forcing, 40.0, 0.1)
+        v = lyapunov(traj.a, params, sign)
+        assert np.all(np.diff(v) <= 1e-13 * np.max(np.abs(v)))
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0])
+    @pytest.mark.parametrize("kind", ["periodic", "even", "odd"])
+    def test_rhs_is_minus_gradient_of_v(self, kind, gamma):
+        # da_j/dt = -dV/d(conj a_j) = -(dV/dRe a_j + i dV/dIm a_j) / 2
+        n, eps = 5, 1e-6
+        params = make_params(r=0.07, gamma=gamma, p=1, n_elements=n, m_samples=32)
+        forcing = (BoundaryForcing.periodic() if kind == "periodic"
+                   else WALLS[kind](0.0, 0.0, p=1))
+        sign = {"periodic": 0.0, "even": 1.0, "odd": -1.0}[kind]
+        a = random_state(n, scale=0.3, seed=17).a
+        grad = np.empty(n, complex)
+        for j in range(n):
+            step = np.zeros(n, complex)
+            step[j] = eps
+            d_re, d_im = (np.diff(lyapunov(np.array([a - s, a + s]), params, sign))[0]
+                          / (2 * eps) for s in (step, 1j * step))
+            grad[j] = (d_re + 1j * d_im) / 2
+        da, _ = model_rhs(conjugate_state(0.0, a), params, forcing)
+        assert np.max(np.abs(da + grad)) <= 1e-8 * np.max(np.abs(da))
