@@ -37,7 +37,6 @@ from .direct_solver import (
     integrate_bounded,
     integrate_spectral,
     measure_growth_rate,
-    step_bounded,
     step_spectral,
 )
 from .subgrid import (

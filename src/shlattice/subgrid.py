@@ -67,23 +67,27 @@ class SubgridSample:
     value: complex
 
 
-def interior_envelopes(state: AmplitudeState, params: ModelParams, j: int,
-                       periodic: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Envelope polynomials (ascending coefficients) for interior element j."""
+def _interior_coefficients(state: AmplitudeState, params: ModelParams,
+                           jm, j, jp) -> tuple:
+    """Constant and slope of E+ and of E- for element(s) j with neighbours
+    jm and jp (integers, or index arrays for many elements at once)."""
     a, b = state.a, state.b
-    jm, jp = _resolve_neighbours(state.n, j, periodic)
     d2a = a[jp] - 2.0 * a[j] + a[jm]
     d2b = b[jp] - 2.0 * b[j] + b[jm]
     mda = (a[jp] - a[jm]) / 2.0
     mdb = (b[jp] - b[jm]) / 2.0
     g4h = params.gamma / (4.0 * params.h)
-    plus = np.array([a[j] + g4h * (d2a - 2j * mdb),
-                     g4h * (4.0 * mda - 2j * d2b),
-                     0.0], dtype=complex)
-    minus = np.array([b[j] + g4h * (d2b + 2j * mda),
-                      g4h * (4.0 * mdb + 2j * d2a),
-                      0.0], dtype=complex)
-    return plus, minus
+    return (a[j] + g4h * (d2a - 2j * mdb), g4h * (4.0 * mda - 2j * d2b),
+            b[j] + g4h * (d2b + 2j * mda), g4h * (4.0 * mdb + 2j * d2a))
+
+
+def interior_envelopes(state: AmplitudeState, params: ModelParams, j: int,
+                       periodic: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Envelope polynomials (ascending coefficients) for interior element j."""
+    jm, jp = _resolve_neighbours(state.n, j, periodic)
+    p0, p1, m0, m1 = _interior_coefficients(state, params, jm, j, jp)
+    return (np.array([p0, p1, 0.0], dtype=complex),
+            np.array([m0, m1, 0.0], dtype=complex))
 
 
 def boundary_envelopes(state: AmplitudeState, params: ModelParams,
@@ -223,23 +227,28 @@ def lattice_field(state: AmplitudeState, params: ModelParams,
     Periodic grids use the interior formula with wrap-around neighbours.
     Bounded grids drop the neighbour corrections (bare rolls) since the
     interior formula needs both neighbours; they remain a valid seed field.
+    All elements are evaluated at once as an (N, M) array of envelopes.
     """
     N, M = params.n_elements, params.m_samples
+    if state.n != N:
+        raise ValueError(f"state has {state.n} elements, params expect {N}")
     grid = FieldGrid.zeros(params, periodic=periodic, x0=x0)
     xs_local = -params.h / 2.0 + grid.dx * np.arange(M)
-    p0 = params if with_corrections and periodic else replace(params, gamma=0.0)
-    chunks = []
-    for j in range(N):
-        if periodic:
-            plus, minus = interior_envelopes(state, p0, j, periodic=True)
-        else:
-            plus = np.array([state.a[j], 0.0, 0.0], dtype=complex)
-            minus = np.array([state.b[j], 0.0, 0.0], dtype=complex)
-        chunks.append(eval_field(plus, minus, xs_local).real)
-    u = np.concatenate(chunks)
+    if periodic and with_corrections:
+        j = np.arange(N)
+        p0, p1, m0, m1 = _interior_coefficients(state, params, j - 1, j, (j + 1) % N)
+        plus = p1[:, None] * xs_local + p0[:, None]
+        minus = m1[:, None] * xs_local + m0[:, None]
+    else:
+        plus, minus = state.a[:, None], state.b[:, None]
+
+    def field(plus, minus, xs):
+        return (plus * np.exp(1j * xs) + minus * np.exp(-1j * xs)).real
+
+    u = field(plus, minus, xs_local).ravel()
     if not periodic:
         # closing endpoint belongs to the last element at X = +h/2
-        u = np.append(u, eval_field(plus, minus, np.array([params.h / 2.0])).real)
+        u = np.append(u, field(plus[-1], minus[-1], np.array([params.h / 2.0])))
     grid.u = u
     return grid
 

@@ -179,6 +179,21 @@ class TestOtherExperiments:
         assert code == 2
         assert "divergence" in capsys.readouterr().err
 
+    def test_bounded_divergence_exits_two(self, tmp_path, capsys):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["simulate-direct", "--scheme", "bounded-imex",
+                         "--init-amp", "1e3", "--t-end", "1",
+                         "--output-dir", str(tmp_path)])
+        assert code == 2
+        assert "bounded solve diverged" in capsys.readouterr().err
+
+    def test_bounded_nonfinite_init_exits_one(self, tmp_path, capsys):
+        code = main(["simulate-direct", "--scheme", "bounded-imex",
+                     "--init-amp", "nan", "--t-end", "1",
+                     "--output-dir", str(tmp_path)])
+        assert code == 1
+        assert "NaN/Inf" in capsys.readouterr().err
+
     def test_fast_forcing_warns(self, tmp_path, capsys):
         code = main(["simulate-model", "--kind", "even", "--alpha", "0.05",
                      "--alpha-omega", "25.0", "--t-end", "2",

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_banded
 
 from shlattice import (
     BoundaryForcing,
+    BoundedStepper,
+    DivergenceError,
     FieldGrid,
+    ForcingKind,
     Scheme,
     SolverConfig,
     conjugate_state,
@@ -13,7 +18,6 @@ from shlattice import (
     lattice_field,
     make_params,
     measure_growth_rate,
-    step_bounded,
     step_spectral,
 )
 from shlattice.direct_solver import growth_symbol
@@ -124,7 +128,10 @@ class TestStepBounded:
         params = params_for(n=4)
         grid = FieldGrid.zeros(params, periodic=False)
         forcing = BoundaryForcing.even_given(0.0, 0.0, p=1)
-        out = step_bounded(grid, params, forcing, dt=0.3 * grid.dx ** 2)
+        stepper = BoundedStepper(grid, params, forcing, dt=0.3 * grid.dx ** 2)
+        assert np.all(stepper.step(grid.u, 0.0) == 0)
+        out = integrate_bounded(grid, params, forcing, t_end=0.1,
+                                dt=0.3 * grid.dx ** 2)
         assert np.all(out.u == 0)
 
     def test_even_wall_value_enforced(self):
@@ -194,17 +201,23 @@ class TestStepBounded:
         grid = FieldGrid.zeros(params, periodic=False)
         forcing = BoundaryForcing.even_given(0.0, 0.0, p=1)
         with pytest.raises(ValueError):
-            step_bounded(grid, params, forcing, dt=grid.dx)
+            BoundedStepper(grid, params, forcing, dt=grid.dx)
+        with pytest.raises(ValueError):
+            integrate_bounded(grid, params, forcing, t_end=1.0, dt=grid.dx)
 
     def test_periodic_kind_rejected(self):
         params = params_for(n=4)
         grid = FieldGrid.zeros(params, periodic=False)
         with pytest.raises(ValueError):
-            step_bounded(grid, params, BoundaryForcing.periodic(), dt=1e-4)
+            BoundedStepper(grid, params, BoundaryForcing.periodic(), dt=1e-4)
+        with pytest.raises(ValueError):
+            integrate_bounded(grid, params, BoundaryForcing.periodic(), 0.01, 1e-4)
         per = FieldGrid.zeros(params, periodic=True)
         forcing = BoundaryForcing.even_given(0.0, 0.0, p=1)
         with pytest.raises(ValueError):
-            step_bounded(per, params, forcing, dt=1e-4)
+            BoundedStepper(per, params, forcing, dt=1e-4)
+        with pytest.raises(ValueError):
+            integrate_bounded(per, params, forcing, 0.01, 1e-4)
 
     def test_sin_locking_phase(self):
         # even-data walls lock the extracted roll phase onto +-90 degrees
@@ -217,6 +230,145 @@ class TestStepBounded:
         a1 = extract_amplitudes(out, params).a[0]
         phase = np.degrees(np.angle(a1))
         assert min(abs(phase - 90), abs(phase + 90)) < 10
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("dt", [0.0, -0.1])
+    def test_integrate_spectral_rejects_nonpositive_dt(self, dt):
+        params = params_for()
+        grid = FieldGrid.zeros(params, periodic=True)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            integrate_spectral(grid, params, t_end=1.0, dt=dt)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1])
+    def test_integrate_bounded_rejects_nonpositive_dt(self, dt):
+        params = params_for()
+        grid = FieldGrid.zeros(params, periodic=False)
+        forcing = BoundaryForcing.even_given(0.0, 0.0, p=1)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            integrate_bounded(grid, params, forcing, t_end=1.0, dt=dt)
+
+    def test_bounded_divergence_raises_divergence_error(self):
+        params = params_for(n=2, m=32)
+        grid = FieldGrid.sample(lambda x: 1e3 * np.cos(x), params, periodic=False)
+        forcing = BoundaryForcing.even_given(0.0, 0.0, p=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError):
+                integrate_bounded(grid, params, forcing, t_end=1.0,
+                                  dt=0.4 * grid.dx ** 2)
+
+    def test_bounded_nonfinite_initial_field_rejected(self):
+        params = params_for(n=2, m=32)
+        grid = FieldGrid.zeros(params, periodic=False)
+        grid.u[5] = np.nan
+        forcing = BoundaryForcing.odd_given(0.0, 0.0, p=1)
+        with pytest.raises(ValueError, match="NaN/Inf"):
+            integrate_bounded(grid, params, forcing, t_end=1.0,
+                              dt=0.4 * grid.dx ** 2)
+
+
+def reference_step(stepper, u, t):
+    """One IMEX step assembled as in the solve_banded implementation: full
+    wall-data vectors, diagonal-by-diagonal A u and a fresh banded solve
+    (factorise and solve) for each of the two stages."""
+    n, dx, dt = stepper.n, stepper.dx, stepper.dt
+    d0, dm1, dm2, dp1, dp2 = stepper.stencil
+
+    def apply_a(v):
+        y = d0 * v
+        y[1:] += dm1[1:] * v[:-1]
+        y[2:] += dm2[2:] * v[:-2]
+        y[:-1] += dp1[:-1] * v[1:]
+        y[:-2] += dp2[:-2] * v[2:]
+        for row in stepper.pinned:
+            y[row] = 0.0
+        return y
+
+    def data(time):
+        g = np.zeros(n)
+        pinned = {}
+        left, right = stepper.left, stepper.right
+        al = left.parity_factor * left.alpha_at(time)
+        bl = left.parity_factor * left.beta_at(time)
+        ar = right.parity_factor * right.alpha_at(time)
+        br = right.parity_factor * right.beta_at(time)
+        if stepper.kind is ForcingKind.EVEN_GIVEN:
+            pinned = {0: al, n - 1: ar}
+            g[1] = -bl / dx ** 2
+            g[n - 2] = -br / dx ** 2
+        else:
+            g[0] = 4.0 * al / dx - 4.0 * al / dx ** 3 + 2.0 * bl / dx
+            g[1] = 2.0 * al / dx ** 3
+            g[n - 1] = 4.0 * ar / dx - 4.0 * ar / dx ** 3 + 2.0 * br / dx
+            g[n - 2] = 2.0 * ar / dx ** 3
+        return g, pinned
+
+    def cubic(v):
+        w = -v * v * v
+        for row in stepper.pinned:
+            w[row] = 0.0
+        return w
+
+    g0, _ = data(t)
+    g1, pinned = data(t + dt)
+    base = u + (dt / 2.0) * apply_a(u) + (dt / 2.0) * (g0 + g1)
+    n0 = cubic(u)
+    rhs = base + dt * n0
+    for row, val in pinned.items():
+        rhs[row] = val
+    u_star = solve_banded((2, 2), stepper.ab_minus, rhs)
+    rhs = base + (dt / 2.0) * (n0 + cubic(u_star))
+    for row, val in pinned.items():
+        rhs[row] = val
+    return solve_banded((2, 2), stepper.ab_minus, rhs)
+
+
+WALLS = {"even": BoundaryForcing.even_given, "odd": BoundaryForcing.odd_given}
+EXACT = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+class TestFactoredSolve:
+    """The stepper factorises I - dt/2 A once; its solves and trajectories
+    must equal those of a fresh solve_banded call bit for bit."""
+
+    @EXACT
+    @given(kind=st.sampled_from(["even", "odd"]), n=st.integers(7, 600),
+           periods=st.integers(1, 8), r=st.floats(-0.5, 0.5),
+           dt_frac=st.floats(0.01, 1.0), c_stab=st.sampled_from([0.25, 0.5, 2.0]),
+           scale=st.sampled_from([1e-6, 1.0, 1e6]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_solve_matches_solve_banded(self, kind, n, periods, r, dt_frac,
+                                        c_stab, scale, seed):
+        params = make_params(r=r, gamma=1.0, p=1, n_elements=2, m_samples=16)
+        grid = FieldGrid(0.0, 2.0 * np.pi * periods / (n - 1), np.zeros(n), False)
+        stepper = BoundedStepper(grid, params, WALLS[kind](0.0, 0.0, p=1),
+                                 dt=dt_frac * c_stab * grid.dx ** 2, c_stab=c_stab)
+        rhs = scale * np.random.default_rng(seed).standard_normal(stepper.n)
+        expected = solve_banded((2, 2), stepper.ab_minus, rhs)
+        assert np.array_equal(stepper._solve(rhs.copy()), expected)
+
+    @pytest.mark.parametrize("kind", ["even", "odd"])
+    @pytest.mark.parametrize("n_elements, m", [(2, 16), (3, 16), (2, 64)])
+    def test_trajectory_matches_solve_banded_steps(self, kind, n_elements, m):
+        params = make_params(r=0.1, gamma=1.0, p=1, n_elements=n_elements,
+                             m_samples=m)
+        rng = np.random.default_rng(m + n_elements)
+        a0 = 0.1 * (rng.standard_normal(n_elements)
+                    + 1j * rng.standard_normal(n_elements))
+        grid = lattice_field(conjugate_state(0.0, a0), params, periodic=False)
+        left = WALLS[kind](lambda t: 0.03 * np.cos(0.7 * t), 0.02, p=1)
+        right = WALLS[kind](0.01, lambda t: -0.02 * np.sin(1.3 * t), p=2)
+        t0, n_steps = 0.25, 150
+        t_end = t0 + n_steps * 0.45 * grid.dx ** 2
+        out = integrate_bounded(grid, params, left, t_end=t_end,
+                                dt=0.45 * grid.dx ** 2, t0=t0, forcing_right=right)
+        stepper = BoundedStepper(grid, params, left, (t_end - t0) / n_steps,
+                                 forcing_right=right)
+        u, t = grid.u, t0
+        for i in range(n_steps):
+            u = reference_step(stepper, u, t)
+            t = t0 + (i + 1) * stepper.dt
+        assert np.array_equal(out.u, u)
 
 
 class TestSolverConfig:

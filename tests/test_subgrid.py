@@ -30,6 +30,7 @@ from shlattice.subgrid import (
     boundary_envelopes,
     eval_field,
     interior_envelopes,
+    lattice_field,
     sample_element,
 )
 
@@ -205,6 +206,44 @@ class TestInteriorReconstruction:
             w = lambda x: u(x) + d2(u, x)
             residual = abs(w(x0) + d2(w, x0))
             assert residual <= 1e-6 * scale
+
+
+def per_element_field(state, params, periodic):
+    """lattice_field one element at a time, through interior_envelopes and
+    eval_field (bare rolls on bounded grids, plus the closing sample)."""
+    dx = FieldGrid.zeros(params, periodic=periodic).dx
+    xs = -params.h / 2.0 + dx * np.arange(params.m_samples)
+    chunks = []
+    for j in range(params.n_elements):
+        if periodic:
+            plus, minus = interior_envelopes(state, params, j, periodic=True)
+        else:
+            plus = np.array([state.a[j], 0.0, 0.0], dtype=complex)
+            minus = np.array([state.b[j], 0.0, 0.0], dtype=complex)
+        chunks.append(eval_field(plus, minus, xs).real)
+    if not periodic:
+        chunks.append(eval_field(plus, minus, np.array([params.h / 2.0])).real)
+    return np.concatenate(chunks)
+
+
+class TestLatticeField:
+    @pytest.mark.parametrize("n, m", [(2, 32), (3, 16), (5, 16), (64, 64)])
+    @pytest.mark.parametrize("gamma", [0.0, 0.6, 1.0])
+    @pytest.mark.parametrize("conjugate", [True, False])
+    def test_matches_per_element_reconstruction(self, n, m, gamma, conjugate):
+        params = params_for(gamma=gamma, n=n, m=m)
+        st = random_state(n, scale=0.3, seed=n + m, conjugate=conjugate)
+        periodic = lattice_field(st, params, periodic=True).u
+        expected = per_element_field(st, params, periodic=True)
+        assert periodic.shape == expected.shape
+        assert np.max(np.abs(periodic - expected)) <= 1e-15 * np.max(np.abs(expected))
+        bounded = lattice_field(st, params, periodic=False).u
+        assert np.array_equal(bounded, per_element_field(st, params, periodic=False))
+
+    def test_state_size_mismatch_rejected(self):
+        params = params_for(n=4)
+        with pytest.raises(ValueError, match="elements"):
+            lattice_field(random_state(3), params)
 
 
 class TestBoundaryReconstruction:
