@@ -32,15 +32,12 @@ from .amplitude_model import (
 from .direct_solver import (
     BoundedStepper,
     Scheme,
-    SolverConfig,
     SpectralStepper,
     integrate_bounded,
     integrate_spectral,
     measure_growth_rate,
-    step_spectral,
 )
 from .subgrid import (
-    SubgridSample,
     boundary_profiles,
     extract_amplitudes,
     ibc_residual,

@@ -27,12 +27,14 @@ Every right-hand side here is one `_LatticeKernel`: the wall is a ghost
 neighbour -s b_1 and a cubic weight 3 instead of 3 g^2, so interior and
 wall rows share one slice-based stencil.  Because the b-equation is the
 conjugate of the a-equation when b = conj(a), `run_model` integrates a
-alone for states in that real sector.
+alone for states in that real sector.  `run_model` takes its step count
+from `core._step_count` and steps the kernel's RK4 through the loop
+`core._integrate` that the direct solvers share, with a runaway bound of
+1e6 on |a| and |b|.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -42,10 +44,12 @@ import numpy as np
 from .core import (
     AmplitudeState,
     BoundaryForcing,
-    DivergenceError,
     ForcingKind,
     ModelParams,
+    _integrate,
+    _positive_dt,
     _resolve_neighbours,
+    _step_count,
 )
 
 _BLOWUP = 1e6
@@ -72,11 +76,6 @@ class SignChoice(Enum):
         if kind is ForcingKind.ODD_GIVEN:
             return cls.LOWER
         raise ValueError(f"no sign choice for forcing kind {kind}")
-
-    @property
-    def kind(self) -> ForcingKind:
-        return (ForcingKind.EVEN_GIVEN if self is SignChoice.UPPER
-                else ForcingKind.ODD_GIVEN)
 
 
 def _check_boundary_args(state: AmplitudeState, forcing: BoundaryForcing,
@@ -240,9 +239,7 @@ def max_stable_dt(params: ModelParams) -> float:
 
 
 def _check_dt(dt: float, params: ModelParams) -> None:
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if dt > max_stable_dt(params) * (1.0 + 1e-12):
+    if _positive_dt(dt) > max_stable_dt(params) * (1.0 + 1e-12):
         raise ValueError(
             f"dt={dt} exceeds the stability margin {max_stable_dt(params):.4g}")
 
@@ -280,45 +277,39 @@ def run_model(state: AmplitudeState, params: ModelParams,
               sample_stride: int = 1) -> Trajectory:
     """Integrate the lattice model from state.t to t_end.
 
-    The step is shrunk uniformly so the run lands exactly on t_end.  The
-    trajectory is recorded every sample_stride steps (the final state is
-    always included).  Raises DivergenceError on NaN or runaway growth.
+    The step is shrunk uniformly so the run lands exactly on t_end, and
+    the time advances by accumulation (t += dt).  The trajectory is
+    recorded every sample_stride steps (the final state is always
+    included).  Raises DivergenceError on NaN or once |a| or |b| passes
+    1e6.
 
     A state exactly in the real sector (b == conj(a)) stays there, so only
     a is integrated and b = conj(a) is returned; this matches stepping
     (a, b) with `rk4_step`.
     """
     span = t_end - state.t
-    if span <= 0:
-        raise ValueError("t_end must exceed the state time")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    n_steps = _step_count(span, dt)
     if sample_stride < 1:
         raise ValueError(f"sample_stride must be at least 1, got {sample_stride}")
-    n_steps = max(1, math.ceil(span / dt - 1e-12))
     dt_eff = span / n_steps
     _check_dt(dt_eff, params)
     kernel = _kernel(state, params, forcing, forcing_right)
     real = bool(np.array_equal(state.b, np.conj(state.a)))
     x = state.a if real else np.array((state.a, state.b))
 
-    n_samples = 1 + n_steps // sample_stride + (n_steps % sample_stride > 0)
-    times = np.empty(n_samples)
-    samples = np.empty((1 if real else 2, n_samples, state.n), dtype=complex)
-    t, k = state.t, 1
-    times[0], samples[:, 0] = t, x
-    # overflow on the way to the check below is the detection mechanism,
-    # not an error in itself; max|x| is NaN when any entry is
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, n_steps + 1):
-            x = kernel.rk4(t, x, dt_eff)
-            t += dt_eff
-            if not np.abs(x).max() <= _BLOWUP:
-                if not np.all(np.isfinite(x.view(float))):
-                    raise DivergenceError(f"NaN/Inf amplitude at t={t:.6g}")
-                raise DivergenceError(f"amplitude runaway at t={t:.6g}")
-            if step % sample_stride == 0 or step == n_steps:
-                times[k], samples[:, k] = t, x
-                k += 1
+    clock = np.full(n_steps + 1, dt_eff)
+    clock[0] = state.t
+    np.cumsum(clock, out=clock)      # t += dt, step by step
+    sampled = np.r_[0:n_steps:sample_stride, n_steps]
+    samples = np.empty((1 if real else 2, len(sampled), state.n), dtype=complex)
+    samples[:, 0] = x
+
+    def record(i, xi):
+        # sample k holds step k * sample_stride, the last one the final step
+        if i % sample_stride == 0 or i == n_steps:
+            samples[:, -(-i // sample_stride)] = xi
+
+    _integrate("lattice model", lambda x, t: kernel.rk4(t, x, dt_eff), x,
+               map(float, clock), record, _BLOWUP)
     a = samples[0]
-    return Trajectory(times, a, np.conj(a) if real else samples[1])
+    return Trajectory(clock[sampled], a, np.conj(a) if real else samples[1])

@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import AmplitudeState, BoundaryForcing, FieldGrid, ModelParams
+from .core import AmplitudeState, BoundaryForcing, FieldGrid, ModelParams, _step_count
 from .amplitude_model import SignChoice, run_model
 from .direct_solver import SpectralStepper, growth_symbol
 from .subgrid import extract_amplitudes, lattice_field
@@ -103,7 +103,11 @@ def modulated_profile(params: ModelParams, modulation: float) -> np.ndarray:
 
 
 def _sample_counts(t_end: float, dt: float, n_samples: int) -> tuple[int, int]:
-    per = max(1, math.ceil(t_end / (dt * n_samples) - 1e-12))
+    """(steps, steps per sample) for n_samples equal samples, each covered
+    by whole steps of at most dt."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    per = _step_count(t_end, dt * n_samples)
     return per * n_samples, per
 
 
@@ -112,11 +116,12 @@ def _run_pair(params: ModelParams, a0: np.ndarray, t_end: float,
               validity_factor: float) -> ComparisonReport:
     N = params.n_elements
     state0 = AmplitudeState(0.0, np.asarray(a0, complex), np.conj(a0))
+    n_steps, per = _sample_counts(t_end, dt_oracle, n_samples)
+    m_steps, m_per = _sample_counts(t_end, dt_model, n_samples)
 
     # oracle seeded with the full reconstruction so it starts on the slow
     # manifold rather than merely near it
     grid = lattice_field(state0, params, periodic=True)
-    n_steps, per = _sample_counts(t_end, dt_oracle, n_samples)
     stepper = SpectralStepper(len(grid.u), grid.length, params.r, t_end / n_steps)
     times = np.linspace(0.0, t_end, n_samples + 1)
     oracle = np.empty((n_samples + 1, N), dtype=complex)
@@ -129,7 +134,6 @@ def _run_pair(params: ModelParams, a0: np.ndarray, t_end: float,
 
     stepper.run(stepper.to_spectral(grid.u), n_steps, callback=record)
 
-    m_steps, m_per = _sample_counts(t_end, dt_model, n_samples)
     traj = run_model(state0, params, BoundaryForcing.periodic(), t_end,
                      t_end / m_steps, sample_stride=m_per)
     model = traj.a

@@ -26,6 +26,7 @@ from .core import (
     BoundaryForcing,
     DivergenceError,
     FieldGrid,
+    _step_count,
     conjugate_state,
     make_params,
 )
@@ -38,7 +39,6 @@ from .analysis import (
 )
 from .direct_solver import (
     Scheme,
-    SolverConfig,
     integrate_bounded,
     integrate_spectral,
     measure_growth_rate,
@@ -192,6 +192,12 @@ def _forcing_from(cfg: dict, params, kind: str) -> BoundaryForcing:
     raise ValueError(f"unknown boundary kind '{kind}'")
 
 
+def _stride(t_end: float, dt: float, rows: int) -> int:
+    """Sample stride that leaves about `rows` rows of a run of t_end at dt."""
+    _step_count(t_end, dt)   # rejects t_end <= 0 and dt <= 0 before dividing
+    return max(1, int(t_end / dt / rows))
+
+
 def _create_unique(out_dir: Path, stem: str):
     """Create <stem>.csv exclusively, or <stem>_2.csv, <stem>_3.csv, ...
     when an earlier run took the name."""
@@ -288,7 +294,7 @@ def run_boundary_select(cfg: dict, started: float) -> int:
     a0 = np.full(params.n_elements, float(cfg["amp0"]) * np.exp(1j * phase), complex)
     state = conjugate_state(0.0, a0)
     traj = run_model(state, params, forcing, t_end, float(cfg["dt"]),
-                     sample_stride=max(1, int(t_end / float(cfg["dt"]) / 200)))
+                     sample_stride=_stride(t_end, float(cfg["dt"]), 200))
     rows = []
     for t, a1 in zip(traj.times, traj.a[:, 0]):
         mag = abs(a1) or 1.0
@@ -318,7 +324,7 @@ def run_boundary_equilibrium(cfg: dict, started: float) -> int:
     _warn_fast_forcing(cfg, t_end)
     traj = run_model(state, params, forcing, t_end, float(cfg["dt"]),
                      forcing_right=right,
-                     sample_stride=max(1, int(t_end / float(cfg["dt"]) / 400)))
+                     sample_stride=_stride(t_end, float(cfg["dt"]), 400))
     predicted = boundary_equilibrium(params, float(cfg["alpha"]), float(cfg["beta"]))
     rows = [(float(t), float(a1.real), float(a1.imag), predicted)
             for t, a1 in zip(traj.times, traj.a[:, 0])]
@@ -352,7 +358,6 @@ def run_simulate_direct(cfg: dict, started: float) -> int:
             lambda x: amp * np.cos(x) + 0.1 * amp * rng.standard_normal(x.size),
             params, periodic=True)
         dt = float(cfg["dt"]) if cfg["dt"] is not None else 0.05
-        SolverConfig(dt=dt, t_end=t_end, scheme=scheme).validate()
         out = integrate_spectral(grid, params, t_end, dt)
     else:
         grid = FieldGrid.sample(lambda x: amp * np.cos(x), params, periodic=False)
@@ -360,8 +365,6 @@ def run_simulate_direct(cfg: dict, started: float) -> int:
         forcing = _forcing_from(cfg, params, cfg["kind"])
         c_stab = float(cfg["c-stab"])
         dt = float(cfg["dt"]) if cfg["dt"] is not None else 0.8 * c_stab * grid.dx ** 2
-        SolverConfig(dt=dt, t_end=t_end, scheme=scheme,
-                     c_stab=c_stab).validate(dx=grid.dx)
         out = integrate_bounded(grid, params, forcing, t_end, dt, c_stab=c_stab)
     rows = [(float(x), float(u)) for x, u in zip(out.x, out.u)]
     _write_outputs(cfg, "simulate-direct", ["x", "u"], rows,

@@ -8,6 +8,13 @@ fixed so that element centres sit at integer multiples of 2*pi; the left
 physical boundary, when one is present, is at ``x = -h/2``.
 
 A real solution field corresponds to ``b_j = conj(a_j)`` for every j.
+
+The lattice model and both direct solvers step through one loop,
+`_integrate`, and take their step counts from one rule, `_step_count`:
+a span is covered by n = max(1, ceil(span/dt - 1e-12)) equal steps of
+span/n.  A non-finite start state is bad input (ValueError); a state that
+turns non-finite, or runs past a solver's bound, is a DivergenceError that
+names the solver, the step and the time.
 """
 
 from __future__ import annotations
@@ -15,15 +22,60 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Union
+from itertools import pairwise
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
 Signal = Callable[[float], float]
 
+_LARGEST = float(np.finfo(float).max)   # max|x| <= _LARGEST fails only on NaN/Inf
+
 
 class DivergenceError(RuntimeError):
     """Raised when an integration produces NaN/Inf or runs away."""
+
+
+def _positive_dt(dt: float) -> float:
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    return dt
+
+
+def _step_count(span: float, dt: float) -> int:
+    """Number of equal steps, each at most dt, that cover span exactly.
+
+    The 1e-12 slack keeps a span that is a whole number of dt up to
+    rounding from taking one step more.
+    """
+    if not span > 0:
+        raise ValueError(f"t_end must exceed the start time, got a span of {span}")
+    return max(1, math.ceil(span / _positive_dt(dt) - 1e-12))
+
+
+def _integrate(solver: str, step: Callable, x: np.ndarray, times: Iterable[float],
+               callback: Optional[Callable[[int, np.ndarray], None]] = None,
+               bound: float = _LARGEST) -> np.ndarray:
+    """Step x through times: the start time, then the time after each step.
+
+    Step i is x = step(x, t) with t the time it starts at.  After it,
+    max|x| must stay within bound (NaN never does), else DivergenceError;
+    then callback(i, x) runs if given.  Overflow on the way to that check
+    is how divergence shows, so numpy's overflow and invalid-value
+    warnings are silenced inside the loop.
+    """
+    if not np.isfinite(x).all():
+        raise ValueError(f"{solver}: start state contains NaN/Inf")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (t, t_next) in enumerate(pairwise(times), 1):
+            x = step(x, t)
+            if not np.abs(x).max() <= bound:
+                what = f"runaway past {bound:g}" if np.isfinite(x).all() else "NaN/Inf"
+                raise DivergenceError(
+                    f"{solver} diverged at step {i}, t={t_next:.6g}: {what}")
+            if callback is not None:
+                callback(i, x)
+    return x
 
 
 class ForcingKind(Enum):
@@ -130,9 +182,6 @@ class AmplitudeState:
     @property
     def n(self) -> int:
         return len(self.a)
-
-    def copy(self) -> "AmplitudeState":
-        return AmplitudeState(self.t, self.a.copy(), self.b.copy())
 
 
 def conjugate_state(t: float, a) -> AmplitudeState:

@@ -15,9 +15,13 @@ Two schemes:
   stepping is Crank-Nicolson on the linear operator with a Heun (explicit
   trapezoid) treatment of the cubic, second order overall and self-starting.
   The banded matrix I - dt/2 A is LU-factorised once per stepper; each step
-  costs two triangular-solve pairs against those factors.  A non-finite
-  initial field is rejected (ValueError); a field that turns non-finite
-  while stepping raises DivergenceError.
+  costs two triangular-solve pairs against those factors.
+
+Both steppers reject dt <= 0 and run through the loop `core._integrate`
+that the lattice model shares: a non-finite initial field is rejected
+(ValueError) and a field that turns non-finite while stepping raises
+DivergenceError.  `integrate_spectral`, `integrate_bounded` and
+`measure_growth_rate` take their step counts from `core._step_count`.
 
 Wall data carries the parity factor (-1)**p: the prescribed physical values
 are u = (-1)^p alpha(t), u_xx = (-1)^p beta(t) (even case) or the analogous
@@ -27,10 +31,7 @@ odd-derivative pair.  The right wall applies the mirror-image condition
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -42,35 +43,18 @@ from .core import (
     FieldGrid,
     ForcingKind,
     ModelParams,
+    _integrate,
+    _positive_dt,
+    _step_count,
 )
 
 DEFAULT_C_STAB = 0.5
+_N_CONTOUR = 32     # contour points averaged per ETDRK4 coefficient
 
 
 class Scheme(Enum):
     SPECTRAL_ETD = "spectral-etd"
     BOUNDED_IMEX = "bounded-imex"
-
-
-@dataclass
-class SolverConfig:
-    """Time-stepping configuration for the direct solver."""
-
-    dt: float
-    t_end: float
-    dealias: bool = True
-    scheme: Scheme = Scheme.SPECTRAL_ETD
-    c_stab: float = DEFAULT_C_STAB
-
-    def validate(self, dx: Optional[float] = None) -> None:
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.scheme is Scheme.BOUNDED_IMEX:
-            if dx is None:
-                raise ValueError("bounded scheme needs the grid spacing to validate dt")
-            if self.dt > self.c_stab * dx ** 2 * (1 + 1e-12):
-                raise ValueError(
-                    f"dt={self.dt} exceeds c_stab*dx^2={self.c_stab * dx ** 2:.4g}")
 
 
 def growth_symbol(k, r: float):
@@ -82,18 +66,16 @@ def growth_symbol(k, r: float):
 class SpectralStepper:
     """ETDRK4 stepper for the periodic problem, state held as rfft(u)."""
 
-    def __init__(self, n: int, length: float, r: float, dt: float,
-                 dealias: bool = True, n_contour: int = 32):
+    def __init__(self, n: int, length: float, r: float, dt: float):
         self.n = n
         self.length = length
-        self.dt = dt
-        self.dealias = dealias
+        self.dt = _positive_dt(dt)
         self.k = 2.0 * np.pi * np.fft.rfftfreq(n, d=length / n)
         lam = growth_symbol(self.k, r)
         self.exp_full = np.exp(dt * lam)
         self.exp_half = np.exp(0.5 * dt * lam)
         # phi coefficients by averaging over a contour around each dt*lambda
-        roots = np.exp(1j * np.pi * (np.arange(n_contour) + 0.5) / n_contour)
+        roots = np.exp(1j * np.pi * (np.arange(_N_CONTOUR) + 0.5) / _N_CONTOUR)
         lr = dt * lam[:, None] + roots[None, :]
         elr = np.exp(lr)
         self.q = dt * ((np.exp(lr / 2.0) - 1.0) / lr).mean(1).real
@@ -112,8 +94,7 @@ class SpectralStepper:
     def nonlinear(self, v: np.ndarray) -> np.ndarray:
         u = self.to_physical(v)
         w = np.fft.rfft(-u * u * u)
-        if self.dealias:
-            w[self.cutoff:] = 0.0
+        w[self.cutoff:] = 0.0
         return w
 
     def step(self, v: np.ndarray) -> np.ndarray:
@@ -129,49 +110,21 @@ class SpectralStepper:
 
     def run(self, v: np.ndarray, n_steps: int,
             callback: Optional[Callable[[int, np.ndarray], None]] = None) -> np.ndarray:
-        for i in range(n_steps):
-            v = self.step(v)
-            if not np.all(np.isfinite(v.view(float))):
-                raise DivergenceError(f"spectral solve diverged at step {i + 1}")
-            if callback is not None:
-                callback(i + 1, v)
-        return v
+        """Take n_steps steps from v; callback(i, v) after step i."""
+        return _integrate("spectral solve", lambda v, t: self.step(v), v,
+                          (i * self.dt for i in range(n_steps + 1)), callback)
 
 
-@lru_cache(maxsize=64)
-def _cached_stepper(n: int, length: float, r: float, dt: float,
-                    dealias: bool) -> SpectralStepper:
-    return SpectralStepper(n, length, r, dt, dealias)
-
-
-def _check_spectral_grid(grid: FieldGrid) -> None:
+def integrate_spectral(grid: FieldGrid, params: ModelParams, t_end: float,
+                       dt: float) -> FieldGrid:
+    """Advance a periodic grid to t_end (step shrunk to land exactly)."""
     if not grid.periodic:
         raise ValueError("spectral stepping needs a periodic grid")
     n = len(grid.u)
     if n < 4 or (n & (n - 1)) != 0:
         raise ValueError(f"sample count must be a power of two, got {n}")
-
-
-def step_spectral(grid: FieldGrid, params: ModelParams, dt: float,
-                  dealias: bool = True) -> FieldGrid:
-    """Advance a periodic grid by one ETDRK4 step."""
-    _check_spectral_grid(grid)
-    stepper = _cached_stepper(len(grid.u), grid.length, params.r, dt, dealias)
-    u = stepper.to_physical(stepper.step(stepper.to_spectral(grid.u)))
-    if not np.all(np.isfinite(u)):
-        raise DivergenceError("spectral step produced NaN/Inf")
-    return FieldGrid(grid.x0, grid.dx, u, True)
-
-
-def integrate_spectral(grid: FieldGrid, params: ModelParams, t_end: float,
-                       dt: float, dealias: bool = True) -> FieldGrid:
-    """Advance a periodic grid to t_end (step shrunk to land exactly)."""
-    _check_spectral_grid(grid)
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    n_steps = max(1, math.ceil(t_end / dt - 1e-12))
-    stepper = _cached_stepper(len(grid.u), grid.length, params.r,
-                              t_end / n_steps, dealias)
+    n_steps = _step_count(t_end, dt)
+    stepper = SpectralStepper(n, grid.length, params.r, t_end / n_steps)
     v = stepper.run(stepper.to_spectral(grid.u), n_steps)
     return FieldGrid(grid.x0, grid.dx, stepper.to_physical(v), True)
 
@@ -187,19 +140,21 @@ def _commensurate_periods(k: float, max_periods: int = 64) -> tuple[int, int]:
 
 
 def measure_growth_rate(params: ModelParams, k: float, eps0: float, T: float,
-                        dt: float = 0.02, n: int = 512) -> float:
+                        dt: float = 0.02) -> float:
     """Fitted growth rate of mode k from a small-amplitude spectral run.
 
-    Seeds u = eps0*cos(kx) on the smallest commensurate periodic domain and
-    returns the least-squares slope of log|u_hat_k|(t).
+    Seeds u = eps0*cos(kx) on the smallest commensurate periodic domain,
+    sampled at 512 points, and returns the least-squares slope of
+    log|u_hat_k|(t) over at least two steps.
     """
     q, mode = _commensurate_periods(k)
+    n = 512
     if mode > n // 3:
         raise ValueError(f"mode {mode} not resolvable on {n} dealiased samples")
     length = 2.0 * np.pi * q
     x = length * np.arange(n) / n
     u0 = eps0 * np.cos(k * x)
-    n_steps = max(2, math.ceil(T / dt - 1e-12))
+    n_steps = max(2, _step_count(T, dt))
     stepper = SpectralStepper(n, length, params.r, T / n_steps)
     v = stepper.to_spectral(u0)
     amp0 = abs(v[mode])
@@ -210,10 +165,11 @@ def measure_growth_rate(params: ModelParams, k: float, eps0: float, T: float,
         amps[i] = abs(vv[mode])
         if params.r <= 0 and amps[i] > 100.0 * amp0:
             raise DivergenceError(
-                f"mode {k} reached the nonlinear regime (|u_k| > 100 eps0 at r <= 0)")
+                f"spectral solve diverged at step {i}, t={times[i]:.6g}: mode {k} "
+                "reached the nonlinear regime (|u_k| > 100 eps0 at r <= 0)")
 
-    stepper.run(v, n_steps, callback=record)
     times = np.linspace(0.0, T, n_steps + 1)
+    stepper.run(v, n_steps, callback=record)
     return float(np.polyfit(times, np.log(amps), 1)[0])
 
 
@@ -240,7 +196,7 @@ class BoundedStepper:
         if self.n < 7:
             raise ValueError("bounded grid too small")
         self.dx = grid.dx
-        if dt > c_stab * self.dx ** 2 * (1 + 1e-12):
+        if _positive_dt(dt) > c_stab * self.dx ** 2 * (1 + 1e-12):
             raise ValueError(
                 f"dt={dt} unstable: exceeds c_stab*dx^2={c_stab * self.dx ** 2:.4g}")
         self.dt = dt
@@ -387,17 +343,10 @@ class BoundedStepper:
 
     def run(self, u: np.ndarray, t0: float, n_steps: int,
             callback: Optional[Callable[[int, np.ndarray], None]] = None) -> np.ndarray:
-        if not np.isfinite(u).all():
-            raise ValueError("initial field contains NaN/Inf")
-        t = t0
-        for i in range(n_steps):
-            u = self.step(u, t)
-            t = t0 + (i + 1) * self.dt
-            if not np.isfinite(u).all():
-                raise DivergenceError(f"bounded solve diverged at t={t:.6g}")
-            if callback is not None:
-                callback(i + 1, u)
-        return u
+        """Take n_steps steps from u at time t0, step i starting at
+        t0 + (i - 1) dt; callback(i, u) after step i."""
+        return _integrate("bounded solve", self.step, u,
+                          (t0 + i * self.dt for i in range(n_steps + 1)), callback)
 
 
 def integrate_bounded(grid: FieldGrid, params: ModelParams,
@@ -407,11 +356,7 @@ def integrate_bounded(grid: FieldGrid, params: ModelParams,
                       c_stab: float = DEFAULT_C_STAB) -> FieldGrid:
     """Advance a bounded grid from t0 to t_end (step shrunk to land exactly)."""
     span = t_end - t0
-    if span <= 0:
-        raise ValueError("t_end must exceed t0")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    n_steps = max(1, math.ceil(span / dt - 1e-12))
+    n_steps = _step_count(span, dt)
     stepper = BoundedStepper(grid, params, forcing, span / n_steps,
                              forcing_right, c_stab)
     u = stepper.run(grid.u, t0, n_steps)

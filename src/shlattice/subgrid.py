@@ -24,8 +24,7 @@ multiples of 2*pi) so that exp(+-ix) = exp(+-iX) inside every element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import replace
 
 import numpy as np
 
@@ -42,29 +41,13 @@ from .amplitude_model import SignChoice
 # Wall-element forcing-profile coefficients for the exp(+ix) sector.  Each
 # signal contributes  s*(g^2/h) * [CONST + SLOPE*X + CURVE*(h^2 - 12 X^2)]
 # with s = +1/-1 for the upper/lower sign choice.  The exp(-ix) sector
-# carries the complex conjugates.
+# carries the complex conjugates (exactly, since the signals are real).
 ALPHA_PLUS_CONST = (7 + 5j) / 16
 ALPHA_PLUS_SLOPE = -(2 + 3j) / 4
 ALPHA_PLUS_CURVE = (1 - 1j) / 96
 BETA_PLUS_CONST = (3 + 1j) / 16
 BETA_PLUS_SLOPE = -1j / 4
 BETA_PLUS_CURVE = (1 - 1j) / 96
-
-ALPHA_MINUS_CONST = (7 - 5j) / 16
-ALPHA_MINUS_SLOPE = -(2 - 3j) / 4
-ALPHA_MINUS_CURVE = (1 + 1j) / 96
-BETA_MINUS_CONST = (3 - 1j) / 16
-BETA_MINUS_SLOPE = 1j / 4
-BETA_MINUS_CURVE = (1 + 1j) / 96
-
-
-@dataclass
-class SubgridSample:
-    """One reconstructed sample: position relative to the element centre
-    and the complex value before taking the real part."""
-
-    x_local: float
-    value: complex
 
 
 def _interior_coefficients(state: AmplitudeState, params: ModelParams,
@@ -122,11 +105,9 @@ def boundary_envelopes(state: AmplitudeState, params: ModelParams,
     pc = al * ALPHA_PLUS_CONST + be * BETA_PLUS_CONST
     ps = al * ALPHA_PLUS_SLOPE + be * BETA_PLUS_SLOPE
     pq = al * ALPHA_PLUS_CURVE + be * BETA_PLUS_CURVE
-    plus += s * g2h * np.array([pc + pq * h ** 2, ps, -12.0 * pq])
-    mc = al * ALPHA_MINUS_CONST + be * BETA_MINUS_CONST
-    ms = al * ALPHA_MINUS_SLOPE + be * BETA_MINUS_SLOPE
-    mq = al * ALPHA_MINUS_CURVE + be * BETA_MINUS_CURVE
-    minus += s * g2h * np.array([mc + mq * h ** 2, ms, -12.0 * mq])
+    profile = s * g2h * np.array([pc + pq * h ** 2, ps, -12.0 * pq])
+    plus += profile
+    minus += np.conj(profile)
     return plus, minus
 
 
@@ -180,15 +161,6 @@ def reconstruct_boundary(state: AmplitudeState, params: ModelParams,
     return eval_field(plus, minus, xs).real
 
 
-def sample_element(state: AmplitudeState, params: ModelParams, j: int, xs,
-                   periodic: bool = False) -> list[SubgridSample]:
-    """Complex reconstruction samples of interior element j."""
-    xs = _check_local(xs, params.h)
-    plus, minus = interior_envelopes(state, params, j, periodic)
-    vals = eval_field(plus, minus, xs)
-    return [SubgridSample(float(x), complex(v)) for x, v in zip(xs, vals)]
-
-
 def extract_amplitudes(grid: FieldGrid, params: ModelParams,
                        t: float = 0.0) -> AmplitudeState:
     """Element-average amplitudes of an element-aligned grid.
@@ -220,8 +192,7 @@ def extract_amplitudes(grid: FieldGrid, params: ModelParams,
 
 
 def lattice_field(state: AmplitudeState, params: ModelParams,
-                  periodic: bool = True, x0: Optional[float] = None,
-                  with_corrections: bool = True) -> FieldGrid:
+                  periodic: bool = True) -> FieldGrid:
     """Sample the reconstruction of every element onto an aligned grid.
 
     Periodic grids use the interior formula with wrap-around neighbours.
@@ -232,9 +203,9 @@ def lattice_field(state: AmplitudeState, params: ModelParams,
     N, M = params.n_elements, params.m_samples
     if state.n != N:
         raise ValueError(f"state has {state.n} elements, params expect {N}")
-    grid = FieldGrid.zeros(params, periodic=periodic, x0=x0)
+    grid = FieldGrid.zeros(params, periodic=periodic)
     xs_local = -params.h / 2.0 + grid.dx * np.arange(M)
-    if periodic and with_corrections:
+    if periodic:
         j = np.arange(N)
         p0, p1, m0, m1 = _interior_coefficients(state, params, j - 1, j, (j + 1) % N)
         plus = p1[:, None] * xs_local + p0[:, None]

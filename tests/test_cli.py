@@ -1,5 +1,6 @@
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,10 @@ def newest_csv(directory):
     paths = sorted(directory.glob("*.csv"))
     assert paths, f"no CSV written in {directory}"
     return paths[-1]
+
+
+def err_lines(err):
+    return err.strip().splitlines()
 
 
 def read_rows(path):
@@ -177,22 +182,81 @@ class TestOtherExperiments:
                      "--dt", "0.05", "--n-elements", "4",
                      "--output-dir", str(tmp_path)])
         assert code == 2
-        assert "divergence" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "divergence" in err
+        assert err_lines(err) == [
+            "error: numerical divergence: lattice model diverged at step 1, "
+            "t=0.05: NaN/Inf"]
 
     def test_bounded_divergence_exits_two(self, tmp_path, capsys):
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["simulate-direct", "--scheme", "bounded-imex",
-                         "--init-amp", "1e3", "--t-end", "1",
+        code = main(["simulate-direct", "--scheme", "bounded-imex",
+                     "--init-amp", "1e3", "--t-end", "1",
+                     "--output-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bounded solve diverged" in err
+        assert err_lines(err) == [
+            "error: numerical divergence: bounded solve diverged at step 3, "
+            "t=0.0461538: NaN/Inf"]
+
+    def test_spectral_divergence_exits_two_without_warnings(self, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["simulate-direct", "--scheme", "spectral-etd",
+                         "--init-amp", "1e200", "--t-end", "1",
                          "--output-dir", str(tmp_path)])
         assert code == 2
-        assert "bounded solve diverged" in capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
+        assert err_lines(capsys.readouterr().err) == [
+            "error: numerical divergence: spectral solve diverged at step 1, "
+            "t=0.05: NaN/Inf"]
+
+    @pytest.mark.parametrize("args, solver", [
+        (["simulate-direct", "--scheme", "spectral-etd"], "spectral solve"),
+        (["simulate-model"], "lattice model"),
+    ])
+    def test_nonfinite_init_exits_one(self, tmp_path, capsys, args, solver):
+        code = main(args + ["--init-amp", "nan", "--t-end", "1",
+                            "--output-dir", str(tmp_path)])
+        assert code == 1
+        assert err_lines(capsys.readouterr().err) == [
+            f"error: {solver}: start state contains NaN/Inf"]
 
     def test_bounded_nonfinite_init_exits_one(self, tmp_path, capsys):
         code = main(["simulate-direct", "--scheme", "bounded-imex",
                      "--init-amp", "nan", "--t-end", "1",
                      "--output-dir", str(tmp_path)])
         assert code == 1
-        assert "NaN/Inf" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "NaN/Inf" in err
+        assert err_lines(err) == ["error: bounded solve: start state contains NaN/Inf"]
+
+    @pytest.mark.parametrize("args, message", [
+        (["dispersion", "--k-steps", "2", "--dt", "-0.02"], "dt must be positive, got -0.02"),
+        (["dispersion", "--k-steps", "2", "--dt", "0"], "dt must be positive, got 0.0"),
+        (["dispersion", "--k-steps", "2", "--t-fit", "0"], "t_end must exceed the start time"),
+        (["simulate-direct", "--t-end", "0"], "t_end must exceed the start time"),
+        (["simulate-direct", "--t-end", "-5"], "t_end must exceed the start time"),
+        (["simulate-direct", "--dt", "0"], "dt must be positive"),
+        (["simulate-direct", "--scheme", "bounded-imex", "--t-end", "0"],
+         "t_end must exceed the start time"),
+        (["simulate-direct", "--scheme", "bounded-imex", "--dt", "-0.001"],
+         "dt must be positive"),
+        (["simulate-model", "--t-end", "0"], "t_end must exceed the start time"),
+        (["simulate-model", "--dt", "-0.05"], "dt must be positive"),
+        (["boundary-select", "--dt", "0"], "dt must be positive"),
+        (["boundary-select", "--t-end", "-1"], "t_end must exceed the start time"),
+        (["boundary-equilibrium", "--dt", "0"], "dt must be positive"),
+        (["compare", "--r", "0.1", "--t-end", "0"], "t_end must exceed the start time"),
+        (["compare", "--r", "0.1", "--dt-model", "0"], "dt must be positive"),
+        (["compare", "--r", "0.1", "--n-samples", "0"], "n_samples must be at least 1"),
+    ])
+    def test_bad_time_arguments_exit_one(self, tmp_path, capsys, args, message):
+        code = main(args + ["--output-dir", str(tmp_path)])
+        assert code == 1
+        (line,) = err_lines(capsys.readouterr().err)
+        assert line.startswith("error: ") and message in line
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_fast_forcing_warns(self, tmp_path, capsys):
         code = main(["simulate-model", "--kind", "even", "--alpha", "0.05",

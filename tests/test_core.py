@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from shlattice import (
     AmplitudeState,
     BoundaryForcing,
+    DivergenceError,
     FieldGrid,
     ForcingKind,
     element_centers,
@@ -11,6 +14,7 @@ from shlattice import (
     mean_difference,
     second_difference,
 )
+from shlattice.core import _integrate, _step_count
 
 
 class TestMakeParams:
@@ -143,3 +147,63 @@ class TestBoundaryForcing:
         assert f.alpha_at(3.0) == pytest.approx(0.25)
         assert f.beta_at(3.0) == pytest.approx(1.5)
         assert BoundaryForcing.periodic().alpha_at(1.0) == 0.0
+
+
+class TestStepRule:
+    @pytest.mark.parametrize("span, dt, n", [
+        (1.0, 0.1, 10),             # whole number of steps, up to rounding
+        (0.3, 0.1, 3),              # 0.3 / 0.1 = 2.9999999999999996
+        (1.05, 0.1, 11),            # shrunk to land on the end
+        (0.01, 0.1, 1),             # one step at least
+        (10 / 0.01 / 40, 0.1, 250),
+    ])
+    def test_counts(self, span, dt, n):
+        assert _step_count(span, dt) == n
+
+    @pytest.mark.parametrize("span", [0.0, -1.0, float("nan")])
+    def test_nonpositive_span_rejected(self, span):
+        with pytest.raises(ValueError, match="t_end must exceed the start time"):
+            _step_count(span, 0.1)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1, float("nan")])
+    def test_nonpositive_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            _step_count(1.0, dt)
+
+
+class TestSteppingLoop:
+    def test_steps_times_and_callback(self):
+        seen = []
+        x = _integrate("doubler", lambda x, t: 2.0 * x + t, np.zeros(2),
+                       np.array([0.0, 1.0, 2.0, 3.0]),
+                       lambda i, x: seen.append((i, x.copy())))
+        # step i starts at times[i - 1]: 0 -> 0 -> 1 -> 4
+        assert np.array_equal(x, [4.0, 4.0])
+        assert [i for i, _ in seen] == [1, 2, 3]
+        assert [v[0] for _, v in seen] == [0.0, 1.0, 4.0]
+
+    def test_single_time_takes_no_step(self):
+        x = np.ones(3)
+        assert _integrate("idle", lambda x, t: 1 / 0, x, np.array([5.0])) is x
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.inf)])
+    def test_nonfinite_start_rejected(self, bad):
+        x = np.zeros(4, dtype=complex)
+        x[2] = bad
+        with pytest.raises(ValueError, match="demo: start state contains NaN/Inf"):
+            _integrate("demo", lambda x, t: x, x, np.arange(3.0))
+
+    def test_overflow_is_divergence_without_warnings(self):
+        times = 0.5 * np.arange(20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError,
+                               match=r"^demo diverged at step 2, t=1: NaN/Inf$"):
+                # 1e100 -> 1e300 -> inf
+                _integrate("demo", lambda x, t: x * x * x, np.full(3, 1e100), times)
+
+    def test_bound_is_a_runaway(self):
+        with pytest.raises(DivergenceError,
+                           match=r"^demo diverged at step 4, t=4: runaway past 10$"):
+            _integrate("demo", lambda x, t: 2.0 * x, np.ones(2, complex),
+                       np.arange(10.0), bound=10.0)

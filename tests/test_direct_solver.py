@@ -9,8 +9,7 @@ from shlattice import (
     DivergenceError,
     FieldGrid,
     ForcingKind,
-    Scheme,
-    SolverConfig,
+    SpectralStepper,
     conjugate_state,
     extract_amplitudes,
     integrate_bounded,
@@ -18,7 +17,6 @@ from shlattice import (
     lattice_field,
     make_params,
     measure_growth_rate,
-    step_spectral,
 )
 from shlattice.direct_solver import growth_symbol
 
@@ -27,20 +25,28 @@ def params_for(r=0.0, gamma=1.0, p=1, n=4, m=64):
     return make_params(r=r, gamma=gamma, p=p, n_elements=n, m_samples=m)
 
 
+def one_step(grid, params, dt):
+    """One ETDRK4 step of a periodic grid through SpectralStepper.step."""
+    stepper = SpectralStepper(len(grid.u), grid.length, params.r, dt)
+    return stepper.to_physical(stepper.step(stepper.to_spectral(grid.u)))
+
+
 class TestStepSpectral:
+    """SpectralStepper.step, SpectralStepper.run and integrate_spectral."""
+
     def test_zero_fixed_point(self):
         params = params_for()
         grid = FieldGrid.zeros(params, periodic=True)
-        out = step_spectral(grid, params, 0.1)
-        assert np.all(out.u == 0)
+        assert np.all(one_step(grid, params, 0.1) == 0)
+        assert np.all(integrate_spectral(grid, params, 1.0, 0.1).u == 0)
 
     def test_neutral_mode_unchanged(self):
         # u = eps cos(x), r = 0: mode k=1 is neutral
         params = params_for(r=0.0, n=4, m=64)
         grid = FieldGrid.sample(lambda x: 1e-6 * np.cos(x), params)
-        out = step_spectral(grid, params, 0.1)
+        out = one_step(grid, params, 0.1)
         m0 = abs(np.fft.rfft(grid.u)[4])   # k=1 is mode 4 on a 4-element domain
-        m1 = abs(np.fft.rfft(out.u)[4])
+        m1 = abs(np.fft.rfft(out)[4])
         assert abs(m1 / m0 - 1.0) < 1e-8
 
     def test_harmonic_decays_at_exact_rate(self):
@@ -48,19 +54,19 @@ class TestStepSpectral:
         params = params_for(r=0.0, n=4, m=64)
         grid = FieldGrid.sample(lambda x: 1e-6 * np.cos(2 * x), params)
         dt = 0.1
-        out = step_spectral(grid, params, dt)
+        out = one_step(grid, params, dt)
         m0 = abs(np.fft.rfft(grid.u)[8])
-        m1 = abs(np.fft.rfft(out.u)[8])
+        m1 = abs(np.fft.rfft(out)[8])
         assert abs(m1 / m0 / np.exp(-9 * dt) - 1.0) < 1e-6
 
     def test_rejects_bad_grids(self):
         params = params_for()
         bounded = FieldGrid.zeros(params, periodic=False)
         with pytest.raises(ValueError):
-            step_spectral(bounded, params, 0.1)
+            integrate_spectral(bounded, params, 0.1, 0.1)
         odd = FieldGrid(0.0, 0.1, np.zeros(100), True)
         with pytest.raises(ValueError):
-            step_spectral(odd, params, 0.1)
+            integrate_spectral(odd, params, 0.1, 0.1)
 
     def test_field_stays_real_and_bounded(self):
         # 1000 steps from real data: the state is carried as a real array,
@@ -79,11 +85,16 @@ class TestStepSpectral:
         params = params_for(r=-0.1, n=4, m=64)
         rng = np.random.default_rng(1)
         grid = FieldGrid.sample(lambda x: 1e-3 * rng.standard_normal(x.size), params)
+        stepper = SpectralStepper(len(grid.u), grid.length, params.r, 0.1)
         norms = [np.linalg.norm(grid.u)]
-        g = grid
-        for _ in range(200):
-            g = step_spectral(g, params, 0.1)
-            norms.append(np.linalg.norm(g.u))
+        steps = []
+
+        def record(i, v):
+            steps.append(i)
+            norms.append(np.linalg.norm(stepper.to_physical(v)))
+
+        stepper.run(stepper.to_spectral(grid.u), 200, callback=record)
+        assert steps == list(range(1, 201))
         diffs = np.diff(norms)
         assert np.all(diffs <= 1e-15)
 
@@ -95,6 +106,17 @@ class TestStepSpectral:
         e1 = np.max(np.abs(sols[0] - sols[1]))
         e2 = np.max(np.abs(sols[1] - sols[2]))
         assert np.log2(e1 / e2) >= 1.9
+
+    def test_run_matches_repeated_steps(self):
+        params = params_for(r=0.3, n=4, m=64)
+        grid = FieldGrid.sample(lambda x: 0.5 * np.cos(x) + 0.1 * np.sin(2 * x), params)
+        stepper = SpectralStepper(len(grid.u), grid.length, params.r, 0.05)
+        v = stepper.to_spectral(grid.u)
+        for _ in range(40):
+            v = stepper.step(v)
+        assert np.array_equal(stepper.run(stepper.to_spectral(grid.u), 40), v)
+        out = integrate_spectral(grid, params, 2.0, 0.05)
+        assert np.array_equal(out.u, stepper.to_physical(v))
 
 
 class TestMeasureGrowthRate:
@@ -252,10 +274,15 @@ class TestBadInput:
         params = params_for(n=2, m=32)
         grid = FieldGrid.sample(lambda x: 1e3 * np.cos(x), params, periodic=False)
         forcing = BoundaryForcing.even_given(0.0, 0.0, p=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError):
-                integrate_bounded(grid, params, forcing, t_end=1.0,
-                                  dt=0.4 * grid.dx ** 2)
+        with pytest.raises(DivergenceError, match=r"bounded solve diverged at step \d+, t="):
+            integrate_bounded(grid, params, forcing, t_end=1.0,
+                              dt=0.4 * grid.dx ** 2)
+
+    def test_spectral_divergence_raises_divergence_error(self):
+        params = params_for(n=2, m=32)
+        grid = FieldGrid.sample(lambda x: 1e200 * np.cos(x), params)
+        with pytest.raises(DivergenceError, match="spectral solve diverged at step 1, t=0.1"):
+            integrate_spectral(grid, params, t_end=1.0, dt=0.1)
 
     def test_bounded_nonfinite_initial_field_rejected(self):
         params = params_for(n=2, m=32)
@@ -265,6 +292,40 @@ class TestBadInput:
         with pytest.raises(ValueError, match="NaN/Inf"):
             integrate_bounded(grid, params, forcing, t_end=1.0,
                               dt=0.4 * grid.dx ** 2)
+
+    def test_spectral_nonfinite_initial_field_rejected(self):
+        params = params_for(n=2, m=32)
+        grid = FieldGrid.zeros(params, periodic=True)
+        grid.u[5] = np.nan
+        with pytest.raises(ValueError, match="NaN/Inf"):
+            integrate_spectral(grid, params, t_end=1.0, dt=0.1)
+        stepper = SpectralStepper(len(grid.u), grid.length, params.r, 0.1)
+        with pytest.raises(ValueError, match="NaN/Inf"):
+            stepper.run(stepper.to_spectral(grid.u), 3)
+
+    @pytest.mark.parametrize("t_end", [0.0, -1.0])
+    def test_nonpositive_span_rejected(self, t_end):
+        params = params_for()
+        with pytest.raises(ValueError, match="t_end must exceed"):
+            integrate_spectral(FieldGrid.zeros(params, periodic=True), params, t_end, 0.1)
+        grid = FieldGrid.zeros(params, periodic=False)
+        forcing = BoundaryForcing.even_given(0.0, 0.0, p=1)
+        with pytest.raises(ValueError, match="t_end must exceed"):
+            integrate_bounded(grid, params, forcing, t_end, 1e-4)
+        with pytest.raises(ValueError, match="t_end must exceed"):
+            measure_growth_rate(params, 1.0, eps0=1e-6, T=t_end)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01])
+    def test_constructors_reject_nonpositive_dt(self, dt):
+        params = params_for()
+        grid = FieldGrid.zeros(params, periodic=False)
+        forcing = BoundaryForcing.even_given(0.0, 0.0, p=1)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            BoundedStepper(grid, params, forcing, dt=dt)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            SpectralStepper(128, 8 * np.pi, 0.0, dt)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            measure_growth_rate(params, 1.0, eps0=1e-6, T=1.0, dt=dt)
 
 
 def reference_step(stepper, u, t):
@@ -369,15 +430,3 @@ class TestFactoredSolve:
             u = reference_step(stepper, u, t)
             t = t0 + (i + 1) * stepper.dt
         assert np.array_equal(out.u, u)
-
-
-class TestSolverConfig:
-    def test_validation(self):
-        cfg = SolverConfig(dt=0.1, t_end=1.0)
-        cfg.validate()
-        with pytest.raises(ValueError):
-            SolverConfig(dt=-0.1, t_end=1.0).validate()
-        bounded = SolverConfig(dt=0.1, t_end=1.0, scheme=Scheme.BOUNDED_IMEX)
-        with pytest.raises(ValueError):
-            bounded.validate(dx=0.1)   # dt > c_stab dx^2
-        SolverConfig(dt=0.004, t_end=1.0, scheme=Scheme.BOUNDED_IMEX).validate(dx=0.1)

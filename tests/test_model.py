@@ -392,6 +392,25 @@ class TestRealSectorFastPath:
         with pytest.raises(DivergenceError, match="NaN/Inf"):
             run_model(st0, params, BoundaryForcing.periodic(), 10.0, 0.1)
 
+    @pytest.mark.parametrize("real", [True, False])
+    def test_nonfinite_start_rejected(self, real):
+        params = params_for(n=4)
+        a = np.full(4, 0.1 + 0j)
+        a[1] = np.nan
+        st0 = conjugate_state(0.0, a) if real else AmplitudeState(0.0, a, np.zeros(4, complex))
+        with pytest.raises(ValueError, match="lattice model: start state contains NaN/Inf"):
+            run_model(st0, params, BoundaryForcing.periodic(), 1.0, 0.1)
+
+    def test_runaway_names_step_and_time(self):
+        # with b = 0 the cubic vanishes: growth at rate r = 0.5 from |a| = 9e5
+        # passes the 1e6 bound in the first step of 0.4, far from overflow
+        params = params_for(r=0.5, n=4)
+        a = np.full(4, 9e5 + 0j)
+        st0 = AmplitudeState(0.0, a, np.zeros(4, complex))
+        with pytest.raises(DivergenceError,
+                           match=r"^lattice model diverged at step 1, t=0.4: runaway past 1e\+06$"):
+            run_model(st0, params, BoundaryForcing.periodic(), 2.0, 0.4)
+
 
 def lyapunov(a, params, sign):
     """V = sum_j [-r|a_j|^2 + (3/2) w_j |a_j|^4] + (4 g^2/h^2) sum |a_{j+1} - a_j|^2,

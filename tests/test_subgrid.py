@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,15 +17,9 @@ from shlattice import (
     reconstruct_interior,
 )
 from shlattice.subgrid import (
-    ALPHA_MINUS_CONST,
-    ALPHA_MINUS_CURVE,
-    ALPHA_MINUS_SLOPE,
     ALPHA_PLUS_CONST,
     ALPHA_PLUS_CURVE,
     ALPHA_PLUS_SLOPE,
-    BETA_MINUS_CONST,
-    BETA_MINUS_CURVE,
-    BETA_MINUS_SLOPE,
     BETA_PLUS_CONST,
     BETA_PLUS_CURVE,
     BETA_PLUS_SLOPE,
@@ -31,7 +27,6 @@ from shlattice.subgrid import (
     eval_field,
     interior_envelopes,
     lattice_field,
-    sample_element,
 )
 
 
@@ -57,20 +52,19 @@ class TestCoefficientTable:
         assert BETA_PLUS_CONST == (3 + 1j) / 16
         assert BETA_PLUS_SLOPE == -1j / 4
         assert BETA_PLUS_CURVE == (1 - 1j) / 96
-        assert ALPHA_MINUS_CONST == (7 - 5j) / 16
-        assert ALPHA_MINUS_SLOPE == -(2 - 3j) / 4
-        assert ALPHA_MINUS_CURVE == (1 + 1j) / 96
-        assert BETA_MINUS_CONST == (3 - 1j) / 16
-        assert BETA_MINUS_SLOPE == 1j / 4
-        assert BETA_MINUS_CURVE == (1 + 1j) / 96
 
     def test_minus_sector_is_conjugate(self):
-        assert ALPHA_MINUS_CONST == np.conj(ALPHA_PLUS_CONST)
-        assert ALPHA_MINUS_SLOPE == np.conj(ALPHA_PLUS_SLOPE)
-        assert ALPHA_MINUS_CURVE == np.conj(ALPHA_PLUS_CURVE)
-        assert BETA_MINUS_CONST == np.conj(BETA_PLUS_CONST)
-        assert BETA_MINUS_SLOPE == np.conj(BETA_PLUS_SLOPE)
-        assert BETA_MINUS_CURVE == np.conj(BETA_PLUS_CURVE)
+        # with zero amplitudes only the forcing profiles remain; the
+        # exp(-ix) sector must carry exactly their conjugates
+        zero = AmplitudeState(0.0, np.zeros(2, complex), np.zeros(2, complex))
+        signals = [(1.0, 0.0), (0.0, 1.0), (0.3, -0.7), (-2.5, 1e-3), (1e4, 3.0)]
+        for sign, make in ((SignChoice.UPPER, BoundaryForcing.even_given),
+                           (SignChoice.LOWER, BoundaryForcing.odd_given)):
+            for (alpha, beta), p in itertools.product(signals, (1, 2)):
+                params = params_for(gamma=0.8, p=p, n=2)
+                plus, minus = boundary_envelopes(zero, params, make(alpha, beta, p=p), sign)
+                assert np.any(plus != 0)
+                assert np.array_equal(minus, np.conj(plus))
 
 
 class TestExtraction:
@@ -158,8 +152,9 @@ class TestInteriorReconstruction:
     def test_conjugate_sector_is_real(self):
         params = params_for(n=5)
         st = random_state(5, seed=10, conjugate=True)
-        samples = sample_element(st, params, 2, np.linspace(-np.pi, np.pi, 11))
-        assert max(abs(s.value.imag) for s in samples) < 1e-12
+        plus, minus = interior_envelopes(st, params, 2)
+        values = eval_field(plus, minus, np.linspace(-np.pi, np.pi, 11))
+        assert np.max(np.abs(values.imag)) < 1e-12
 
     def test_out_of_element_rejected(self):
         params = params_for(n=3)
