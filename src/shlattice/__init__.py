@@ -13,8 +13,6 @@ from .core import (
     conjugate_state,
     element_centers,
     make_params,
-    mean_difference,
-    second_difference,
 )
 from .amplitude_model import (
     SignChoice,

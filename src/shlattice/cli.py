@@ -1,5 +1,13 @@
 """Experiment harness: config ingestion, orchestration, CSV/manifest output.
 
+Each experiment is one runner in `RUNNERS`, called as
+``run_<x>(cfg, params) -> (header, rows, extra_meta)``: it gets the
+resolved configuration (every key typed like its default) and the
+`ModelParams` built from it, and returns the CSV header, the rows and the
+keys it adds to the manifest.  `main` is the one place that reads the
+``--config`` file, resolves the configuration, builds the parameters,
+calls the runner and writes its outputs.
+
 Every experiment writes one CSV of plot-ready data plus a manifest echoing
 the resolved configuration: ``<csv-stem>.manifest.json`` for the run, and
 ``manifest.json`` for the latest run in the output directory.  Output is
@@ -34,6 +42,7 @@ from .amplitude_model import SignChoice, run_model
 from .analysis import (
     CompareConfig,
     boundary_equilibrium,
+    boundary_mode_rates,
     compare_model_vs_direct,
     she_growth_rate,
 )
@@ -87,26 +96,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_flags(sub: argparse.ArgumentParser, keys: dict) -> None:
-    for key, default in keys.items():
-        flag = "--" + key
-        if isinstance(default, bool):
-            sub.add_argument(flag, dest=key, action="store_true", default=None,
-                             help=f"(default: {default})")
-        else:
-            sub.add_argument(flag, dest=key, default=None,
-                             help=f"(default: {default})")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="shlattice",
                      description="Swift-Hohenberg amplitude-lattice experiments")
-    parser.add_argument("--config", help="JSON config file (flags override it)")
     subs = parser.add_subparsers(dest="experiment", required=True)
     for name, keys in EXPERIMENT_KEYS.items():
         sub = subs.add_parser(name, prog=f"shlattice {name}")
         sub.add_argument("--config", help="JSON config file (flags override it)")
-        _add_flags(sub, {**SHARED_KEYS, **keys})
+        for key, default in {**SHARED_KEYS, **keys}.items():
+            switch = {"action": "store_true"} if isinstance(default, bool) else {}
+            sub.add_argument("--" + key, dest=key, default=None,
+                             help=f"(default: {default})", **switch)
     return parser
 
 
@@ -118,7 +118,7 @@ def _coerce(value, default):
         if isinstance(value, bool):
             return value
         return str(value).lower() in ("1", "true", "yes", "on")
-    if isinstance(default, int) and not isinstance(default, bool):
+    if isinstance(default, int):
         return int(value)
     if isinstance(default, float):
         return float(value)
@@ -126,7 +126,11 @@ def _coerce(value, default):
 
 
 def resolve_config(experiment: str, file_cfg: dict, flag_cfg: dict) -> dict:
-    """Layer defaults < config file < flags, rejecting unknown keys."""
+    """Layer defaults < config file < flags, rejecting unknown keys.
+
+    Every value comes back with its default's type; keys whose default is
+    None keep the value as given.
+    """
     allowed = {**SHARED_KEYS, **EXPERIMENT_KEYS[experiment]}
     for key in file_cfg:
         if key == "experiment":
@@ -149,44 +153,35 @@ def resolve_config(experiment: str, file_cfg: dict, flag_cfg: dict) -> dict:
 
 
 def _params_from(cfg: dict):
-    return make_params(r=float(cfg["r"]), gamma=float(cfg["gamma"]),
-                       p=int(cfg["p"]), n_elements=int(cfg["n-elements"]),
-                       m_samples=int(cfg["m-samples"]))
+    return make_params(r=cfg["r"], gamma=cfg["gamma"], p=cfg["p"],
+                       n_elements=cfg["n-elements"], m_samples=cfg["m-samples"])
 
 
-def _signal_from(cfg: dict, base_key: str):
-    """Constant or sinusoidal signal: value * cos(omega t) when omega is set."""
-    amp = float(cfg.get(base_key, 0.0) or 0.0)
-    omega = float(cfg.get(f"{base_key}-omega", 0.0) or 0.0)
-    if omega:
-        return lambda t: amp * math.cos(omega * t)
-    return amp
-
-
-def _warn_fast_forcing(cfg: dict, t_end: float) -> None:
-    """Finite-difference estimate of the forcing acceleration; the model is
-    only valid for slowly varying signals."""
-    threshold = float(cfg.get("accel-warn", 1.0) or 1.0)
+def _warn_fast_forcing(alpha, t_end: float, threshold: float) -> None:
+    """Finite-difference estimate of the acceleration of alpha(t); the model
+    is only valid for slowly varying signals."""
     ts = np.linspace(0.0, t_end, 201)
-    dt = ts[1] - ts[0]
-    for key in ("alpha", "beta"):
-        sig = _signal_from(cfg, key)
-        if callable(sig):
-            vals = np.array([sig(t) for t in ts])
-            acc = np.abs(np.diff(vals, 2)).max() / dt ** 2 if len(vals) > 2 else 0.0
-            if acc > threshold:
-                print(f"warning: {key}(t) acceleration {acc:.3g} exceeds "
-                      f"{threshold:.3g}; the model assumes slowly varying forcing",
-                      file=sys.stderr)
+    vals = np.array([alpha(t) for t in ts])
+    acc = np.abs(np.diff(vals, 2)).max() / (ts[1] - ts[0]) ** 2
+    if acc > threshold:
+        print(f"warning: alpha(t) acceleration {acc:.3g} exceeds "
+              f"{threshold:.3g}; the model assumes slowly varying forcing",
+              file=sys.stderr)
 
 
-def _forcing_from(cfg: dict, params, kind: str) -> BoundaryForcing:
-    alpha = _signal_from(cfg, "alpha")
-    beta = _signal_from(cfg, "beta")
+def _forcing_from(cfg: dict, params, t_end: float) -> BoundaryForcing:
+    """Forcing of the configured kind with constant beta and with alpha, or
+    alpha cos(alpha-omega t) when alpha-omega is set; warns when that signal
+    varies too fast over [0, t_end]."""
+    amp, omega = cfg["alpha"], cfg["alpha-omega"]
+    alpha = (lambda t: amp * math.cos(omega * t)) if omega else amp
+    if omega:
+        _warn_fast_forcing(alpha, t_end, cfg["accel-warn"])
+    kind = cfg["kind"]
     if kind == "even":
-        return BoundaryForcing.even_given(alpha, beta, p=params.p)
+        return BoundaryForcing.even_given(alpha, cfg["beta"], p=params.p)
     if kind == "odd":
-        return BoundaryForcing.odd_given(alpha, beta, p=params.p)
+        return BoundaryForcing.odd_given(alpha, cfg["beta"], p=params.p)
     if kind == "periodic":
         return BoundaryForcing.periodic()
     raise ValueError(f"unknown boundary kind '{kind}'")
@@ -210,8 +205,7 @@ def _create_unique(out_dir: Path, stem: str):
 
 
 def _write_outputs(cfg: dict, experiment: str, header: list[str],
-                   rows: list[tuple], extra_meta: dict,
-                   started: float) -> Path:
+                   rows: list, extra_meta: dict, started: float) -> None:
     out_dir = Path(cfg["output-dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S")
@@ -237,64 +231,52 @@ def _write_outputs(cfg: dict, experiment: str, header: list[str],
     for name in (f"{csv_path.stem}.manifest.json", "manifest.json"):
         (out_dir / name).write_text(text)
     print(csv_path)
-    return csv_path
 
 
-# -- experiment runners ------------------------------------------------------
+# -- experiment runners: (cfg, params) -> (header, rows, extra manifest keys) --
 
-def run_dispersion(cfg: dict, started: float) -> int:
-    params = _params_from(cfg)
-    ks = np.linspace(float(cfg["k-min"]), float(cfg["k-max"]), int(cfg["k-steps"]))
-    rows = []
-    for k in ks:
-        theory = she_growth_rate(float(k), params.r)
-        measured = measure_growth_rate(params, float(k), eps0=float(cfg["eps0"]),
-                                       T=float(cfg["t-fit"]), dt=float(cfg["dt"]))
-        rows.append((float(k), theory, measured))
-    _write_outputs(cfg, "dispersion", ["k", "lambda_theory", "lambda_measured"],
-                   rows, {}, started)
-    return 0
+def run_dispersion(cfg: dict, params) -> tuple:
+    rows = [(k, she_growth_rate(k, params.r),
+             measure_growth_rate(params, k, eps0=cfg["eps0"], T=cfg["t-fit"],
+                                 dt=cfg["dt"]))
+            for k in map(float, np.linspace(cfg["k-min"], cfg["k-max"], cfg["k-steps"]))]
+    return ["k", "lambda_theory", "lambda_measured"], rows, {}
 
 
-def run_compare(cfg: dict, started: float) -> int:
-    params = _params_from(cfg)
-    ladder = cfg.get("r-ladder")
+def run_compare(cfg: dict, params) -> tuple:
+    ladder = cfg["r-ladder"]
     if isinstance(ladder, str):
         ladder = tuple(float(v) for v in ladder.split(",") if v)
-    t_end = cfg.get("t-end")
+    t_end = cfg["t-end"]
+    # ladder rungs, and a single run without t-end, go to t = 10/r
+    for r in ladder or ([params.r] if t_end is None else []):
+        if not r > 0:
+            raise ValueError(f"the horizon 10/r needs r > 0, got r = {r}")
     t_end = 10.0 / max(params.r, 1e-6) if t_end is None else float(t_end)
-    ccfg = CompareConfig(params=params, t_end=t_end,
-                         n_samples=int(cfg["n-samples"]),
-                         dt_model=float(cfg["dt-model"]),
-                         dt_oracle=float(cfg["dt-oracle"]),
-                         r_ladder=ladder, modulation=float(cfg["modulation"]))
-    report = compare_model_vs_direct(ccfg)
+    report = compare_model_vs_direct(CompareConfig(
+        params=params, t_end=t_end, n_samples=cfg["n-samples"],
+        dt_model=cfg["dt-model"], dt_oracle=cfg["dt-oracle"],
+        r_ladder=ladder, modulation=cfg["modulation"]))
     if ladder:
         rows = [(row["r"], row["terminal_sup_error"], row["normalised"])
                 for row in report.metadata["ladder"]]
-        header = ["r", "terminal_sup_error", "normalised_error"]
-        meta = {"convergence_slope": report.convergence_slope}
-    else:
-        rows = [(float(t), float(e)) for t, e in zip(report.times, report.sup_error)]
-        header = ["t", "sup_error"]
-        meta = {"validity_flag": report.metadata["validity_flag"]}
-    _write_outputs(cfg, "compare", header, rows, meta, started)
-    return 0
+        return (["r", "terminal_sup_error", "normalised_error"], rows,
+                {"convergence_slope": report.convergence_slope})
+    rows = [(float(t), float(e)) for t, e in zip(report.times, report.sup_error)]
+    return ["t", "sup_error"], rows, {"validity_flag": report.metadata["validity_flag"]}
 
 
-def run_boundary_select(cfg: dict, started: float) -> int:
-    params = _params_from(cfg)
+def run_boundary_select(cfg: dict, params) -> tuple:
     sign = SignChoice(cfg["sign"])
-    fast, _ = 8.0 / params.h ** 2 - params.r, params.r
-    t_end = cfg.get("t-end")
-    t_end = 10.0 / fast if t_end is None else float(t_end)
-    forcing = _forcing_from({**cfg, "alpha": 0.0, "beta": 0.0}, params,
-                            "even" if sign is SignChoice.UPPER else "odd")
-    phase = math.radians(float(cfg["phase-deg"]))
-    a0 = np.full(params.n_elements, float(cfg["amp0"]) * np.exp(1j * phase), complex)
+    fast, _ = boundary_mode_rates(params, sign)   # fast = r - 8/h^2
+    t_end = -10.0 / fast if cfg["t-end"] is None else float(cfg["t-end"])
+    wall = BoundaryForcing.even_given if sign is SignChoice.UPPER else BoundaryForcing.odd_given
+    forcing = wall(p=params.p)
+    phase = math.radians(cfg["phase-deg"])
+    a0 = np.full(params.n_elements, cfg["amp0"] * np.exp(1j * phase), complex)
     state = conjugate_state(0.0, a0)
-    traj = run_model(state, params, forcing, t_end, float(cfg["dt"]),
-                     sample_stride=_stride(t_end, float(cfg["dt"]), 200))
+    traj = run_model(state, params, forcing, t_end, cfg["dt"],
+                     sample_stride=_stride(t_end, cfg["dt"], 200))
     rows = []
     for t, a1 in zip(traj.times, traj.a[:, 0]):
         mag = abs(a1) or 1.0
@@ -306,98 +288,70 @@ def run_boundary_select(cfg: dict, started: float) -> int:
         out = integrate_bounded(grid, params, forcing, t_end, dt_pde)
         a1 = extract_amplitudes(out, params).a[0]
         meta["oracle_phase_deg"] = math.degrees(np.angle(a1))
-    _write_outputs(cfg, "boundary-select",
-                   ["t", "re_fraction", "im_fraction"], rows, meta, started)
-    return 0
+    return ["t", "re_fraction", "im_fraction"], rows, meta
 
 
-def run_boundary_equilibrium(cfg: dict, started: float) -> int:
-    params = _params_from(cfg)
-    forcing = _forcing_from(cfg, params, "even")
+def run_boundary_equilibrium(cfg: dict, params) -> tuple:
+    alpha, beta, t_end, dt = cfg["alpha"], cfg["beta"], cfg["t-end"], cfg["dt"]
+    forcing = BoundaryForcing.even_given(alpha, beta, p=params.p)
     right = None
     if cfg["right-forcing"] == "zero":
-        right = BoundaryForcing.even_given(0.0, 0.0, p=params.p)
+        right = BoundaryForcing.even_given(p=params.p)
     elif cfg["right-forcing"] != "same":
         raise ValueError("right-forcing must be 'same' or 'zero'")
     state = conjugate_state(0.0, np.zeros(params.n_elements, complex))
-    t_end = float(cfg["t-end"])
-    _warn_fast_forcing(cfg, t_end)
-    traj = run_model(state, params, forcing, t_end, float(cfg["dt"]),
-                     forcing_right=right,
-                     sample_stride=_stride(t_end, float(cfg["dt"]), 400))
-    predicted = boundary_equilibrium(params, float(cfg["alpha"]), float(cfg["beta"]))
+    traj = run_model(state, params, forcing, t_end, dt, forcing_right=right,
+                     sample_stride=_stride(t_end, dt, 400))
+    predicted = boundary_equilibrium(params, alpha, beta)
     rows = [(float(t), float(a1.real), float(a1.imag), predicted)
             for t, a1 in zip(traj.times, traj.a[:, 0])]
     meta = {"predicted_re_a1": predicted,
             "final_re_a1": float(traj.a[-1, 0].real)}
-    _write_outputs(cfg, "boundary-equilibrium",
-                   ["t", "re_a1", "im_a1", "predicted_re_a1"], rows, meta, started)
-    return 0
+    return ["t", "re_a1", "im_a1", "predicted_re_a1"], rows, meta
 
 
-def run_boundary_profiles(cfg: dict, started: float) -> int:
-    params = _params_from(cfg)
+def run_boundary_profiles(cfg: dict, params) -> tuple:
     sign = SignChoice(cfg["sign"])
-    xs = np.linspace(-params.h / 2, params.h / 2, int(cfg["profile-samples"]))
+    xs = np.linspace(-params.h / 2, params.h / 2, cfg["profile-samples"])
     table = boundary_profiles(params, sign, xs)
     header = ["x", "alpha_profile", "beta_profile",
               "alpha_profile_xx", "beta_profile_xx"]
-    rows = list(zip(*(map(float, table[h2]) for h2 in header)))
-    _write_outputs(cfg, "boundary-profiles", header, rows, {}, started)
-    return 0
+    return header, list(zip(*(map(float, table[h2]) for h2 in header))), {}
 
 
-def run_simulate_direct(cfg: dict, started: float) -> int:
-    params = _params_from(cfg)
-    rng = np.random.default_rng(int(cfg["seed"]))
-    amp = float(cfg["init-amp"])
-    t_end = float(cfg["t-end"])
-    scheme = Scheme(cfg["scheme"])
-    if scheme is Scheme.SPECTRAL_ETD:
-        grid = FieldGrid.sample(
-            lambda x: amp * np.cos(x) + 0.1 * amp * rng.standard_normal(x.size),
-            params, periodic=True)
-        dt = float(cfg["dt"]) if cfg["dt"] is not None else 0.05
-        out = integrate_spectral(grid, params, t_end, dt)
+def run_simulate_direct(cfg: dict, params) -> tuple:
+    rng = np.random.default_rng(cfg["seed"])
+    amp, t_end, dt = cfg["init-amp"], cfg["t-end"], cfg["dt"]
+    if Scheme(cfg["scheme"]) is Scheme.SPECTRAL_ETD:
+        # a non-finite amp makes inf - inf here; the solver's start check rejects it
+        with np.errstate(invalid="ignore"):
+            grid = FieldGrid.sample(
+                lambda x: amp * np.cos(x) + 0.1 * amp * rng.standard_normal(x.size),
+                params, periodic=True)
+        out = integrate_spectral(grid, params, t_end, 0.05 if dt is None else float(dt))
     else:
         grid = FieldGrid.sample(lambda x: amp * np.cos(x), params, periodic=False)
-        _warn_fast_forcing(cfg, t_end)
-        forcing = _forcing_from(cfg, params, cfg["kind"])
-        c_stab = float(cfg["c-stab"])
-        dt = float(cfg["dt"]) if cfg["dt"] is not None else 0.8 * c_stab * grid.dx ** 2
+        forcing = _forcing_from(cfg, params, t_end)
+        c_stab = cfg["c-stab"]
+        dt = 0.8 * c_stab * grid.dx ** 2 if dt is None else float(dt)
         out = integrate_bounded(grid, params, forcing, t_end, dt, c_stab=c_stab)
     rows = [(float(x), float(u)) for x, u in zip(out.x, out.u)]
-    _write_outputs(cfg, "simulate-direct", ["x", "u"], rows,
-                   {"t_end": t_end}, started)
-    return 0
+    return ["x", "u"], rows, {"t_end": t_end}
 
 
-def run_simulate_model(cfg: dict, started: float) -> int:
-    params = _params_from(cfg)
-    rng = np.random.default_rng(int(cfg["seed"]))
-    amp = float(cfg["init-amp"])
-    N = params.n_elements
+def run_simulate_model(cfg: dict, params) -> tuple:
+    rng = np.random.default_rng(cfg["seed"])
+    amp, N = cfg["init-amp"], params.n_elements
     if cfg["random-init"]:
         a0 = amp * (rng.standard_normal(N) + 1j * rng.standard_normal(N))
     else:
         a0 = np.full(N, amp, complex)
-    state = conjugate_state(0.0, a0)
-    forcing = _forcing_from(cfg, params, cfg["kind"])
-    t_end = float(cfg["t-end"])
-    _warn_fast_forcing(cfg, t_end)
-    traj = run_model(state, params, forcing, t_end, float(cfg["dt"]),
-                     sample_stride=int(cfg["sample-stride"]))
-    header = ["t"]
-    for j in range(N):
-        header += [f"re_a{j + 1}", f"im_a{j + 1}"]
-    rows = []
-    for i, t in enumerate(traj.times):
-        row = [float(t)]
-        for j in range(N):
-            row += [float(traj.a[i, j].real), float(traj.a[i, j].imag)]
-        rows.append(tuple(row))
-    _write_outputs(cfg, "simulate-model", header, rows, {}, started)
-    return 0
+    forcing = _forcing_from(cfg, params, cfg["t-end"])
+    traj = run_model(conjugate_state(0.0, a0), params, forcing, cfg["t-end"], cfg["dt"],
+                     sample_stride=cfg["sample-stride"])
+    header = ["t"] + [f"{part}_a{j}" for j in range(1, N + 1) for part in ("re", "im")]
+    # a complex (nt, N) array viewed as float is (nt, 2N): re, im, re, im, ...
+    return header, np.column_stack((traj.times, traj.a.view(float))).tolist(), {}
 
 
 RUNNERS = {
@@ -413,9 +367,7 @@ RUNNERS = {
 
 def main(argv=None) -> int:
     started = time.time()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    experiment = args.experiment
+    args = build_parser().parse_args(argv)
     flag_cfg = {k: v for k, v in vars(args).items()
                 if k not in ("experiment", "config")}
     try:
@@ -425,14 +377,16 @@ def main(argv=None) -> int:
                 file_cfg = json.load(fh)
             if not isinstance(file_cfg, dict):
                 raise ValueError("config file must hold a JSON object")
-        cfg = resolve_config(experiment, file_cfg, flag_cfg)
-        return RUNNERS[experiment](cfg, started)
+        cfg = resolve_config(args.experiment, file_cfg, flag_cfg)
+        header, rows, extra_meta = RUNNERS[args.experiment](cfg, _params_from(cfg))
+        _write_outputs(cfg, args.experiment, header, rows, extra_meta, started)
     except DivergenceError as exc:
         print(f"error: numerical divergence: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def entry() -> None:

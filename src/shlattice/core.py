@@ -1,4 +1,4 @@
-"""Shared types, parameter validation and lattice stencil operators.
+"""Shared types, parameter validation and lattice neighbour lookup.
 
 The lattice model tracks two complex amplitudes per element, ``a_j`` and
 ``b_j``, multiplying the roll modes exp(+ix) and exp(-ix).  Elements have
@@ -148,20 +148,6 @@ def _resolve_neighbours(n: int, j: int, periodic: bool) -> tuple[int, int]:
         raise IndexError(
             f"index {j} has no neighbour on a non-periodic lattice of size {n}")
     return j - 1, j + 1
-
-
-def second_difference(v, j: int, periodic: bool = False) -> complex:
-    """Central second difference v[j+1] - 2 v[j] + v[j-1]."""
-    v = np.asarray(v)
-    jm, jp = _resolve_neighbours(len(v), j, periodic)
-    return v[jp] - 2.0 * v[j] + v[jm]
-
-
-def mean_difference(v, j: int, periodic: bool = False) -> complex:
-    """Centred mean difference (v[j+1] - v[j-1]) / 2."""
-    v = np.asarray(v)
-    jm, jp = _resolve_neighbours(len(v), j, periodic)
-    return (v[jp] - v[jm]) / 2.0
 
 
 @dataclass

@@ -125,7 +125,9 @@ def integrate_spectral(grid: FieldGrid, params: ModelParams, t_end: float,
         raise ValueError(f"sample count must be a power of two, got {n}")
     n_steps = _step_count(t_end, dt)
     stepper = SpectralStepper(n, grid.length, params.r, t_end / n_steps)
-    v = stepper.run(stepper.to_spectral(grid.u), n_steps)
+    with np.errstate(invalid="ignore"):   # an Inf field fails the loop's start check
+        v = stepper.to_spectral(grid.u)
+    v = stepper.run(v, n_steps)
     return FieldGrid(grid.x0, grid.dx, stepper.to_physical(v), True)
 
 
@@ -147,6 +149,8 @@ def measure_growth_rate(params: ModelParams, k: float, eps0: float, T: float,
     sampled at 512 points, and returns the least-squares slope of
     log|u_hat_k|(t) over at least two steps.
     """
+    if not 0.0 < eps0 < np.inf:
+        raise ValueError(f"eps0 must be finite and positive, got {eps0}")
     q, mode = _commensurate_periods(k)
     n = 512
     if mode > n // 3:

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from shlattice import BoundaryForcing, conjugate_state, make_params, run_model
 from shlattice.cli import _create_unique, main, resolve_config
 
 
@@ -91,6 +92,15 @@ class TestConfigHandling:
         with pytest.raises(SystemExit) as exc:
             main(["dispersion", "--no-such-flag", "1"])
         assert exc.value.code == 1
+
+    def test_config_before_experiment_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k-steps": 3}))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "dispersion", "--output-dir", str(tmp_path)])
+        assert exc.value.code == 1
+        assert "shlattice: error:" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_bad_value_exits_one(self, tmp_path):
         code = main(["dispersion", "--r", "not-a-number",
@@ -212,24 +222,37 @@ class TestOtherExperiments:
             "t=0.05: NaN/Inf"]
 
     @pytest.mark.parametrize("args, solver", [
-        (["simulate-direct", "--scheme", "spectral-etd"], "spectral solve"),
-        (["simulate-model"], "lattice model"),
+        (["simulate-direct", "--scheme", "spectral-etd", "--init-amp", "nan"],
+         "spectral solve"),
+        (["simulate-model", "--init-amp", "nan"], "lattice model"),
+        (["simulate-direct", "--scheme", "spectral-etd", "--init-amp", "inf"],
+         "spectral solve"),
+        (["simulate-direct", "--scheme", "spectral-etd", "--init-amp=-inf"],
+         "spectral solve"),
+        (["simulate-model", "--init-amp", "inf"], "lattice model"),
+        (["simulate-model", "--init-amp=-inf", "--random-init"], "lattice model"),
     ])
     def test_nonfinite_init_exits_one(self, tmp_path, capsys, args, solver):
-        code = main(args + ["--init-amp", "nan", "--t-end", "1",
-                            "--output-dir", str(tmp_path)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(args + ["--t-end", "1", "--output-dir", str(tmp_path)])
         assert code == 1
+        assert [str(w.message) for w in caught] == []
         assert err_lines(capsys.readouterr().err) == [
             f"error: {solver}: start state contains NaN/Inf"]
 
     def test_bounded_nonfinite_init_exits_one(self, tmp_path, capsys):
-        code = main(["simulate-direct", "--scheme", "bounded-imex",
-                     "--init-amp", "nan", "--t-end", "1",
-                     "--output-dir", str(tmp_path)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "NaN/Inf" in err
-        assert err_lines(err) == ["error: bounded solve: start state contains NaN/Inf"]
+        for amp in ("nan", "inf", "-inf"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["simulate-direct", "--scheme", "bounded-imex",
+                             f"--init-amp={amp}", "--t-end", "1",
+                             "--output-dir", str(tmp_path)])
+            assert code == 1
+            assert [str(w.message) for w in caught] == []
+            err = capsys.readouterr().err
+            assert "NaN/Inf" in err
+            assert err_lines(err) == ["error: bounded solve: start state contains NaN/Inf"]
 
     @pytest.mark.parametrize("args, message", [
         (["dispersion", "--k-steps", "2", "--dt", "-0.02"], "dt must be positive, got -0.02"),
@@ -250,6 +273,12 @@ class TestOtherExperiments:
         (["compare", "--r", "0.1", "--t-end", "0"], "t_end must exceed the start time"),
         (["compare", "--r", "0.1", "--dt-model", "0"], "dt must be positive"),
         (["compare", "--r", "0.1", "--n-samples", "0"], "n_samples must be at least 1"),
+        (["compare"], "the horizon 10/r needs r > 0, got r = 0.0"),
+        (["compare", "--r", "-0.1"], "the horizon 10/r needs r > 0, got r = -0.1"),
+        (["compare", "--r-ladder", "0.1,0", "--n-elements", "4"],
+         "the horizon 10/r needs r > 0, got r = 0.0"),
+        (["dispersion", "--k-steps", "2", "--eps0", "0"],
+         "eps0 must be finite and positive, got 0.0"),
     ])
     def test_bad_time_arguments_exit_one(self, tmp_path, capsys, args, message):
         code = main(args + ["--output-dir", str(tmp_path)])
@@ -264,6 +293,35 @@ class TestOtherExperiments:
                      "--n-elements", "4", "--output-dir", str(tmp_path)])
         assert code == 0
         assert "slowly varying" in capsys.readouterr().err
+
+    def test_zero_accel_warn_threshold_is_kept(self, tmp_path, capsys):
+        # slow forcing: under the default threshold 1, over a threshold of 0
+        args = ["simulate-model", "--kind", "even", "--alpha", "0.01",
+                "--alpha-omega", "0.5", "--t-end", "2", "--n-elements", "4",
+                "--output-dir", str(tmp_path)]
+        assert main(args) == 0
+        assert "slowly varying" not in capsys.readouterr().err
+        assert main(args + ["--accel-warn", "0"]) == 0
+        assert "slowly varying" in capsys.readouterr().err
+
+    def test_simulate_model_columns_are_sampled_amplitudes(self, tmp_path):
+        code = main(["simulate-model", "--kind", "odd", "--alpha", "0.02",
+                     "--beta", "0.01", "--r", "0.1", "--n-elements", "3",
+                     "--random-init", "--seed", "5", "--init-amp", "0.1",
+                     "--t-end", "3", "--dt", "0.05", "--sample-stride", "7",
+                     "--output-dir", str(tmp_path)])
+        assert code == 0
+        header, rows = read_rows(newest_csv(tmp_path))
+        assert header == ["t", "re_a1", "im_a1", "re_a2", "im_a2", "re_a3", "im_a3"]
+        rng = np.random.default_rng(5)
+        a0 = 0.1 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        params = make_params(r=0.1, gamma=1.0, p=1, n_elements=3, m_samples=32)
+        traj = run_model(conjugate_state(0.0, a0), params,
+                         BoundaryForcing.odd_given(0.02, 0.01, p=1), 3.0, 0.05,
+                         sample_stride=7)
+        expected = [[t] + [v for aj in a for v in (aj.real, aj.imag)]
+                    for t, a in zip(traj.times, traj.a)]
+        assert rows == [["%.12g" % v for v in row] for row in expected]
 
 
 class TestSharedOutputDir:

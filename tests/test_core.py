@@ -10,11 +10,11 @@ from shlattice import (
     FieldGrid,
     ForcingKind,
     element_centers,
+    interior_rhs,
     make_params,
-    mean_difference,
-    second_difference,
 )
 from shlattice.core import _integrate, _step_count
+from shlattice.subgrid import interior_envelopes
 
 
 class TestMakeParams:
@@ -51,6 +51,19 @@ class TestMakeParams:
         assert np.allclose(xs, [0, 1, 2, 3] * np.full(4, params.h))
 
 
+def stencils(v, j, periodic=False):
+    """(v[j+1] - 2 v[j] + v[j-1], (v[j+1] - v[j-1]) / 2) as the lattice uses
+    them: read off interior_rhs (coupling 4/h^2 at r = 0, g = 1) and the
+    slope of the interior envelope (g/h times the mean difference), with
+    a = v and b = 0 so that the cubic and the b-terms vanish."""
+    v = np.asarray(v, dtype=complex)
+    params = make_params(r=0.0, gamma=1.0, p=1, n_elements=len(v), m_samples=32)
+    state = AmplitudeState(0.0, v, np.zeros_like(v))
+    da, _ = interior_rhs(state, params, j, periodic)
+    plus, _ = interior_envelopes(state, params, j, periodic)
+    return da * params.h ** 2 / 4.0, plus[1] * params.h
+
+
 class TestStencils:
     @pytest.mark.parametrize("v,expect", [
         ([1, 1, 1], 0.0),
@@ -58,7 +71,7 @@ class TestStencils:
         ([1, 2, 4], 1.0),
     ])
     def test_second_difference_values(self, v, expect):
-        assert second_difference(np.array(v, complex), 1) == pytest.approx(expect)
+        assert stencils(v, 1)[0] == pytest.approx(expect)
 
     @pytest.mark.parametrize("v,expect", [
         ([1, 1, 1], 0.0),
@@ -66,20 +79,27 @@ class TestStencils:
         ([1, 2, 4], 1.5),
     ])
     def test_mean_difference_values(self, v, expect):
-        assert mean_difference(np.array(v, complex), 1) == pytest.approx(expect)
+        assert stencils(v, 1)[1] == pytest.approx(expect)
 
     def test_edge_index_rejected_without_wrap(self):
         v = np.arange(5, dtype=complex)
+        state = AmplitudeState(0.0, v, np.conj(v))
+        params = make_params(r=0.1, gamma=1.0, p=1, n_elements=5, m_samples=32)
         for j in (0, 4):
             with pytest.raises(IndexError):
-                second_difference(v, j)
+                interior_rhs(state, params, j)
             with pytest.raises(IndexError):
-                mean_difference(v, j)
+                interior_envelopes(state, params, j)
+        for j in (-1, 5):
+            with pytest.raises(IndexError):
+                interior_rhs(state, params, j, periodic=True)
+            with pytest.raises(IndexError):
+                interior_envelopes(state, params, j, periodic=True)
 
     def test_periodic_wrap(self):
         v = np.array([1.0, 2.0, 4.0], dtype=complex)
-        assert second_difference(v, 0, periodic=True) == pytest.approx(2 + 4 - 2)
-        assert mean_difference(v, 2, periodic=True) == pytest.approx((1 - 2) / 2)
+        assert stencils(v, 0, periodic=True)[0] == pytest.approx(2 + 4 - 2)
+        assert stencils(v, 2, periodic=True)[1] == pytest.approx((1 - 2) / 2)
 
     def test_linearity(self):
         rng = np.random.default_rng(11)
@@ -88,10 +108,10 @@ class TestStencils:
             v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
             c1 = complex(rng.standard_normal(), rng.standard_normal())
             c2 = complex(rng.standard_normal(), rng.standard_normal())
-            for op in (second_difference, mean_difference):
-                lhs = op(c1 * u + c2 * v, 4)
-                rhs = c1 * op(u, 4) + c2 * op(v, 4)
-                assert abs(lhs - rhs) < 1e-14
+            lhs = stencils(c1 * u + c2 * v, 4)
+            su, sv = stencils(u, 4), stencils(v, 4)
+            for k in range(2):
+                assert abs(lhs[k] - (c1 * su[k] + c2 * sv[k])) < 1e-14
 
     def test_lattice_mode_symbols(self):
         # on v_j = exp(i kappa j h): d2/v = 2 cos(kappa h) - 2, md/v = i sin(kappa h)
@@ -100,10 +120,9 @@ class TestStencils:
         for kappa in rng.uniform(0.02, 0.45, size=6):
             j = np.arange(12)
             v = np.exp(1j * kappa * j * h)
-            d2 = second_difference(v, 6) / v[6]
-            md = mean_difference(v, 6) / v[6]
-            assert abs(d2 - (2 * np.cos(kappa * h) - 2)) < 1e-12
-            assert abs(md - 1j * np.sin(kappa * h)) < 1e-12
+            d2, md = stencils(v, 6)
+            assert abs(d2 / v[6] - (2 * np.cos(kappa * h) - 2)) < 1e-12
+            assert abs(md / v[6] - 1j * np.sin(kappa * h)) < 1e-12
 
 
 class TestStateAndGrid:

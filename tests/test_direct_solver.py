@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -302,6 +304,22 @@ class TestBadInput:
         stepper = SpectralStepper(len(grid.u), grid.length, params.r, 0.1)
         with pytest.raises(ValueError, match="NaN/Inf"):
             stepper.run(stepper.to_spectral(grid.u), 3)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_spectral_infinite_initial_field_rejected_quietly(self, value):
+        params = params_for(n=2, m=32)
+        grid = FieldGrid.zeros(params, periodic=True)
+        grid.u[5] = value
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="spectral solve: start state contains NaN/Inf"):
+                integrate_spectral(grid, params, t_end=1.0, dt=0.1)
+        assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("eps0", [0.0, -1e-6, np.nan, np.inf])
+    def test_growth_rate_rejects_bad_eps0(self, eps0):
+        with pytest.raises(ValueError, match="eps0 must be finite and positive"):
+            measure_growth_rate(params_for(), 1.0, eps0=eps0, T=1.0)
 
     @pytest.mark.parametrize("t_end", [0.0, -1.0])
     def test_nonpositive_span_rejected(self, t_end):
