@@ -171,8 +171,10 @@ def compare_model_vs_direct(config: CompareConfig) -> ComparisonReport:
                          config.dt_model, config.dt_oracle,
                          config.validity_factor)
 
+    if len(set(config.r_ladder)) < 2:
+        raise ValueError("an r-ladder needs at least two distinct rungs, "
+                         f"got {tuple(config.r_ladder)}")
     rows = []
-    report = None
     for r in config.r_ladder:
         params_r = replace(config.params, r=float(r))
         a0 = modulated_profile(params_r, config.modulation)

@@ -169,13 +169,14 @@ def _warn_fast_forcing(alpha, t_end: float, threshold: float) -> None:
               file=sys.stderr)
 
 
-def _forcing_from(cfg: dict, params, t_end: float) -> BoundaryForcing:
+def _forcing_from(cfg: dict, params, t_end: float, dt: float) -> BoundaryForcing:
     """Forcing of the configured kind with constant beta and with alpha, or
     alpha cos(alpha-omega t) when alpha-omega is set; warns when that signal
-    varies too fast over [0, t_end]."""
+    varies too fast over [0, t_end] (a run of steps of at most dt)."""
     amp, omega = cfg["alpha"], cfg["alpha-omega"]
     alpha = (lambda t: amp * math.cos(omega * t)) if omega else amp
     if omega:
+        _step_count(t_end, dt)   # rejects t_end <= 0 and dt <= 0 before the check divides
         _warn_fast_forcing(alpha, t_end, cfg["accel-warn"])
     kind = cfg["kind"]
     if kind == "even":
@@ -331,9 +332,9 @@ def run_simulate_direct(cfg: dict, params) -> tuple:
         out = integrate_spectral(grid, params, t_end, 0.05 if dt is None else float(dt))
     else:
         grid = FieldGrid.sample(lambda x: amp * np.cos(x), params, periodic=False)
-        forcing = _forcing_from(cfg, params, t_end)
         c_stab = cfg["c-stab"]
         dt = 0.8 * c_stab * grid.dx ** 2 if dt is None else float(dt)
+        forcing = _forcing_from(cfg, params, t_end, dt)
         out = integrate_bounded(grid, params, forcing, t_end, dt, c_stab=c_stab)
     rows = [(float(x), float(u)) for x, u in zip(out.x, out.u)]
     return ["x", "u"], rows, {"t_end": t_end}
@@ -346,7 +347,7 @@ def run_simulate_model(cfg: dict, params) -> tuple:
         a0 = amp * (rng.standard_normal(N) + 1j * rng.standard_normal(N))
     else:
         a0 = np.full(N, amp, complex)
-    forcing = _forcing_from(cfg, params, cfg["t-end"])
+    forcing = _forcing_from(cfg, params, cfg["t-end"], cfg["dt"])
     traj = run_model(conjugate_state(0.0, a0), params, forcing, cfg["t-end"], cfg["dt"],
                      sample_stride=cfg["sample-stride"])
     header = ["t"] + [f"{part}_a{j}" for j in range(1, N + 1) for part in ("re", "im")]

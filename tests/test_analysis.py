@@ -5,6 +5,7 @@ from shlattice import (
     BoundaryForcing,
     CompareConfig,
     SignChoice,
+    analysis,
     boundary_equilibrium,
     boundary_mode_rates,
     compare_model_vs_direct,
@@ -153,3 +154,12 @@ class TestCompare:
         cfg = CompareConfig(params=params, a0=a0, t_end=0.5, n_samples=4)
         report = compare_model_vs_direct(cfg)
         assert report.metadata["validity_flag"] is True
+
+    @pytest.mark.parametrize("ladder", [(), (0.1,), (0.1, 0.1), [0.05, 0.05, 0.05]])
+    def test_ladder_needs_two_distinct_rungs(self, monkeypatch, ladder):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a rung ran")
+        monkeypatch.setattr(analysis, "_run_pair", no_run)
+        cfg = CompareConfig(params=params_for(r=0.1, n=4), r_ladder=ladder)
+        with pytest.raises(ValueError, match="at least two distinct rungs"):
+            compare_model_vs_direct(cfg)

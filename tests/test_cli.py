@@ -279,10 +279,29 @@ class TestOtherExperiments:
          "the horizon 10/r needs r > 0, got r = 0.0"),
         (["dispersion", "--k-steps", "2", "--eps0", "0"],
          "eps0 must be finite and positive, got 0.0"),
+        (["compare", "--r-ladder", "", "--r", "0.1", "--t-end", "1"],
+         "an r-ladder needs at least two distinct rungs, got ()"),
+        (["compare", "--r-ladder", "0.1", "--n-elements", "4"],
+         "an r-ladder needs at least two distinct rungs, got (0.1,)"),
+        (["compare", "--r-ladder", "0.1,0.1", "--n-elements", "4"],
+         "an r-ladder needs at least two distinct rungs, got (0.1, 0.1)"),
+        # fast forcing (a warning at omega = 25): the step rule rejects t_end
+        # before the forcing check runs
+        (["simulate-model", "--kind", "even", "--alpha", "0.1", "--alpha-omega", "3",
+          "--t-end", "0"], "t_end must exceed the start time"),
+        (["simulate-model", "--kind", "even", "--alpha", "0.1", "--alpha-omega", "25",
+          "--t-end", "-5"], "t_end must exceed the start time"),
+        (["simulate-direct", "--scheme", "bounded-imex", "--alpha", "0.1",
+          "--alpha-omega", "3", "--t-end", "0"], "t_end must exceed the start time"),
+        (["simulate-direct", "--scheme", "bounded-imex", "--alpha", "0.1",
+          "--alpha-omega", "25", "--t-end", "-5"], "t_end must exceed the start time"),
     ])
     def test_bad_time_arguments_exit_one(self, tmp_path, capsys, args, message):
-        code = main(args + ["--output-dir", str(tmp_path)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(args + ["--output-dir", str(tmp_path)])
         assert code == 1
+        assert [str(w.message) for w in caught] == []
         (line,) = err_lines(capsys.readouterr().err)
         assert line.startswith("error: ") and message in line
         assert not list(tmp_path.glob("*.csv"))

@@ -1,4 +1,5 @@
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from shlattice import (
     make_params,
     measure_growth_rate,
 )
-from shlattice.direct_solver import growth_symbol
+from shlattice.direct_solver import _etd_coefficients, growth_symbol
 
 
 def params_for(r=0.0, gamma=1.0, p=1, n=4, m=64):
@@ -145,6 +146,48 @@ class TestMeasureGrowthRate:
     def test_symbol_helper(self):
         assert growth_symbol(0.0, 0.0) == pytest.approx(-1.0)
         assert growth_symbol(1.0, 0.1) == pytest.approx(0.1)
+
+
+def etd_reference(z: float) -> list[float]:
+    """q, f1, f2, f3 (divided by dt) at z from the closed forms in 50-digit
+    decimal arithmetic, enough to absorb their cancellation near z = 0."""
+    if z == 0.0:
+        return [0.5, 1 / 6, 1 / 6, 1 / 6]
+    with localcontext() as ctx:
+        ctx.prec = 50
+        z = Decimal(z)
+        e = z.exp()
+        return [float(v) for v in (
+            ((z / 2).exp() - 1) / z,
+            (-4 - z + e * (4 - 3 * z + z * z)) / z ** 3,
+            (2 + z + e * (z - 2)) / z ** 3,
+            (-4 - 3 * z - z * z + e * (4 - z)) / z ** 3)]
+
+
+class TestEtdCoefficients:
+    """_etd_coefficients: closed forms for |z| >= 1/2, series below."""
+
+    F1_ROOT = -2.688   # f1 changes sign near here
+
+    def test_match_50_digit_reference(self):
+        z = np.concatenate([
+            -np.logspace(6, -10, 161), [0.0], np.logspace(-10, np.log10(16), 121),
+            np.linspace(-0.52, -0.48, 81), np.linspace(0.48, 0.52, 81),
+            [np.nextafter(-0.5, 0.0), np.nextafter(0.5, 0.0)],
+            np.linspace(self.F1_ROOT - 0.1, self.F1_ROOT + 0.1, 201)])
+        got = _etd_coefficients(z)
+        ref = np.array([etd_reference(v) for v in z]).T
+        err = np.abs(got - ref)
+        near_root = np.abs(z - self.F1_ROOT) <= 0.1
+        assert np.sign(ref[1, near_root]).min() < 0 < np.sign(ref[1, near_root]).max()
+        assert err[1, near_root].max() <= 1e-16
+        err[1, near_root] = 0.0
+        assert (err / np.abs(ref)).max() <= 1e-13
+
+    def test_continuous_across_series_switch(self):
+        for edge in (-0.5, 0.5):
+            inside, outside = _etd_coefficients(np.array([np.nextafter(edge, 0.0), edge])).T
+            np.testing.assert_allclose(inside, outside, rtol=1e-13, atol=0.0)
 
 
 class TestStepBounded:
