@@ -11,19 +11,15 @@ from .core import (
     ForcingKind,
     ModelParams,
     conjugate_state,
-    element_centers,
     make_params,
 )
 from .amplitude_model import (
     SignChoice,
     Trajectory,
     gle_rhs,
-    interior_rhs,
-    left_boundary_rhs,
     max_stable_dt,
     model_rhs,
     reality_check,
-    right_boundary_rhs,
     rk4_step,
     run_model,
 )
@@ -40,8 +36,6 @@ from .subgrid import (
     extract_amplitudes,
     ibc_residual,
     lattice_field,
-    reconstruct_boundary,
-    reconstruct_interior,
 )
 from .analysis import (
     CompareConfig,

@@ -18,16 +18,17 @@ prescribes (u, u_xx) and s = -1 when it prescribes (u_x, u_xxx):
               - s (g^2/h) (1 + i) (alpha + beta)
 
 The a/b cross coupling pins the roll phase: for s = +1 the real part of
-a_1 decays at rate r - 8/h^2 while the imaginary part keeps rate r, so
+a_1 decays at rate r - 8 g^2/h^2 while the imaginary part keeps rate r, so
 walls prescribing even derivatives lock the rolls onto sin(x); s = -1
 swaps the roles and locks onto cos(x).  A right wall is the mirror image
 under x -> -x, which swaps the roles of a and b.
 
 Every right-hand side here is one `_LatticeKernel`: the wall is a ghost
 neighbour -s b_1 and a cubic weight 3 instead of 3 g^2, so interior and
-wall rows share one slice-based stencil.  Because the b-equation is the
-conjugate of the a-equation when b = conj(a), `run_model` integrates a
-alone for states in that real sector.  `run_model` takes its step count
+wall rows share one slice-based stencil.  The forcing's kind fixes s
+(`ForcingKind.wall_sign`).  Because the b-equation is the conjugate of
+the a-equation when b = conj(a), `run_model` integrates a alone for
+states in that real sector.  `run_model` takes its step count
 from `core._step_count` and steps the kernel's RK4 through the loop
 `core._integrate` that the direct solvers share, with a runaway bound of
 1e6 on |a| and |b|.
@@ -48,7 +49,6 @@ from .core import (
     ModelParams,
     _integrate,
     _positive_dt,
-    _resolve_neighbours,
     _step_count,
 )
 
@@ -56,7 +56,8 @@ _BLOWUP = 1e6
 
 
 class SignChoice(Enum):
-    """Which sign alternative the wall stencil uses.
+    """Which sign alternative the wall stencil uses.  The kind of wall data
+    fixes it, so `wall` builds the forcing of the matching kind.
 
     UPPER: even-derivative wall data (u, u_xx given), sin-locking.
     LOWER: odd-derivative wall data (u_x, u_xxx given), cos-locking.
@@ -65,28 +66,11 @@ class SignChoice(Enum):
     UPPER = "upper"
     LOWER = "lower"
 
-    @property
-    def factor(self) -> float:
-        return 1.0 if self is SignChoice.UPPER else -1.0
-
-    @classmethod
-    def from_kind(cls, kind: ForcingKind) -> "SignChoice":
-        if kind is ForcingKind.EVEN_GIVEN:
-            return cls.UPPER
-        if kind is ForcingKind.ODD_GIVEN:
-            return cls.LOWER
-        raise ValueError(f"no sign choice for forcing kind {kind}")
-
-
-def _check_boundary_args(state: AmplitudeState, forcing: BoundaryForcing,
-                         sign: SignChoice) -> None:
-    if state.n < 2:
-        raise ValueError("boundary stencils need at least 2 elements")
-    if forcing.kind is ForcingKind.PERIODIC:
-        raise ValueError("boundary stencils reject periodic forcing")
-    if SignChoice.from_kind(forcing.kind) is not sign:
-        raise ValueError(
-            f"forcing kind {forcing.kind} does not match sign choice {sign}")
+    def wall(self, alpha=0.0, beta=0.0, p: int = 1) -> BoundaryForcing:
+        """Wall forcing whose data kind selects this sign alternative."""
+        make = (BoundaryForcing.even_given if self is SignChoice.UPPER
+                else BoundaryForcing.odd_given)
+        return make(alpha, beta, p=p)
 
 
 class _LatticeKernel:
@@ -160,48 +144,12 @@ def _kernel(state: AmplitudeState, params: ModelParams, forcing: BoundaryForcing
             f"state has {state.n} elements but params expect {params.n_elements}")
     g2 = params.gamma ** 2
     args = (params.n_elements, params.r, 4.0 * g2 / params.h ** 2, 3.0 * g2)
-    if forcing.kind is ForcingKind.PERIODIC:
-        return _LatticeKernel(*args)
     right = forcing if forcing_right is None else forcing_right
     if right.kind is not forcing.kind:
         raise ValueError(f"right wall kind {right.kind} does not match {forcing.kind}")
-    return _LatticeKernel(*args, SignChoice.from_kind(forcing.kind).factor,
-                          (forcing, right), g2 / params.h)
-
-
-def _element_rhs(state: AmplitudeState, params: ModelParams,
-                 forcing: BoundaryForcing, j, forcing_right=None):
-    kernel = _kernel(state, params, forcing, forcing_right)
-    da, db = kernel.rhs(np.array((state.a, state.b)), kernel.drives(state.t))
-    return da[j], db[j]
-
-
-def interior_rhs(state: AmplitudeState, params: ModelParams, j: int,
-                 periodic: bool = False) -> tuple[complex, complex]:
-    """Time derivative (da_j/dt, db_j/dt) of an interior element."""
-    _resolve_neighbours(state.n, j, periodic)
-    # rows with both neighbours are the same in every kernel
-    return _element_rhs(state, params, BoundaryForcing.periodic(), j)
-
-
-def left_boundary_rhs(state: AmplitudeState, params: ModelParams,
-                      forcing: BoundaryForcing,
-                      sign: SignChoice) -> tuple[complex, complex]:
-    """Time derivative of the leftmost element, wall at x = -h/2."""
-    _check_boundary_args(state, forcing, sign)
-    return _element_rhs(state, params, forcing, 0)
-
-
-def right_boundary_rhs(state: AmplitudeState, params: ModelParams,
-                       forcing: BoundaryForcing,
-                       sign: SignChoice) -> tuple[complex, complex]:
-    """Time derivative of the rightmost element, wall at x = x_N + h/2.
-
-    Mirror image of the left wall under x -> -x, which exchanges a and b
-    and reverses the lattice.
-    """
-    _check_boundary_args(state, forcing, sign)
-    return _element_rhs(state, params, forcing, -1)
+    if forcing.kind is ForcingKind.PERIODIC:
+        return _LatticeKernel(*args)
+    return _LatticeKernel(*args, forcing.kind.wall_sign, (forcing, right), g2 / params.h)
 
 
 def model_rhs(state: AmplitudeState, params: ModelParams,
@@ -213,10 +161,12 @@ def model_rhs(state: AmplitudeState, params: ModelParams,
     Periodic forcing wraps every stencil.  Otherwise the first and last
     elements use the wall stencils and the rest the interior one (the
     j = 2 element needs no special treatment).  forcing_right, when given,
-    supplies different signals for the right wall; by default the right
-    wall mirrors the left one with the same signals.
+    supplies different signals of the same kind for the right wall; by
+    default the right wall mirrors the left one with the same signals.
     """
-    return _element_rhs(state, params, forcing, slice(None), forcing_right)
+    kernel = _kernel(state, params, forcing, forcing_right)
+    da, db = kernel.rhs(np.array((state.a, state.b)), kernel.drives(state.t))
+    return da, db
 
 
 def gle_rhs(a: np.ndarray, r: float, c: float, d: float, h: float) -> np.ndarray:

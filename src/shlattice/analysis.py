@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import AmplitudeState, BoundaryForcing, FieldGrid, ModelParams, _step_count
-from .amplitude_model import SignChoice, run_model
+from .amplitude_model import run_model
 from .direct_solver import SpectralStepper, growth_symbol
 from .subgrid import extract_amplitudes, lattice_field
 
@@ -32,13 +32,13 @@ def lattice_dispersion(kappa, params: ModelParams):
     return out if out.ndim else float(out)
 
 
-def boundary_mode_rates(params: ModelParams, sign: SignChoice) -> tuple[float, float]:
-    """(fast, slow) linear rates of the wall element, (r - 8/h^2, r).
+def boundary_mode_rates(params: ModelParams) -> tuple[float, float]:
+    """(fast, slow) linear rates of the wall element, (r - 8 g^2/h^2, r).
 
-    For the UPPER sign the fast rate applies to Re(a_1) and the slow rate
-    to Im(a_1); the LOWER sign swaps the two components.
+    Walls with even data apply the fast rate to Re(a_1) and the slow rate
+    to Im(a_1); walls with odd data swap the two components.
     """
-    return params.r - 8.0 / params.h ** 2, params.r
+    return params.r - 8.0 * params.gamma ** 2 / params.h ** 2, params.r
 
 
 def boundary_equilibrium(params: ModelParams, alpha: float, beta: float) -> float:
@@ -61,6 +61,11 @@ def longwave_quadratic_coefficient(params: ModelParams,
     return float(coef[0])
 
 
+# a run is flagged as outside the model's validity once the oracle's peak
+# amplitude passes this multiple of sqrt(r)
+_VALIDITY_FACTOR = 3.0
+
+
 @dataclass
 class CompareConfig:
     """Configuration of a model-vs-oracle run on a periodic domain.
@@ -79,7 +84,6 @@ class CompareConfig:
     dt_oracle: float = 0.05
     r_ladder: Optional[Sequence[float]] = None
     modulation: float = 0.2
-    validity_factor: float = 3.0
 
 
 @dataclass
@@ -112,8 +116,7 @@ def _sample_counts(t_end: float, dt: float, n_samples: int) -> tuple[int, int]:
 
 
 def _run_pair(params: ModelParams, a0: np.ndarray, t_end: float,
-              n_samples: int, dt_model: float, dt_oracle: float,
-              validity_factor: float) -> ComparisonReport:
+              n_samples: int, dt_model: float, dt_oracle: float) -> ComparisonReport:
     N = params.n_elements
     state0 = AmplitudeState(0.0, np.asarray(a0, complex), np.conj(a0))
     n_steps, per = _sample_counts(t_end, dt_oracle, n_samples)
@@ -141,7 +144,7 @@ def _run_pair(params: ModelParams, a0: np.ndarray, t_end: float,
         raise RuntimeError("model sampling misaligned")
 
     sup_error = np.max(np.abs(model - oracle), axis=1)
-    amp_bound = validity_factor * math.sqrt(max(params.r, 1e-12))
+    amp_bound = _VALIDITY_FACTOR * math.sqrt(max(params.r, 1e-12))
     meta = {
         "r": params.r,
         "n_elements": N,
@@ -168,8 +171,7 @@ def compare_model_vs_direct(config: CompareConfig) -> ComparisonReport:
         if a0 is None:
             a0 = modulated_profile(config.params, config.modulation)
         return _run_pair(config.params, a0, config.t_end, config.n_samples,
-                         config.dt_model, config.dt_oracle,
-                         config.validity_factor)
+                         config.dt_model, config.dt_oracle)
 
     if len(set(config.r_ladder)) < 2:
         raise ValueError("an r-ladder needs at least two distinct rungs, "
@@ -179,8 +181,7 @@ def compare_model_vs_direct(config: CompareConfig) -> ComparisonReport:
         params_r = replace(config.params, r=float(r))
         a0 = modulated_profile(params_r, config.modulation)
         report = _run_pair(params_r, a0, 10.0 / r, config.n_samples,
-                           config.dt_model, config.dt_oracle,
-                           config.validity_factor)
+                           config.dt_model, config.dt_oracle)
         scale = math.sqrt(r / 3.0)
         rows.append((float(r), float(report.sup_error[-1]),
                      float(report.sup_error[-1] / scale)))

@@ -79,7 +79,7 @@ EXPERIMENT_KEYS = {
     "simulate-direct": {"scheme": "spectral-etd", "kind": "even",
                         "alpha": 0.0, "beta": 0.0, "alpha-omega": 0.0,
                         "t-end": 10.0, "dt": None, "init-amp": 0.01,
-                        "c-stab": 0.5, "accel-warn": 1.0},
+                        "accel-warn": 1.0},
     "simulate-model": {"kind": "periodic", "alpha": 0.0, "beta": 0.0,
                        "alpha-omega": 0.0, "t-end": 100.0, "dt": 0.05,
                        "init-amp": 0.05, "random-init": False,
@@ -110,15 +110,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _coerce(value, default):
-    """Interpret a flag/config string against the default's type."""
+def _coerce(key: str, value, default):
+    """Interpret a flag/config value against the default's type.  Only a
+    switch takes true/false, and an integer key takes only whole numbers."""
     if value is None or value == "":
         return default
     if isinstance(default, bool):
         if isinstance(value, bool):
             return value
         return str(value).lower() in ("1", "true", "yes", "on")
+    if isinstance(value, bool):
+        raise ValueError(f"{key} is not a switch, got {value!r}")
     if isinstance(default, int):
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{key} must be a whole number, got {value!r}")
         return int(value)
     if isinstance(default, float):
         return float(value)
@@ -148,7 +153,7 @@ def resolve_config(experiment: str, file_cfg: dict, flag_cfg: dict) -> dict:
     # normalise types against the defaults (config/flag values may be strings)
     for key, default in allowed.items():
         if default is not None:
-            resolved[key] = _coerce(resolved[key], default)
+            resolved[key] = _coerce(key, resolved[key], default)
     return resolved
 
 
@@ -268,11 +273,12 @@ def run_compare(cfg: dict, params) -> tuple:
 
 
 def run_boundary_select(cfg: dict, params) -> tuple:
-    sign = SignChoice(cfg["sign"])
-    fast, _ = boundary_mode_rates(params, sign)   # fast = r - 8/h^2
+    fast, _ = boundary_mode_rates(params)   # fast = r - 8 g^2/h^2
+    if cfg["t-end"] is None and not fast < 0:
+        raise ValueError("the default horizon -10/fast needs a decaying wall mode, "
+                         f"got fast rate r - 8 g^2/h^2 = {fast}; set --t-end")
     t_end = -10.0 / fast if cfg["t-end"] is None else float(cfg["t-end"])
-    wall = BoundaryForcing.even_given if sign is SignChoice.UPPER else BoundaryForcing.odd_given
-    forcing = wall(p=params.p)
+    forcing = SignChoice(cfg["sign"]).wall(p=params.p)
     phase = math.radians(cfg["phase-deg"])
     a0 = np.full(params.n_elements, cfg["amp0"] * np.exp(1j * phase), complex)
     state = conjugate_state(0.0, a0)
@@ -332,10 +338,9 @@ def run_simulate_direct(cfg: dict, params) -> tuple:
         out = integrate_spectral(grid, params, t_end, 0.05 if dt is None else float(dt))
     else:
         grid = FieldGrid.sample(lambda x: amp * np.cos(x), params, periodic=False)
-        c_stab = cfg["c-stab"]
-        dt = 0.8 * c_stab * grid.dx ** 2 if dt is None else float(dt)
+        dt = 0.4 * grid.dx ** 2 if dt is None else float(dt)
         forcing = _forcing_from(cfg, params, t_end, dt)
-        out = integrate_bounded(grid, params, forcing, t_end, dt, c_stab=c_stab)
+        out = integrate_bounded(grid, params, forcing, t_end, dt)
     rows = [(float(x), float(u)) for x, u in zip(out.x, out.u)]
     return ["x", "u"], rows, {"t_end": t_end}
 

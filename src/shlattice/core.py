@@ -48,8 +48,9 @@ def _step_count(span: float, dt: float) -> int:
     The 1e-12 slack keeps a span that is a whole number of dt up to
     rounding from taking one step more.
     """
-    if not span > 0:
-        raise ValueError(f"t_end must exceed the start time, got a span of {span}")
+    if not 0 < span < math.inf:
+        raise ValueError(
+            f"t_end must exceed the start time and be finite, got a span of {span}")
     return max(1, math.ceil(span / _positive_dt(dt) - 1e-12))
 
 
@@ -82,6 +83,12 @@ class ForcingKind(Enum):
     PERIODIC = "periodic"
     EVEN_GIVEN = "even"   # wall data: u and u_xx
     ODD_GIVEN = "odd"     # wall data: u_x and u_xxx
+
+    @property
+    def wall_sign(self) -> float:
+        """Sign s of the wall stencil: +1 for even data (sin-locking), -1 for
+        odd data (cos-locking), 0 without walls."""
+        return {"periodic": 0.0, "even": 1.0, "odd": -1.0}[self.value]
 
 
 @dataclass(frozen=True)
@@ -126,17 +133,6 @@ def make_params(r: float, gamma: float, p: int, n_elements: int,
     return ModelParams(r=float(r), gamma=float(gamma), p=int(p),
                        h=2.0 * math.pi * int(p), n_elements=int(n_elements),
                        m_samples=m)
-
-
-def element_centers(params: ModelParams, x0: Optional[float] = None) -> np.ndarray:
-    """Element centre coordinates x_j = x0 + (j + 1/2) h, j = 0..N-1.
-
-    The default x0 = -h/2 puts the centres at 0, h, 2h, ... which is the
-    frame the reconstruction and boundary formulas assume.
-    """
-    if x0 is None:
-        x0 = -params.h / 2.0
-    return x0 + (np.arange(params.n_elements) + 0.5) * params.h
 
 
 def _resolve_neighbours(n: int, j: int, periodic: bool) -> tuple[int, int]:

@@ -17,7 +17,8 @@ Two schemes:
   with two ghost samples per end.  Walls prescribe either (u, u_xx) or
   (u_x, u_xxx); ghost values are eliminated through the wall data.  Time
   stepping is Crank-Nicolson on the linear operator with a Heun (explicit
-  trapezoid) treatment of the cubic, second order overall and self-starting.
+  trapezoid) treatment of the cubic, second order overall and self-starting;
+  the step obeys dt <= dx^2/2.
   The banded matrix I - dt/2 A is LU-factorised once per stepper; each step
   costs two triangular-solve pairs against those factors.
 
@@ -54,7 +55,6 @@ from .core import (
     _step_count,
 )
 
-DEFAULT_C_STAB = 0.5
 # z^j coefficients (j = 0..15) of the Taylor series of q, f1, f2, f3, each
 # one correctly rounded division: f1's 1/(j+1)! - 3/(j+2)! + 4/(j+3)! is
 # (j+1)^2/(j+3)!, f2's 1/(j+2)! - 2/(j+3)! is (j+1)/(j+3)! and f3's
@@ -210,8 +210,7 @@ class BoundedStepper:
 
     def __init__(self, grid: FieldGrid, params: ModelParams,
                  forcing: BoundaryForcing, dt: float,
-                 forcing_right: Optional[BoundaryForcing] = None,
-                 c_stab: float = DEFAULT_C_STAB):
+                 forcing_right: Optional[BoundaryForcing] = None):
         if grid.periodic:
             raise ValueError("bounded stepping needs a non-periodic grid")
         if forcing.kind is ForcingKind.PERIODIC:
@@ -220,9 +219,8 @@ class BoundedStepper:
         if self.n < 7:
             raise ValueError("bounded grid too small")
         self.dx = grid.dx
-        if _positive_dt(dt) > c_stab * self.dx ** 2 * (1 + 1e-12):
-            raise ValueError(
-                f"dt={dt} unstable: exceeds c_stab*dx^2={c_stab * self.dx ** 2:.4g}")
+        if _positive_dt(dt) > 0.5 * self.dx ** 2 * (1 + 1e-12):
+            raise ValueError(f"dt={dt} unstable: exceeds dx^2/2={0.5 * self.dx ** 2:.4g}")
         self.dt = dt
         self.left = forcing
         self.right = forcing if forcing_right is None else forcing_right
@@ -376,12 +374,10 @@ class BoundedStepper:
 def integrate_bounded(grid: FieldGrid, params: ModelParams,
                       forcing: BoundaryForcing, t_end: float, dt: float,
                       t0: float = 0.0,
-                      forcing_right: Optional[BoundaryForcing] = None,
-                      c_stab: float = DEFAULT_C_STAB) -> FieldGrid:
+                      forcing_right: Optional[BoundaryForcing] = None) -> FieldGrid:
     """Advance a bounded grid from t0 to t_end (step shrunk to land exactly)."""
     span = t_end - t0
     n_steps = _step_count(span, dt)
-    stepper = BoundedStepper(grid, params, forcing, span / n_steps,
-                             forcing_right, c_stab)
+    stepper = BoundedStepper(grid, params, forcing, span / n_steps, forcing_right)
     u = stepper.run(grid.u, t0, n_steps)
     return FieldGrid(grid.x0, grid.dx, u, False)

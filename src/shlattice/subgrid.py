@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .core import (
     AmplitudeState,
@@ -40,7 +41,7 @@ from .amplitude_model import SignChoice
 
 # Wall-element forcing-profile coefficients for the exp(+ix) sector.  Each
 # signal contributes  s*(g^2/h) * [CONST + SLOPE*X + CURVE*(h^2 - 12 X^2)]
-# with s = +1/-1 for the upper/lower sign choice.  The exp(-ix) sector
+# with s = +1/-1 for even/odd wall data.  The exp(-ix) sector
 # carries the complex conjugates (exactly, since the signals are real).
 ALPHA_PLUS_CONST = (7 + 5j) / 16
 ALPHA_PLUS_SLOPE = -(2 + 3j) / 4
@@ -74,18 +75,16 @@ def interior_envelopes(state: AmplitudeState, params: ModelParams, j: int,
 
 
 def boundary_envelopes(state: AmplitudeState, params: ModelParams,
-                       forcing: BoundaryForcing,
-                       sign: SignChoice) -> tuple[np.ndarray, np.ndarray]:
-    """Envelope polynomials for the wall element (j = 0, wall at X = -h/2)."""
+                       forcing: BoundaryForcing) -> tuple[np.ndarray, np.ndarray]:
+    """Envelope polynomials for the wall element (j = 0, wall at X = -h/2);
+    the forcing's kind fixes the sign alternative s."""
     if state.n < 2:
         raise ValueError("the wall element needs an interior neighbour")
-    if forcing.kind is not ForcingKind.PERIODIC and \
-            SignChoice.from_kind(forcing.kind) is not sign:
-        raise ValueError(
-            f"forcing kind {forcing.kind} does not match sign choice {sign}")
+    if forcing.kind is ForcingKind.PERIODIC:
+        raise ValueError("the wall element needs wall forcing, got periodic")
     a1, a2 = state.a[0], state.a[1]
     b1, b2 = state.b[0], state.b[1]
-    s = sign.factor
+    s = forcing.kind.wall_sign
     h = params.h
     g4h = params.gamma / (4.0 * h)
     g2h = params.gamma ** 2 / h
@@ -111,13 +110,6 @@ def boundary_envelopes(state: AmplitudeState, params: ModelParams,
     return plus, minus
 
 
-def _polyval(coeffs: np.ndarray, x) -> np.ndarray:
-    out = np.zeros_like(np.asarray(x, dtype=float), dtype=complex)
-    for c in coeffs[::-1]:
-        out = out * x + c
-    return out
-
-
 def _envelope_derivative(coeffs: np.ndarray, sector: int) -> np.ndarray:
     """d/dX of exp(i*sector*X) * P(X) as a new envelope: P' + i*sector*P."""
     dcoef = coeffs[1:] * np.arange(1, len(coeffs))
@@ -134,31 +126,7 @@ def eval_field(plus: np.ndarray, minus: np.ndarray, xs,
         p = _envelope_derivative(p, +1)
         m = _envelope_derivative(m, -1)
     xs = np.asarray(xs, dtype=float)
-    return _polyval(p, xs) * np.exp(1j * xs) + _polyval(m, xs) * np.exp(-1j * xs)
-
-
-def _check_local(xs, h: float) -> np.ndarray:
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if np.any(np.abs(xs) > h / 2 + 1e-9):
-        raise ValueError("sample positions fall outside the element")
-    return xs
-
-
-def reconstruct_interior(state: AmplitudeState, params: ModelParams, j: int,
-                         xs, periodic: bool = False) -> np.ndarray:
-    """Real reconstructed field of interior element j at local positions xs."""
-    xs = _check_local(xs, params.h)
-    plus, minus = interior_envelopes(state, params, j, periodic)
-    return eval_field(plus, minus, xs).real
-
-
-def reconstruct_boundary(state: AmplitudeState, params: ModelParams,
-                         forcing: BoundaryForcing, sign: SignChoice,
-                         xs) -> np.ndarray:
-    """Real reconstructed field of the wall element at local positions xs."""
-    xs = _check_local(xs, params.h)
-    plus, minus = boundary_envelopes(state, params, forcing, sign)
-    return eval_field(plus, minus, xs).real
+    return polyval(xs, p) * np.exp(1j * xs) + polyval(xs, m) * np.exp(-1j * xs)
 
 
 def extract_amplitudes(grid: FieldGrid, params: ModelParams,
@@ -266,14 +234,13 @@ def boundary_profiles(params: ModelParams, sign: SignChoice,
     Emits the field obtained with all amplitudes zero and unit alpha (resp.
     unit beta), plus the analytic second derivative of each curve.
     """
-    xs = _check_local(xs, params.h)
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if np.any(np.abs(xs) > params.h / 2 + 1e-9):
+        raise ValueError("sample positions fall outside the element")
     zero = AmplitudeState(0.0, np.zeros(2, complex), np.zeros(2, complex))
-    make = (BoundaryForcing.even_given if sign is SignChoice.UPPER
-            else BoundaryForcing.odd_given)
     out = {"x": xs}
     for name, (al, be) in (("alpha", (1.0, 0.0)), ("beta", (0.0, 1.0))):
-        forcing = make(alpha=al, beta=be, p=params.p)
-        plus, minus = boundary_envelopes(zero, params, forcing, sign)
+        plus, minus = boundary_envelopes(zero, params, sign.wall(al, be, p=params.p))
         out[f"{name}_profile"] = eval_field(plus, minus, xs).real
         out[f"{name}_profile_xx"] = eval_field(plus, minus, xs, deriv=2).real
     return out

@@ -26,9 +26,7 @@ from shlattice import (
     gle_rhs,
     ibc_residual,
     integrate_bounded,
-    interior_rhs,
     lattice_field,
-    left_boundary_rhs,
     longwave_quadratic_coefficient,
     make_params,
     measure_growth_rate,
@@ -70,8 +68,7 @@ def test_criterion_2_discrete_gle_identity():
     for _ in range(100):
         a = 0.5 * (rng.standard_normal(12) + 1j * rng.standard_normal(12))
         st = conjugate_state(0.0, a)
-        lattice = np.array([
-            interior_rhs(st, params, j, periodic=True)[0] for j in range(12)])
+        lattice = model_rhs(st, params, BoundaryForcing.periodic())[0]
         worst = max(worst, np.max(np.abs(
             lattice - gle_rhs(a, params.r, 4.0, 3.0, params.h))))
     elapsed = time.monotonic() - started
@@ -172,14 +169,12 @@ def test_criterion_6_forced_equilibrium():
 def test_criterion_7_boundary_mode_rates():
     def linearised_rate(params, sign, direction):
         # Richardson elimination of the cubic: L = (8 f(e) - f(2e)) / (6 e)
-        make = (BoundaryForcing.even_given if sign is SignChoice.UPPER
-                else BoundaryForcing.odd_given)
-        forcing = make(0.0, 0.0, p=params.p)
+        forcing = sign.wall(p=params.p)
 
         def f(eps):
             a = np.full(2, eps * direction, complex)
             st = conjugate_state(0.0, a)
-            return left_boundary_rhs(st, params, forcing, sign)[0]
+            return model_rhs(st, params, forcing)[0][0]
 
         eps = 1e-2
         return (8.0 * f(eps) - f(2.0 * eps)) / (6.0 * eps)
@@ -187,7 +182,7 @@ def test_criterion_7_boundary_mode_rates():
     worst = 0.0
     for r, p in ((0.0, 1), (0.1, 1), (-0.05, 2)):
         params = make_params(r=r, gamma=1.0, p=p, n_elements=2, m_samples=32)
-        fast, slow = boundary_mode_rates(params, SignChoice.UPPER)
+        fast, slow = boundary_mode_rates(params)
         re_rate = linearised_rate(params, SignChoice.UPPER, 1.0).real
         im_rate = (linearised_rate(params, SignChoice.UPPER, 1.0j) / 1j).real
         worst = max(worst, abs(re_rate - fast), abs(im_rate - slow))
@@ -220,7 +215,8 @@ def test_criterion_8_structural_invariants():
     st = AmplitudeState(0.0, a, np.zeros(6, complex))
     p_hi = make_params(r=0.0, gamma=0.8, p=1, n_elements=6, m_samples=32)
     p_lo = make_params(r=0.0, gamma=0.4, p=1, n_elements=6, m_samples=32)
-    ratio = (interior_rhs(st, p_hi, 3)[0] / interior_rhs(st, p_lo, 3)[0]).real
+    periodic = BoundaryForcing.periodic()
+    ratio = (model_rhs(st, p_hi, periodic)[0][3] / model_rhs(st, p_lo, periodic)[0][3]).real
     checks["gamma^2 scaling"] = abs(ratio - 4.0) <= 1e-12
 
     # inter-element matching residual, O(gamma^2) ladder

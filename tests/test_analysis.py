@@ -13,6 +13,7 @@ from shlattice import (
     lattice_dispersion,
     longwave_quadratic_coefficient,
     make_params,
+    model_rhs,
     run_model,
     she_growth_rate,
 )
@@ -69,26 +70,50 @@ class TestLatticeDispersion:
 class TestBoundaryModeRates:
     def test_frozen_values(self):
         params = params_for(r=0.0)
-        fast, slow = boundary_mode_rates(params, SignChoice.UPPER)
+        fast, slow = boundary_mode_rates(params)
         assert fast == pytest.approx(-2 / np.pi ** 2, rel=1e-12)
         assert slow == 0.0
 
     def test_slow_rate_is_r(self):
         params = params_for(r=0.1)
-        _, slow = boundary_mode_rates(params, SignChoice.LOWER)
+        _, slow = boundary_mode_rates(params)
         assert slow == pytest.approx(0.1)
 
     def test_gap_quarters_when_h_doubles(self):
         p1 = params_for(r=0.0, p=1)
         p2 = params_for(r=0.0, p=2)
-        gap1 = p1.r - boundary_mode_rates(p1, SignChoice.UPPER)[0]
-        gap2 = p2.r - boundary_mode_rates(p2, SignChoice.UPPER)[0]
+        gap1 = p1.r - boundary_mode_rates(p1)[0]
+        gap2 = p2.r - boundary_mode_rates(p2)[0]
         assert gap1 / gap2 == pytest.approx(4.0, rel=1e-12)
 
     def test_ordering(self):
         params = params_for(r=0.3, p=3)
-        fast, slow = boundary_mode_rates(params, SignChoice.UPPER)
+        fast, slow = boundary_mode_rates(params)
         assert fast < slow
+
+    @pytest.mark.parametrize("r, gamma, p", [
+        (0.0, 1.0, 1), (0.02, 0.5, 1), (-0.05, 0.3, 2), (0.1, 0.0, 1)])
+    def test_match_linearised_wall_rows(self, r, gamma, p):
+        # criterion 7 at any coupling: the wall row of model_rhs, linearised
+        # by Richardson elimination of the cubic, L = (8 f(e) - f(2e)) / (6 e)
+        params = make_params(r=r, gamma=gamma, p=p, n_elements=2, m_samples=32)
+        fast, slow = boundary_mode_rates(params)
+        assert fast == pytest.approx(r - 8.0 * gamma ** 2 / params.h ** 2, rel=1e-15)
+
+        def rate(sign, direction):
+            forcing = sign.wall(p=p)
+
+            def f(eps):
+                st = conjugate_state(0.0, np.full(2, eps * direction, complex))
+                return model_rhs(st, params, forcing)[0][0]
+
+            return (8.0 * f(1e-2) - f(2e-2)) / 6e-2 / direction
+
+        # even data: Re(a_1) decays at the fast rate; odd data swaps the parts
+        for sign, re_rate, im_rate in ((SignChoice.UPPER, fast, slow),
+                                       (SignChoice.LOWER, slow, fast)):
+            assert rate(sign, 1.0).real == pytest.approx(re_rate, abs=1e-12)
+            assert rate(sign, 1.0j).real == pytest.approx(im_rate, abs=1e-12)
 
 
 class TestBoundaryEquilibrium:

@@ -102,6 +102,28 @@ class TestConfigHandling:
         assert "shlattice: error:" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("cfg, message", [
+        ({"n-elements": 2.7}, "n-elements must be a whole number, got 2.7"),
+        ({"k-steps": float("inf")}, "k-steps must be a whole number, got inf"),
+        ({"seed": True}, "seed is not a switch, got True"),
+        ({"r": False}, "r is not a switch, got False"),
+    ])
+    def test_config_value_of_wrong_type_exits_one(self, tmp_path, capsys, cfg, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"k-steps": 2, **cfg}))
+        code = main(["dispersion", "--config", str(path), "--output-dir", str(tmp_path)])
+        assert code == 1
+        assert err_lines(capsys.readouterr().err) == [f"error: {message}"]
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_whole_float_config_value_is_an_integer(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"k-steps": 3.0, "seed": 4.0}))
+        assert main(["dispersion", "--config", str(path), "--output-dir", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config"]["k-steps"] == 3 and manifest["config"]["seed"] == 4
+        assert isinstance(manifest["config"]["seed"], int)
+
     def test_bad_value_exits_one(self, tmp_path):
         code = main(["dispersion", "--r", "not-a-number",
                      "--output-dir", str(tmp_path)])
@@ -137,6 +159,15 @@ class TestOtherExperiments:
         header, rows = read_rows(newest_csv(tmp_path))
         assert header == ["t", "re_fraction", "im_fraction"]
         assert float(rows[-1][1]) <= 0.05   # sin-locked by the end
+
+    def test_boundary_select_horizon_follows_gamma(self, tmp_path):
+        # the default horizon is -10/fast, with fast = r - 8 g^2/h^2
+        code = main(["boundary-select", "--gamma", "0.5", "--r", "0.02",
+                     "--n-elements", "2", "--dt", "0.1", "--output-dir", str(tmp_path)])
+        assert code == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        fast = 0.02 - 8.0 * 0.25 / (2 * np.pi) ** 2
+        assert manifest["t_end"] == pytest.approx(-10.0 / fast, rel=1e-12)
 
     def test_boundary_equilibrium(self, tmp_path):
         code = main(["boundary-equilibrium", "--alpha", "0.01", "--beta", "0",
@@ -295,6 +326,14 @@ class TestOtherExperiments:
           "--alpha-omega", "3", "--t-end", "0"], "t_end must exceed the start time"),
         (["simulate-direct", "--scheme", "bounded-imex", "--alpha", "0.1",
           "--alpha-omega", "25", "--t-end", "-5"], "t_end must exceed the start time"),
+        # an infinite span is rejected by the step rule, not by math.ceil
+        (["simulate-model", "--t-end", "inf"], "be finite, got a span of inf"),
+        (["dispersion", "--k-steps", "2", "--t-fit", "inf"], "be finite, got a span of inf"),
+        (["simulate-direct", "--scheme", "bounded-imex", "--t-end", "inf"],
+         "be finite, got a span of inf"),
+        # the default horizon -10/fast needs fast = r - 8 g^2/h^2 < 0
+        (["boundary-select", "--gamma", "0", "--r", "0"],
+         "needs a decaying wall mode, got fast rate r - 8 g^2/h^2 = 0.0"),
     ])
     def test_bad_time_arguments_exit_one(self, tmp_path, capsys, args, message):
         with warnings.catch_warnings(record=True) as caught:

@@ -9,9 +9,8 @@ from shlattice import (
     DivergenceError,
     FieldGrid,
     ForcingKind,
-    element_centers,
-    interior_rhs,
     make_params,
+    model_rhs,
 )
 from shlattice.core import _integrate, _step_count
 from shlattice.subgrid import interior_envelopes
@@ -44,24 +43,18 @@ class TestMakeParams:
         with pytest.raises(ValueError):
             make_params(r=0.0, gamma=1.0, p=0, n_elements=4, m_samples=32)
 
-    def test_element_centers_canonical(self):
-        params = make_params(0.0, 1.0, 1, 4, 32)
-        xs = element_centers(params)
-        # wall at -h/2, centres at multiples of h
-        assert np.allclose(xs, [0, 1, 2, 3] * np.full(4, params.h))
-
 
 def stencils(v, j, periodic=False):
     """(v[j+1] - 2 v[j] + v[j-1], (v[j+1] - v[j-1]) / 2) as the lattice uses
-    them: read off interior_rhs (coupling 4/h^2 at r = 0, g = 1) and the
+    them: read off model_rhs (coupling 4/h^2 at r = 0, g = 1) and the
     slope of the interior envelope (g/h times the mean difference), with
     a = v and b = 0 so that the cubic and the b-terms vanish."""
     v = np.asarray(v, dtype=complex)
     params = make_params(r=0.0, gamma=1.0, p=1, n_elements=len(v), m_samples=32)
     state = AmplitudeState(0.0, v, np.zeros_like(v))
-    da, _ = interior_rhs(state, params, j, periodic)
+    da, _ = model_rhs(state, params, BoundaryForcing.periodic())
     plus, _ = interior_envelopes(state, params, j, periodic)
-    return da * params.h ** 2 / 4.0, plus[1] * params.h
+    return da[j] * params.h ** 2 / 4.0, plus[1] * params.h
 
 
 class TestStencils:
@@ -87,12 +80,8 @@ class TestStencils:
         params = make_params(r=0.1, gamma=1.0, p=1, n_elements=5, m_samples=32)
         for j in (0, 4):
             with pytest.raises(IndexError):
-                interior_rhs(state, params, j)
-            with pytest.raises(IndexError):
                 interior_envelopes(state, params, j)
         for j in (-1, 5):
-            with pytest.raises(IndexError):
-                interior_rhs(state, params, j, periodic=True)
             with pytest.raises(IndexError):
                 interior_envelopes(state, params, j, periodic=True)
 
@@ -140,6 +129,13 @@ class TestStateAndGrid:
         assert gp.x0 == pytest.approx(-params.h / 2)
         assert gp.length == pytest.approx(4 * params.h)
         assert gb.length == pytest.approx(4 * params.h)
+
+    def test_canonical_element_centres(self):
+        params = make_params(0.0, 1.0, 1, 4, 32)
+        grid = FieldGrid.zeros(params, periodic=False)
+        # wall at -h/2, centres (sample m/2 of each element) at multiples of h
+        assert grid.x[0] == -params.h / 2
+        assert np.allclose(grid.x[16::32], [0, 1, 2, 3] * np.full(4, params.h))
 
     def test_periodic_wrap_coordinates(self):
         params = make_params(0.0, 1.0, 1, 2, 16)

@@ -271,6 +271,10 @@ class TestStepBounded:
             BoundedStepper(grid, params, forcing, dt=grid.dx)
         with pytest.raises(ValueError):
             integrate_bounded(grid, params, forcing, t_end=1.0, dt=grid.dx)
+        # the bound is dt <= dx^2/2
+        BoundedStepper(grid, params, forcing, dt=0.5 * grid.dx ** 2)
+        with pytest.raises(ValueError, match=r"exceeds dx\^2/2"):
+            BoundedStepper(grid, params, forcing, dt=0.501 * grid.dx ** 2)
 
     def test_periodic_kind_rejected(self):
         params = params_for(n=4)
@@ -456,15 +460,15 @@ class TestFactoredSolve:
     @EXACT
     @given(kind=st.sampled_from(["even", "odd"]), n=st.integers(7, 600),
            periods=st.integers(1, 8), r=st.floats(-0.5, 0.5),
-           dt_frac=st.floats(0.01, 1.0), c_stab=st.sampled_from([0.25, 0.5, 2.0]),
-           scale=st.sampled_from([1e-6, 1.0, 1e6]),
+           dt_frac=st.floats(0.01, 1.0), scale=st.sampled_from([1e-6, 1.0, 1e6]),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_solve_matches_solve_banded(self, kind, n, periods, r, dt_frac,
-                                        c_stab, scale, seed):
+                                        scale, seed):
+        # dt_frac of the stability bound dt <= dx^2/2
         params = make_params(r=r, gamma=1.0, p=1, n_elements=2, m_samples=16)
         grid = FieldGrid(0.0, 2.0 * np.pi * periods / (n - 1), np.zeros(n), False)
         stepper = BoundedStepper(grid, params, WALLS[kind](0.0, 0.0, p=1),
-                                 dt=dt_frac * c_stab * grid.dx ** 2, c_stab=c_stab)
+                                 dt=dt_frac * 0.5 * grid.dx ** 2)
         rhs = scale * np.random.default_rng(seed).standard_normal(stepper.n)
         expected = solve_banded((2, 2), stepper.ab_minus, rhs)
         assert np.array_equal(stepper._solve(rhs.copy()), expected)

@@ -8,16 +8,12 @@ from shlattice import (
     AmplitudeState,
     BoundaryForcing,
     DivergenceError,
-    SignChoice,
     conjugate_state,
     gle_rhs,
-    interior_rhs,
-    left_boundary_rhs,
     make_params,
     max_stable_dt,
     model_rhs,
     reality_check,
-    right_boundary_rhs,
     rk4_step,
     run_model,
 )
@@ -36,38 +32,59 @@ def random_state(n, scale=0.1, seed=0, conjugate=False):
     return AmplitudeState(0.0, a, b)
 
 
+def interior_row(state, params, j):
+    """(da_j/dt, db_j/dt) of element j, read off model_rhs on the periodic
+    lattice: a row with both neighbours is the same in every kernel."""
+    da, db = model_rhs(state, params, BoundaryForcing.periodic())
+    return da[j], db[j]
+
+
+def wall_rows(state, params, forcing):
+    """(da/dt, db/dt) of the left (row 0) and right (row -1) wall elements."""
+    da, db = model_rhs(state, params, forcing)
+    return (da[0], db[0]), (da[-1], db[-1])
+
+
 class TestInteriorRhs:
     def test_zero_state(self):
         st = AmplitudeState(0.0, np.zeros(3, complex), np.zeros(3, complex))
-        da, db = interior_rhs(st, params_for(r=0.1, n=3), 1)
+        da, db = interior_row(st, params_for(r=0.1, n=3), 1)
         assert da == 0 and db == 0
 
     def test_uniform_equilibrium(self):
         # r = 3 |a|^2 balances growth against the cubic
         st = conjugate_state(0.0, np.full(4, 0.1 + 0j))
-        da, db = interior_rhs(st, params_for(r=0.03, n=4), 1)
+        da, db = interior_row(st, params_for(r=0.03, n=4), 1)
         assert abs(da) < 1e-15 and abs(db) < 1e-15
 
     def test_neighbour_kick(self):
         # a = [0,0,1], b = 0 at the middle element: da = (4 g^2/h^2) * 1 = 1/pi^2
         st = AmplitudeState(0.0, np.array([0, 0, 1], complex), np.zeros(3, complex))
-        da, db = interior_rhs(st, params_for(r=0.0, n=3), 1)
+        da, db = interior_row(st, params_for(r=0.0, n=3), 1)
         assert da == pytest.approx(1 / np.pi ** 2, rel=1e-12)
         assert db == 0
 
     def test_needs_neighbours(self):
+        # the end rows take their missing neighbour from the wrap or a wall
         st = random_state(4)
-        with pytest.raises(IndexError):
-            interior_rhs(st, params_for(n=4), 0)
-        interior_rhs(st, params_for(n=4), 0, periodic=True)  # wrap resolves
+        params = params_for(r=0.0, n=4)
+        c = 4.0 / params.h ** 2
+        cubic = 3.0 * st.a[0] ** 2 * st.b[0]
+        da, _ = model_rhs(st, params, BoundaryForcing.periodic())
+        assert da[0] == pytest.approx(c * (st.a[1] - 2.0 * st.a[0] + st.a[3]) - cubic,
+                                      rel=1e-14)
+        walled, _ = model_rhs(st, params, BoundaryForcing.even_given(0.0, 0.0, p=1))
+        assert walled[0] == pytest.approx(c * (st.a[1] - 2.0 * st.a[0] - st.b[0]) - cubic,
+                                          rel=1e-14)
+        assert np.array_equal(walled[1:-1], da[1:-1])
 
     def test_gamma_squared_scaling(self):
         # with b = 0 the cubic vanishes; at r = 0 the rhs is pure coupling
         rng = np.random.default_rng(1)
         a = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         st = AmplitudeState(0.0, a, np.zeros(6, complex))
-        hi = interior_rhs(st, params_for(gamma=0.8, n=6), 3)[0]
-        lo = interior_rhs(st, params_for(gamma=0.4, n=6), 3)[0]
+        hi = interior_row(st, params_for(gamma=0.8, n=6), 3)[0]
+        lo = interior_row(st, params_for(gamma=0.4, n=6), 3)[0]
         assert abs(hi / lo - 4.0) < 1e-12
 
     def test_phase_equivariance(self):
@@ -75,8 +92,8 @@ class TestInteriorRhs:
         params = params_for(r=0.07, n=5)
         theta = 0.7
         rot = AmplitudeState(0.0, np.exp(1j * theta) * st.a, np.exp(-1j * theta) * st.b)
-        da, db = interior_rhs(st, params, 2)
-        da_r, db_r = interior_rhs(rot, params, 2)
+        da, db = interior_row(st, params, 2)
+        da_r, db_r = interior_row(rot, params, 2)
         assert abs(da_r - np.exp(1j * theta) * da) < 1e-13
         assert abs(db_r - np.exp(-1j * theta) * db) < 1e-13
 
@@ -88,8 +105,7 @@ class TestGleIdentity:
         params = params_for(r=0.04, gamma=1.0, n=10)
         for seed in range(10):
             st = random_state(10, scale=0.3, seed=seed, conjugate=True)
-            lattice = np.array([
-                interior_rhs(st, params, j, periodic=True)[0] for j in range(10)])
+            lattice = model_rhs(st, params, BoundaryForcing.periodic())[0]
             gle = gle_rhs(st.a, params.r, 4.0, 3.0, params.h)
             assert np.max(np.abs(lattice - gle)) < 1e-14
 
@@ -108,7 +124,7 @@ class TestBoundaryRhs:
         params = params_for(r=r, n=2)
         st = AmplitudeState(0.0, np.full(2, 1j * s), np.full(2, -1j * s))
         forcing = BoundaryForcing.even_given(0.0, 0.0, p=1)
-        da, db = left_boundary_rhs(st, params, forcing, SignChoice.UPPER)
+        (da, db), _ = wall_rows(st, params, forcing)
         assert da == pytest.approx(1j * s * (r - 3 * s ** 2), abs=1e-15)
         assert db == pytest.approx(np.conj(da), abs=1e-15)
 
@@ -118,7 +134,7 @@ class TestBoundaryRhs:
         params = params_for(r=r, n=2)
         st = conjugate_state(0.0, np.full(2, rho + 0j))
         forcing = BoundaryForcing.even_given(0.0, 0.0, p=1)
-        da, _ = left_boundary_rhs(st, params, forcing, SignChoice.UPPER)
+        (da, _), _ = wall_rows(st, params, forcing)
         assert da.real / rho == pytest.approx(r - 8 / params.h ** 2, abs=1e-9)
 
     def test_forcing_term_frozen_value(self):
@@ -126,7 +142,7 @@ class TestBoundaryRhs:
         params = params_for(r=0.0, n=2)
         st = AmplitudeState(0.0, np.zeros(2, complex), np.zeros(2, complex))
         forcing = BoundaryForcing.even_given(0.04, 0.06, p=1)
-        da, db = left_boundary_rhs(st, params, forcing, SignChoice.UPPER)
+        (da, db), _ = wall_rows(st, params, forcing)
         expect = -(1 / (2 * np.pi)) * (1 - 1j) * 0.1
         assert da == pytest.approx(expect, rel=1e-14)
         assert db == pytest.approx(np.conj(expect), rel=1e-14)
@@ -135,9 +151,9 @@ class TestBoundaryRhs:
         params = params_for(r=0.0, n=3)
         st = AmplitudeState(0.0, np.zeros(3, complex), np.zeros(3, complex))
         hom = BoundaryForcing.even_given(0.0, 0.0, p=1)
-        assert right_boundary_rhs(st, params, hom, SignChoice.UPPER) == (0, 0)
+        assert wall_rows(st, params, hom)[1] == (0, 0)
         forcing = BoundaryForcing.even_given(0.1, 0.0, p=1)
-        da, db = right_boundary_rhs(st, params, forcing, SignChoice.UPPER)
+        _, (da, db) = wall_rows(st, params, forcing)
         assert db == pytest.approx(-(1 / (2 * np.pi)) * (1 - 1j) * 0.1, rel=1e-14)
         assert da == pytest.approx(np.conj(db), rel=1e-14)
 
@@ -147,22 +163,24 @@ class TestBoundaryRhs:
         st = random_state(5, seed=9)
         forcing = BoundaryForcing.odd_given(0.07, -0.02, p=1)
         mirrored = AmplitudeState(st.t, st.b[::-1].copy(), st.a[::-1].copy())
-        da_r, db_r = right_boundary_rhs(st, params, forcing, SignChoice.LOWER)
-        da_l, db_l = left_boundary_rhs(mirrored, params, forcing, SignChoice.LOWER)
+        _, (da_r, db_r) = wall_rows(st, params, forcing)
+        (da_l, db_l), _ = wall_rows(mirrored, params, forcing)
         assert da_r == pytest.approx(db_l, rel=1e-14)
         assert db_r == pytest.approx(da_l, rel=1e-14)
 
     def test_rejects_mismatch_and_periodic(self):
+        # both walls take one kind of data, and a periodic lattice has none
         params = params_for(n=2)
         st = random_state(2)
         even = BoundaryForcing.even_given(0.0, 0.0, p=1)
-        with pytest.raises(ValueError):
-            left_boundary_rhs(st, params, even, SignChoice.LOWER)
-        with pytest.raises(ValueError):
-            left_boundary_rhs(st, params, BoundaryForcing.periodic(), SignChoice.UPPER)
+        odd = BoundaryForcing.odd_given(0.0, 0.0, p=1)
+        with pytest.raises(ValueError, match="does not match"):
+            model_rhs(st, params, even, forcing_right=odd)
+        with pytest.raises(ValueError, match="does not match"):
+            model_rhs(st, params, BoundaryForcing.periodic(), forcing_right=even)
         one = AmplitudeState(0.0, np.zeros(1, complex), np.zeros(1, complex))
         with pytest.raises(ValueError):
-            left_boundary_rhs(one, params, even, SignChoice.UPPER)
+            model_rhs(one, params, even)
 
 
 class TestModelRhs:
@@ -195,8 +213,9 @@ class TestModelRhs:
         st = random_state(5, seed=21)
         forcing = BoundaryForcing.even_given(0.3, 0.1, p=1)
         da, db = model_rhs(st, params, forcing)
-        da1, db1 = interior_rhs(st, params, 1)
+        da1, db1 = interior_row(st, params, 1)
         assert da[1] == da1 and db[1] == db1
+        assert np.array_equal(da[1:-1], model_rhs(st, params, BoundaryForcing.periodic())[0][1:-1])
 
     def test_conjugate_closure_exact(self):
         # b = conj(a) with real signals gives db = conj(da) exactly

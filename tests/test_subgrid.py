@@ -13,8 +13,6 @@ from shlattice import (
     extract_amplitudes,
     ibc_residual,
     make_params,
-    reconstruct_boundary,
-    reconstruct_interior,
 )
 from shlattice.subgrid import (
     ALPHA_PLUS_CONST,
@@ -58,11 +56,10 @@ class TestCoefficientTable:
         # exp(-ix) sector must carry exactly their conjugates
         zero = AmplitudeState(0.0, np.zeros(2, complex), np.zeros(2, complex))
         signals = [(1.0, 0.0), (0.0, 1.0), (0.3, -0.7), (-2.5, 1e-3), (1e4, 3.0)]
-        for sign, make in ((SignChoice.UPPER, BoundaryForcing.even_given),
-                           (SignChoice.LOWER, BoundaryForcing.odd_given)):
+        for make in (BoundaryForcing.even_given, BoundaryForcing.odd_given):
             for (alpha, beta), p in itertools.product(signals, (1, 2)):
                 params = params_for(gamma=0.8, p=p, n=2)
-                plus, minus = boundary_envelopes(zero, params, make(alpha, beta, p=p), sign)
+                plus, minus = boundary_envelopes(zero, params, make(alpha, beta, p=p))
                 assert np.any(plus != 0)
                 assert np.array_equal(minus, np.conj(plus))
 
@@ -123,20 +120,25 @@ class TestExtraction:
         assert errs[1] / errs[2] >= 4.0
 
 
+def reconstruct(envelopes, xs):
+    """Real reconstructed field of one element at local positions xs."""
+    return eval_field(*envelopes, xs).real
+
+
 class TestInteriorReconstruction:
     def test_gamma_zero_is_bare_rolls(self):
         params = params_for(gamma=0.0, n=4)
         st = random_state(4, seed=7, conjugate=True)
         xs = np.linspace(-params.h / 2, params.h / 2, 9)
-        got = reconstruct_interior(st, params, 1, xs)
+        got = reconstruct(interior_envelopes(st, params, 1), xs)
         expect = (st.a[1] * np.exp(1j * xs) + st.b[1] * np.exp(-1j * xs)).real
         assert np.max(np.abs(got - expect)) < 1e-14
 
     def test_uniform_lattice_equals_gamma_zero(self):
         st = conjugate_state(0.0, np.full(4, 0.2 - 0.1j))
         xs = np.linspace(-np.pi, np.pi, 7)
-        full = reconstruct_interior(st, params_for(gamma=1.0), 1, xs)
-        bare = reconstruct_interior(st, params_for(gamma=0.0), 1, xs)
+        full = reconstruct(interior_envelopes(st, params_for(gamma=1.0), 1), xs)
+        bare = reconstruct(interior_envelopes(st, params_for(gamma=0.0), 1), xs)
         assert np.max(np.abs(full - bare)) < 1e-15
 
     def test_neighbour_correction_envelopes(self):
@@ -155,12 +157,6 @@ class TestInteriorReconstruction:
         plus, minus = interior_envelopes(st, params, 2)
         values = eval_field(plus, minus, np.linspace(-np.pi, np.pi, 11))
         assert np.max(np.abs(values.imag)) < 1e-12
-
-    def test_out_of_element_rejected(self):
-        params = params_for(n=3)
-        st = random_state(3)
-        with pytest.raises(ValueError):
-            reconstruct_interior(st, params, 1, [0.6 * params.h])
 
     def test_roundtrip_gamma_zero(self):
         # element averages of the reconstruction recover the amplitudes
@@ -247,7 +243,7 @@ class TestBoundaryReconstruction:
         st = random_state(2, seed=5, conjugate=True)
         forcing = BoundaryForcing.even_given(0.3, 0.1, p=1)
         xs = np.linspace(-np.pi, np.pi, 9)
-        got = reconstruct_boundary(st, params, forcing, SignChoice.UPPER, xs)
+        got = reconstruct(boundary_envelopes(st, params, forcing), xs)
         expect = (st.a[0] * np.exp(1j * xs) + st.b[0] * np.exp(-1j * xs)).real
         assert np.max(np.abs(got - expect)) < 1e-14
 
@@ -258,7 +254,7 @@ class TestBoundaryReconstruction:
         assert h ** 2 - 12 * (h / 2) ** 2 == pytest.approx(-2 * h ** 2, rel=1e-15)
         zero = AmplitudeState(0.0, np.zeros(2, complex), np.zeros(2, complex))
         forcing = BoundaryForcing.even_given(1.0, 0.0, p=1)
-        plus, _ = boundary_envelopes(zero, params, forcing, SignChoice.UPPER)
+        plus, _ = boundary_envelopes(zero, params, forcing)
         for x in (-h / 2, h / 2):
             got = plus[0] + plus[1] * x + plus[2] * x * x
             expect = (1 / h) * (ALPHA_PLUS_CONST + ALPHA_PLUS_SLOPE * x
@@ -268,20 +264,38 @@ class TestBoundaryReconstruction:
     def test_conjugate_sector_real_with_forcing(self):
         params = params_for(n=3)
         st = random_state(3, seed=1, conjugate=True)
-        for sign, make in ((SignChoice.UPPER, BoundaryForcing.even_given),
-                           (SignChoice.LOWER, BoundaryForcing.odd_given)):
-            forcing = make(0.2, -0.4, p=1)
-            plus, minus = boundary_envelopes(st, params, forcing, sign)
+        for make in (BoundaryForcing.even_given, BoundaryForcing.odd_given):
+            plus, minus = boundary_envelopes(st, params, make(0.2, -0.4, p=1))
             xs = np.linspace(-np.pi, np.pi, 17)
             vals = eval_field(plus, minus, xs)
             assert np.max(np.abs(vals.imag)) < 1e-12
 
-    def test_sign_mismatch_rejected(self):
+    def test_periodic_forcing_rejected(self):
+        # the forcing's kind fixes the wall's sign; periodic forcing has none
         params = params_for(n=2)
-        st = random_state(2)
-        forcing = BoundaryForcing.even_given(0.1, 0.0, p=1)
-        with pytest.raises(ValueError):
-            reconstruct_boundary(st, params, forcing, SignChoice.LOWER, [0.0])
+        with pytest.raises(ValueError, match="wall forcing"):
+            boundary_envelopes(random_state(2), params, BoundaryForcing.periodic())
+        one = AmplitudeState(0.0, np.zeros(1, complex), np.zeros(1, complex))
+        with pytest.raises(ValueError, match="interior neighbour"):
+            boundary_envelopes(one, params, BoundaryForcing.even_given(p=1))
+
+    def test_sign_follows_forcing_kind(self):
+        # the constant of E+ is a_1 + (g/4h)(-(2 + s i) a_1 + a_2 - s b_1 - i b_2)
+        # plus s times the forcing profile, with s = +1 for even data and -1
+        # for odd data: half their sum drops every term in s, half their
+        # difference keeps only those
+        params = params_for(gamma=0.7, n=2)
+        st = random_state(2, seed=6)
+        even = boundary_envelopes(st, params, BoundaryForcing.even_given(0.3, 0.1, p=1))
+        odd = boundary_envelopes(st, params, BoundaryForcing.odd_given(0.3, 0.1, p=1))
+        g4h = params.gamma / (4.0 * params.h)
+        a1, a2, b1, b2 = st.a[0], st.a[1], st.b[0], st.b[1]
+        assert (even[0][0] + odd[0][0]) / 2 == pytest.approx(
+            a1 + g4h * (-2.0 * a1 + a2 - 1j * b2), rel=1e-13)
+        zero = AmplitudeState(0.0, np.zeros(2, complex), np.zeros(2, complex))
+        profile = boundary_envelopes(zero, params, BoundaryForcing.even_given(0.3, 0.1, p=1))
+        assert (even[0][0] - odd[0][0]) / 2 == pytest.approx(
+            g4h * (-1j * a1 - b1) + profile[0][0], rel=1e-13)
 
 
 class TestIbcResidual:
@@ -323,19 +337,17 @@ class TestBoundaryProfiles:
         zero = AmplitudeState(0.0, np.zeros(2, complex), np.zeros(2, complex))
         forcing = BoundaryForcing.even_given(0.0, 0.0, p=1)
         xs = np.linspace(-np.pi, np.pi, 5)
-        got = reconstruct_boundary(zero, params, forcing, SignChoice.UPPER, xs)
+        got = reconstruct(boundary_envelopes(zero, params, forcing), xs)
         assert np.all(got == 0)
 
     def test_linear_in_alpha(self):
         params = params_for(n=2)
         zero = AmplitudeState(0.0, np.zeros(2, complex), np.zeros(2, complex))
         xs = np.linspace(-np.pi, np.pi, 33)
-        one = reconstruct_boundary(zero, params,
-                                   BoundaryForcing.even_given(1.0, 0.0, p=1),
-                                   SignChoice.UPPER, xs)
-        two = reconstruct_boundary(zero, params,
-                                   BoundaryForcing.even_given(2.0, 0.0, p=1),
-                                   SignChoice.UPPER, xs)
+        one = reconstruct(boundary_envelopes(
+            zero, params, BoundaryForcing.even_given(1.0, 0.0, p=1)), xs)
+        two = reconstruct(boundary_envelopes(
+            zero, params, BoundaryForcing.even_given(2.0, 0.0, p=1)), xs)
         assert np.max(np.abs(two - 2 * one)) < 1e-13
 
     def test_boundary_layer_decay(self):
@@ -346,7 +358,7 @@ class TestBoundaryProfiles:
         zero = AmplitudeState(0.0, np.zeros(2, complex), np.zeros(2, complex))
         for name, (al, be) in (("alpha", (1.0, 0.0)), ("beta", (0.0, 1.0))):
             forcing = BoundaryForcing.even_given(al, be, p=1)
-            plus, minus = boundary_envelopes(zero, params, forcing, SignChoice.UPPER)
+            plus, minus = boundary_envelopes(zero, params, forcing)
             env = lambda x: (abs(np.polyval(plus[::-1], x))
                              + abs(np.polyval(minus[::-1], x)))
             wall = env(-h / 2)
@@ -370,3 +382,19 @@ class TestBoundaryProfiles:
         num = np.gradient(np.gradient(t2["alpha_profile"], fine), fine)
         inner = slice(50, -50)
         assert np.max(np.abs(num[inner] - t2["alpha_profile_xx"][inner])) < 1e-2
+
+    def test_out_of_element_rejected(self):
+        params = params_for(n=3)
+        with pytest.raises(ValueError, match="outside the element"):
+            boundary_profiles(params, SignChoice.UPPER, [0.6 * params.h])
+
+    def test_sign_selects_wall_kind(self):
+        # the profiles of each sign are those of the matching kind of wall data
+        params = params_for(p=2, n=2)
+        xs = np.linspace(-params.h / 2, params.h / 2, 9)
+        zero = AmplitudeState(0.0, np.zeros(2, complex), np.zeros(2, complex))
+        for sign, make in ((SignChoice.UPPER, BoundaryForcing.even_given),
+                           (SignChoice.LOWER, BoundaryForcing.odd_given)):
+            table = boundary_profiles(params, sign, xs)
+            expect = reconstruct(boundary_envelopes(zero, params, make(0.0, 1.0, p=2)), xs)
+            assert np.array_equal(table["beta_profile"], expect)
