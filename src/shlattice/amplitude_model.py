@@ -175,7 +175,8 @@ def gle_rhs(a: np.ndarray, r: float, c: float, d: float, h: float) -> np.ndarray
         r a_j + (c/h^2)(a_{j+1} - 2 a_j + a_{j-1}) - d |a_j|^2 a_j
     """
     a = np.asarray(a, dtype=complex)
-    return _LatticeKernel(len(a), r, c / h ** 2, d).rhs(a, None)
+    return (r * a + (c / h ** 2) * (np.roll(a, -1) - 2 * a + np.roll(a, 1))
+            - d * (a * a) * np.conj(a))
 
 
 def reality_check(state: AmplitudeState) -> float:

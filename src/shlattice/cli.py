@@ -66,6 +66,10 @@ SHARED_KEYS = {
     "output-dir": "runs",
 }
 
+# keys whose default None means "derived from other keys", each with a
+# value of the type a given value takes
+_UNSET_TYPES = {"t-end": 0.0, "dt": 0.0, "r-ladder": ()}
+
 EXPERIMENT_KEYS = {
     "dispersion": {"k-min": 0.5, "k-max": 1.5, "k-steps": 21,
                    "eps0": 1e-6, "t-fit": 5.0, "dt": 0.02},
@@ -111,30 +115,43 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _coerce(key: str, value, default):
-    """Interpret a flag/config value against the default's type.  Only a
-    switch takes true/false, and an integer key takes only whole numbers."""
-    if value is None or value == "":
+    """Interpret a flag/config value against the type of its default, or of
+    _UNSET_TYPES[key] when the default is None.  Only a switch takes
+    true/false, an integer key takes only whole numbers, a list key (the
+    r-ladder) takes a comma string or a list of numbers, and every other key
+    takes one value."""
+    if value is None:
         return default
-    if isinstance(default, bool):
+    like = _UNSET_TYPES[key] if default is None else default
+    if isinstance(like, tuple):
+        items = value.split(",") if isinstance(value, str) else value
+        if not isinstance(items, list):
+            raise ValueError(f"{key} must be a comma string or a list of numbers, got {value!r}")
+        return tuple(_coerce(key, v, 0.0) for v in items if v != "")
+    if value == "":
+        return default
+    if isinstance(value, (list, dict)):
+        raise ValueError(f"{key} takes one value, got {value!r}")
+    if isinstance(like, bool):
         if isinstance(value, bool):
             return value
         return str(value).lower() in ("1", "true", "yes", "on")
     if isinstance(value, bool):
         raise ValueError(f"{key} is not a switch, got {value!r}")
-    if isinstance(default, int):
+    if isinstance(like, int):
         if isinstance(value, float) and not value.is_integer():
             raise ValueError(f"{key} must be a whole number, got {value!r}")
         return int(value)
-    if isinstance(default, float):
+    if isinstance(like, float):
         return float(value)
-    return value
+    return str(value)
 
 
 def resolve_config(experiment: str, file_cfg: dict, flag_cfg: dict) -> dict:
     """Layer defaults < config file < flags, rejecting unknown keys.
 
-    Every value comes back with its default's type; keys whose default is
-    None keep the value as given.
+    Every value comes back with its default's type; a key whose default is
+    None stays None until given, and then takes its _UNSET_TYPES type.
     """
     allowed = {**SHARED_KEYS, **EXPERIMENT_KEYS[experiment]}
     for key in file_cfg:
@@ -152,8 +169,7 @@ def resolve_config(experiment: str, file_cfg: dict, flag_cfg: dict) -> dict:
             resolved[key] = value
     # normalise types against the defaults (config/flag values may be strings)
     for key, default in allowed.items():
-        if default is not None:
-            resolved[key] = _coerce(key, resolved[key], default)
+        resolved[key] = _coerce(key, resolved[key], default)
     return resolved
 
 
@@ -162,27 +178,21 @@ def _params_from(cfg: dict):
                        n_elements=cfg["n-elements"], m_samples=cfg["m-samples"])
 
 
-def _warn_fast_forcing(alpha, t_end: float, threshold: float) -> None:
-    """Finite-difference estimate of the acceleration of alpha(t); the model
-    is only valid for slowly varying signals."""
-    ts = np.linspace(0.0, t_end, 201)
-    vals = np.array([alpha(t) for t in ts])
-    acc = np.abs(np.diff(vals, 2)).max() / (ts[1] - ts[0]) ** 2
-    if acc > threshold:
-        print(f"warning: alpha(t) acceleration {acc:.3g} exceeds "
-              f"{threshold:.3g}; the model assumes slowly varying forcing",
-              file=sys.stderr)
-
-
 def _forcing_from(cfg: dict, params, t_end: float, dt: float) -> BoundaryForcing:
     """Forcing of the configured kind with constant beta and with alpha, or
-    alpha cos(alpha-omega t) when alpha-omega is set; warns when that signal
-    varies too fast over [0, t_end] (a run of steps of at most dt)."""
+    alpha cos(alpha-omega t) when alpha-omega is set.  The model is only
+    valid for slowly varying signals, so it warns when the peak acceleration
+    |alpha| omega^2 of that signal exceeds accel-warn, once the step rule
+    has accepted the run over [0, t_end] in steps of at most dt."""
     amp, omega = cfg["alpha"], cfg["alpha-omega"]
     alpha = (lambda t: amp * math.cos(omega * t)) if omega else amp
     if omega:
-        _step_count(t_end, dt)   # rejects t_end <= 0 and dt <= 0 before the check divides
-        _warn_fast_forcing(alpha, t_end, cfg["accel-warn"])
+        _step_count(t_end, dt)   # a bad t_end or dt fails before the warning prints
+        acc, threshold = abs(amp) * omega ** 2, cfg["accel-warn"]
+        if acc > threshold:
+            print(f"warning: alpha(t) acceleration {acc:.3g} exceeds "
+                  f"{threshold:.3g}; the model assumes slowly varying forcing",
+                  file=sys.stderr)
     kind = cfg["kind"]
     if kind == "even":
         return BoundaryForcing.even_given(alpha, cfg["beta"], p=params.p)
@@ -250,15 +260,12 @@ def run_dispersion(cfg: dict, params) -> tuple:
 
 
 def run_compare(cfg: dict, params) -> tuple:
-    ladder = cfg["r-ladder"]
-    if isinstance(ladder, str):
-        ladder = tuple(float(v) for v in ladder.split(",") if v)
-    t_end = cfg["t-end"]
+    ladder, t_end = cfg["r-ladder"], cfg["t-end"]
     # ladder rungs, and a single run without t-end, go to t = 10/r
     for r in ladder or ([params.r] if t_end is None else []):
         if not r > 0:
             raise ValueError(f"the horizon 10/r needs r > 0, got r = {r}")
-    t_end = 10.0 / max(params.r, 1e-6) if t_end is None else float(t_end)
+    t_end = 10.0 / max(params.r, 1e-6) if t_end is None else t_end
     report = compare_model_vs_direct(CompareConfig(
         params=params, t_end=t_end, n_samples=cfg["n-samples"],
         dt_model=cfg["dt-model"], dt_oracle=cfg["dt-oracle"],
@@ -277,7 +284,7 @@ def run_boundary_select(cfg: dict, params) -> tuple:
     if cfg["t-end"] is None and not fast < 0:
         raise ValueError("the default horizon -10/fast needs a decaying wall mode, "
                          f"got fast rate r - 8 g^2/h^2 = {fast}; set --t-end")
-    t_end = -10.0 / fast if cfg["t-end"] is None else float(cfg["t-end"])
+    t_end = -10.0 / fast if cfg["t-end"] is None else cfg["t-end"]
     forcing = SignChoice(cfg["sign"]).wall(p=params.p)
     phase = math.radians(cfg["phase-deg"])
     a0 = np.full(params.n_elements, cfg["amp0"] * np.exp(1j * phase), complex)
@@ -335,10 +342,10 @@ def run_simulate_direct(cfg: dict, params) -> tuple:
             grid = FieldGrid.sample(
                 lambda x: amp * np.cos(x) + 0.1 * amp * rng.standard_normal(x.size),
                 params, periodic=True)
-        out = integrate_spectral(grid, params, t_end, 0.05 if dt is None else float(dt))
+        out = integrate_spectral(grid, params, t_end, 0.05 if dt is None else dt)
     else:
         grid = FieldGrid.sample(lambda x: amp * np.cos(x), params, periodic=False)
-        dt = 0.4 * grid.dx ** 2 if dt is None else float(dt)
+        dt = 0.4 * grid.dx ** 2 if dt is None else dt
         forcing = _forcing_from(cfg, params, t_end, dt)
         out = integrate_bounded(grid, params, forcing, t_end, dt)
     rows = [(float(x), float(u)) for x, u in zip(out.x, out.u)]

@@ -19,8 +19,12 @@ Two schemes:
   stepping is Crank-Nicolson on the linear operator with a Heun (explicit
   trapezoid) treatment of the cubic, second order overall and self-starting;
   the step obeys dt <= dx^2/2.
-  The banded matrix I - dt/2 A is LU-factorised once per stepper; each step
-  costs two triangular-solve pairs against those factors.
+  The operator A is written once, as five stencil rows.  A wall sample
+  pinned to its data (even walls) is a zero row of A, hence an identity
+  row of I - dt/2 A, so each solve copies the wall value from its
+  right-hand side.  The banded matrix I - dt/2 A is derived from the
+  stencil and LU-factorised once per stepper; each step costs two
+  triangular-solve pairs against those factors.
 
 Both steppers reject dt <= 0 and run through the loop `core._integrate`
 that the lattice model shares: a non-finite initial field is rejected
@@ -28,10 +32,12 @@ that the lattice model shares: a non-finite initial field is rejected
 DivergenceError.  `integrate_spectral`, `integrate_bounded` and
 `measure_growth_rate` take their step counts from `core._step_count`.
 
-Wall data carries the parity factor (-1)**p: the prescribed physical values
-are u = (-1)^p alpha(t), u_xx = (-1)^p beta(t) (even case) or the analogous
-odd-derivative pair.  The right wall applies the mirror-image condition
-(odd derivatives flip sign under reflection).
+Both walls sit h/2 from an element centre, so wall data carries the parity
+factor (-1)**p of the parameters: the prescribed physical values are
+u = (-1)^p alpha(t), u_xx = (-1)^p beta(t) (even case) or the analogous
+odd-derivative pair.  A forcing whose own parity factor differs is
+rejected.  The right wall applies the mirror-image condition (odd
+derivatives flip sign under reflection).
 """
 
 from __future__ import annotations
@@ -202,10 +208,16 @@ class BoundedStepper:
 
     The discrete linear operator is A u + g(t) where A folds the ghost
     eliminations into banded coefficients and g(t) collects the wall-data
-    terms.  One step does Crank-Nicolson on A and explicit trapezoid on
-    the cubic.  The matrix I - dt/2 A never changes, so it is LU-factorised
-    once per stepper (LAPACK gbtrf); each step then does two banded solves,
-    each a pair of triangular solves against those factors (gbtrs).
+    terms.  A is held once, as five stencil rows.  A wall sample pinned to
+    its data (even walls) is a zero row of A, so it is an identity row of
+    I - dt/2 A and each solve copies its value from the right-hand side.
+    Both walls sit h/2 from an element centre, so both carry the parity
+    factor (-1)^p of the parameters.
+
+    One step does Crank-Nicolson on A and explicit trapezoid on the cubic.
+    The matrix I - dt/2 A never changes, so it is LU-factorised once per
+    stepper (LAPACK gbtrf); each step then does two banded solves, each a
+    pair of triangular solves against those factors (gbtrs).
     """
 
     def __init__(self, grid: FieldGrid, params: ModelParams,
@@ -226,6 +238,9 @@ class BoundedStepper:
         self.right = forcing if forcing_right is None else forcing_right
         if self.right.kind is not forcing.kind:
             raise ValueError("both walls must use the same condition kind")
+        self.parity = params.parity_factor
+        if {forcing.parity_factor, self.right.parity_factor} != {self.parity}:
+            raise ValueError(f"wall parity factors must both be (-1)^p = {self.parity:g}")
         self.kind = forcing.kind
         self._build(params.r)
 
@@ -234,73 +249,39 @@ class BoundedStepper:
     def _build(self, r: float) -> None:
         n, dx = self.n, self.dx
         inv2, inv4 = 1.0 / dx ** 2, 1.0 / dx ** 4
-        # interior rows of A = (r-1) - 2 D2 - D4
-        dm2 = np.full(n, -inv4)
-        dm1 = np.full(n, -2.0 * inv2 + 4.0 * inv4)
-        d0 = np.full(n, (r - 1.0) + 4.0 * inv2 - 6.0 * inv4)
-        dp1 = np.full(n, -2.0 * inv2 + 4.0 * inv4)
-        dp2 = np.full(n, -inv4)
-
-        if self.kind is ForcingKind.EVEN_GIVEN:
-            # wall samples pinned to the data; one ghost from the u_xx value
-            self.pinned = np.array([0, n - 1])
-            self.g_rows = np.array([1, n - 2])
-            d0[0] = d0[-1] = 1.0
-            dp1[0] = dp2[0] = 0.0
-            dm1[-1] = dm2[-1] = 0.0
-            # row 1: ghost u_{-1} = 2 u_0 - u_1 + dx^2 P beta
-            dm1[1] = -2.0 * inv2 + 2.0 * inv4
-            d0[1] = (r - 1.0) + 4.0 * inv2 - 5.0 * inv4
-            # row n-2 mirrors row 1
-            dp1[n - 2] = -2.0 * inv2 + 2.0 * inv4
-            d0[n - 2] = (r - 1.0) + 4.0 * inv2 - 5.0 * inv4
-        else:
-            # odd data: wall samples evolve, two ghosts per end
-            self.pinned = np.array([], dtype=int)
-            self.g_rows = np.array([0, 1, n - 2, n - 1])
-            d0[0] = (r - 1.0) + 4.0 * inv2 - 6.0 * inv4
-            dp1[0] = -4.0 * inv2 + 8.0 * inv4
-            dp2[0] = -2.0 * inv4
-            d0[1] = (r - 1.0) + 4.0 * inv2 - 7.0 * inv4
-            d0[n - 1] = (r - 1.0) + 4.0 * inv2 - 6.0 * inv4
-            dm1[n - 1] = -4.0 * inv2 + 8.0 * inv4
-            dm2[n - 1] = -2.0 * inv4
-            d0[n - 2] = (r - 1.0) + 4.0 * inv2 - 7.0 * inv4
-
         # A as five stencil rows, weights of u_i, u_{i-1}, u_{i-2}, u_{i+1},
-        # u_{i+2} in the order _apply_a sums them; taps past an end are zero.
-        # `taps` indexes u padded with two zeros per end.
-        self.stencil = np.zeros((5, n))
-        self.stencil[0] = d0
-        self.stencil[1, 1:] = dm1[1:]
-        self.stencil[2, 2:] = dm2[2:]
-        self.stencil[3, :-1] = dp1[:-1]
-        self.stencil[4, :-2] = dp2[:-2]
+        # u_{i+2} in the order _apply_a sums them; interior rows are
+        # (r-1) - 2 D2 - D4, and taps past an end are zero.
+        s = np.repeat([[(r - 1.0) + 4.0 * inv2 - 6.0 * inv4], [-2.0 * inv2 + 4.0 * inv4],
+                       [-inv4], [-2.0 * inv2 + 4.0 * inv4], [-inv4]], n, axis=1)
+        s[1, 0] = s[2, :2] = 0.0
+        if self.kind is ForcingKind.EVEN_GIVEN:
+            # the wall sample is pinned to the data: a zero row of A; row 1 takes
+            # the ghost u_{-1} = 2 u_0 - u_1 + dx^2 P beta
+            self.pinned, self.g_rows = np.array([0, n - 1]), np.array([1, n - 2])
+            s[:, 0] = 0.0
+            s[:2, 1] = (r - 1.0) + 4.0 * inv2 - 5.0 * inv4, -2.0 * inv2 + 2.0 * inv4
+        else:
+            # the wall sample evolves, with ghosts u_{-1} = u_1 - 2 dx P alpha
+            # and u_{-2} = u_2 - 4 dx P alpha - 2 dx^3 P beta
+            self.pinned, self.g_rows = np.array([], dtype=int), np.array([0, 1, n - 2, n - 1])
+            s[3:, 0] = -4.0 * inv2 + 8.0 * inv4, -2.0 * inv4
+            s[0, 1] = (r - 1.0) + 4.0 * inv2 - 7.0 * inv4
+        # the right wall mirrors the left one: taps i-k and i+k swap
+        s[:, -2:] = s[[0, 3, 4, 1, 2], 1::-1]
+        self.stencil = s
+        # `taps` indexes u padded with two zeros per end
         self.taps = np.arange(n) + np.array([2, 1, 0, 3, 4])[:, None]
         self._padded = np.zeros(n + 4)
-        # banded storage for I - dt/2 A, solve_banded layout (2, 2)
-        ab = np.zeros((5, n))
-        half = self.dt / 2.0
-        ab[0, 2:] = -half * dp2[:-2]
-        ab[1, 1:] = -half * dp1[:-1]
-        ab[2, :] = 1.0 - half * d0
-        ab[3, :-1] = -half * dm1[1:]
-        ab[4, :-2] = -half * dm2[2:]
-        for row in self.pinned:
-            ab[2, row] = 1.0
-            if row + 1 < n:
-                ab[1, row + 1] = 0.0
-            if row + 2 < n:
-                ab[0, row + 2] = 0.0
-            if row - 1 >= 0:
-                ab[3, row - 1] = 0.0
-            if row - 2 >= 0:
-                ab[4, row - 2] = 0.0
-        self.ab_minus = ab
+        # I - dt/2 A in solve_banded layout (2, 2): band row k holds
+        # A[j + 2 - k, j], a stencil row shifted onto column j (the wrapped
+        # entries are the zero taps); a zero row of A gives an identity row
+        bands = np.array([np.roll(s[k], shift)
+                          for k, shift in ((4, 2), (3, 1), (0, 0), (1, -1), (2, -2))])
+        self.ab_minus = np.array([[0.0], [0.0], [1.0], [0.0], [0.0]]) - self.dt / 2.0 * bands
         # gbtrf needs kl = 2 extra leading rows for the fill-in of pivoting
-        padded = np.zeros((7, n))
-        padded[2:] = ab
-        self.lu, self.piv, info = dgbtrf(padded, 2, 2, overwrite_ab=True)
+        self.lu, self.piv, info = dgbtrf(np.concatenate((np.zeros((2, n)), self.ab_minus)),
+                                         2, 2, overwrite_ab=True)
         if info != 0:
             raise ValueError(f"I - dt/2 A is singular (gbtrf info={info})")
 
@@ -317,18 +298,14 @@ class BoundedStepper:
         terms *= self.stencil
         # reducing over axis 0 adds the five rows one after another, so each
         # sample sums its terms in stencil order (the order the tests pin)
-        y = np.add.reduce(terms, axis=0)
-        y[self.pinned] = 0.0
-        return y
+        return np.add.reduce(terms, axis=0)
 
     def _data(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Wall-data terms g(t) on the rows g_rows (g is zero elsewhere)
         and the values of the pinned samples."""
-        dx = self.dx
-        pl = self.left.parity_factor
-        pr = self.right.parity_factor
-        al, bl = pl * self.left.alpha_at(t), pl * self.left.beta_at(t)
-        ar, br = pr * self.right.alpha_at(t), pr * self.right.beta_at(t)
+        dx, p = self.dx, self.parity
+        al, bl = p * self.left.alpha_at(t), p * self.left.beta_at(t)
+        ar, br = p * self.right.alpha_at(t), p * self.right.beta_at(t)
         if self.kind is ForcingKind.EVEN_GIVEN:
             return np.array([-bl / dx ** 2, -br / dx ** 2]), np.array([al, ar])
         g = np.array([4.0 * al / dx - 4.0 * al / dx ** 3 + 2.0 * bl / dx,
@@ -337,26 +314,25 @@ class BoundedStepper:
                       4.0 * ar / dx - 4.0 * ar / dx ** 3 + 2.0 * br / dx])
         return g, np.empty(0)
 
-    def _cubic(self, u: np.ndarray) -> np.ndarray:
-        w = -u
-        w *= u
-        w *= u
-        w[self.pinned] = 0.0
-        return w
-
     def step(self, u: np.ndarray, t: float) -> np.ndarray:
+        """One step from time t; each solve's pinned rows (zero rows of A,
+        so stale in base and in the cubic) take the wall values at t + dt."""
         dt = self.dt
         half = dt / 2.0
         g0, _ = self._data(t)
         g1, walls = self._data(t + dt)
         base = u + half * self._apply_a(u)
         base[self.g_rows] += half * (g0 + g1)
-        n0 = self._cubic(u)
+        n0 = -u   # the cubic -u^3, in place
+        n0 *= u
+        n0 *= u
         rhs = dt * n0
         rhs += base
         rhs[self.pinned] = walls
         u_star = self._solve(rhs)
-        rhs = self._cubic(u_star)
+        rhs = -u_star
+        rhs *= u_star
+        rhs *= u_star
         rhs += n0
         rhs *= half
         rhs += base

@@ -107,14 +107,33 @@ class TestConfigHandling:
         ({"k-steps": float("inf")}, "k-steps must be a whole number, got inf"),
         ({"seed": True}, "seed is not a switch, got True"),
         ({"r": False}, "r is not a switch, got False"),
+        # a value of the wrong shape (a list or an object for a scalar key)
+        ({"r": [1]}, "r takes one value, got [1]"),
+        ({"experiment": "compare", "r-ladder": 5},
+         "r-ladder must be a comma string or a list of numbers, got 5"),
+        ({"experiment": "simulate-model", "t-end": [1]}, "t-end takes one value, got [1]"),
     ])
     def test_config_value_of_wrong_type_exits_one(self, tmp_path, capsys, cfg, message):
+        # dispersion unless the config names another experiment
+        experiment = cfg.get("experiment", "dispersion")
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"k-steps": 2, **cfg}))
-        code = main(["dispersion", "--config", str(path), "--output-dir", str(tmp_path)])
+        path.write_text(json.dumps({"k-steps": 2, **cfg} if experiment == "dispersion" else cfg))
+        code = main([experiment, "--config", str(path), "--output-dir", str(tmp_path)])
         assert code == 1
         assert err_lines(capsys.readouterr().err) == [f"error: {message}"]
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_derived_and_text_keys_are_typed(self):
+        # keys whose default None is derived stay None until given, then take
+        # numbers; a number for a text key reads as text
+        assert resolve_config("compare", {}, {})["r-ladder"] is None
+        cfg = resolve_config("compare", {"r-ladder": [0.04, 0.02], "t-end": 5,
+                                         "output-dir": 5}, {})
+        assert cfg["r-ladder"] == (0.04, 0.02) and cfg["t-end"] == 5.0
+        assert isinstance(cfg["t-end"], float) and cfg["output-dir"] == "5"
+        flags = resolve_config("compare", {}, {"r-ladder": "0.04,0.02,", "t-end": "7"})
+        assert flags["r-ladder"] == (0.04, 0.02) and flags["t-end"] == 7.0
+        assert resolve_config("compare", {}, {"r-ladder": ""})["r-ladder"] == ()
 
     def test_whole_float_config_value_is_an_integer(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -351,6 +370,17 @@ class TestOtherExperiments:
                      "--n-elements", "4", "--output-dir", str(tmp_path)])
         assert code == 0
         assert "slowly varying" in capsys.readouterr().err
+
+    def test_fast_forcing_warning_reports_peak_acceleration(self, tmp_path, capsys):
+        # at omega = 40 pi, 201 samples over [0, 10] all land on a peak of
+        # alpha(t), so a sampled second difference would read zero
+        code = main(["simulate-model", "--kind", "even", "--alpha", "0.1",
+                     "--alpha-omega", "125.66370614359172", "--t-end", "10",
+                     "--n-elements", "4", "--output-dir", str(tmp_path)])
+        assert code == 0
+        assert err_lines(capsys.readouterr().err) == [
+            "warning: alpha(t) acceleration 1.58e+03 exceeds 1; "
+            "the model assumes slowly varying forcing"]
 
     def test_zero_accel_warn_threshold_is_kept(self, tmp_path, capsys):
         # slow forcing: under the default threshold 1, over a threshold of 0

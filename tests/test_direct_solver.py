@@ -483,7 +483,7 @@ class TestFactoredSolve:
                     + 1j * rng.standard_normal(n_elements))
         grid = lattice_field(conjugate_state(0.0, a0), params, periodic=False)
         left = WALLS[kind](lambda t: 0.03 * np.cos(0.7 * t), 0.02, p=1)
-        right = WALLS[kind](0.01, lambda t: -0.02 * np.sin(1.3 * t), p=2)
+        right = WALLS[kind](0.01, lambda t: -0.02 * np.sin(1.3 * t), p=1)
         t0, n_steps = 0.25, 150
         t_end = t0 + n_steps * 0.45 * grid.dx ** 2
         out = integrate_bounded(grid, params, left, t_end=t_end,
@@ -495,3 +495,112 @@ class TestFactoredSolve:
             u = reference_step(stepper, u, t)
             t = t0 + (i + 1) * stepper.dt
         assert np.array_equal(out.u, u)
+
+
+TAP_OFFSETS = (0, -1, -2, 1, 2)   # stencil row k weighs u_{i + TAP_OFFSETS[k]}
+
+
+def dense_operator(stepper, r, parity, t):
+    """A and g(t) of a bounded stepper, built densely and independently of
+    it: the five-point stencil of (r-1) - 2 D2 - D4 on u extended by two
+    ghosts per end, composed with the ghost rules (mirrored at the right
+    wall), with zero rows for the pinned wall samples.
+
+    even walls: u_0 = P alpha, u_{-1} = 2 u_0 - u_1 + dx^2 P beta
+    odd walls:  u_{-1} = u_1 - 2 dx P alpha,
+                u_{-2} = u_2 - 4 dx P alpha - 2 dx^3 P beta
+    Returns A, g, the pinned rows and their values.
+    """
+    n, dx = stepper.n, stepper.dx
+    left, right = stepper.left, stepper.right
+    al, bl = parity * left.alpha_at(t), parity * left.beta_at(t)
+    ar, br = parity * right.alpha_at(t), parity * right.beta_at(t)
+    weights = ((r - 1.0) * np.array([0, 0, 1, 0, 0])
+               - 2.0 * np.array([0, 1, -2, 1, 0]) / dx ** 2
+               - np.array([1, -4, 6, -4, 1]) / dx ** 4)
+    stencil = np.zeros((n, n + 4))   # columns: u_{-2} .. u_{n+1}
+    for i in range(n):
+        stencil[i, i:i + 5] = weights
+    # extended samples = E u + e: the ghosts from the rules, u itself inside
+    E, e = np.zeros((n + 4, n)), np.zeros(n + 4)
+    E[2:-2] = np.eye(n)
+    if stepper.kind is ForcingKind.EVEN_GIVEN:
+        E[1, :2], e[1] = (2.0, -1.0), dx ** 2 * bl
+        E[n + 2, n - 2:], e[n + 2] = (-1.0, 2.0), dx ** 2 * br
+        pinned, walls = [0, n - 1], [al, ar]
+    else:
+        E[1, 1], e[1] = 1.0, -2.0 * dx * al
+        E[0, 2], e[0] = 1.0, -4.0 * dx * al - 2.0 * dx ** 3 * bl
+        E[n + 2, n - 2], e[n + 2] = 1.0, -2.0 * dx * ar
+        E[n + 3, n - 3], e[n + 3] = 1.0, -4.0 * dx * ar - 2.0 * dx ** 3 * br
+        pinned, walls = [], []
+    A, g = stencil @ E, stencil @ e
+    A[pinned], g[pinned] = 0.0, 0.0
+    return A, g, pinned, walls
+
+
+def close(got, ref):
+    """Equal to within 1e-12 of the reference's largest entry."""
+    return np.abs(np.asarray(got) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+class TestOperatorAssembly:
+    """The stepper's stencil, band and wall data against a dense operator
+    assembled from the PDE stencil and the ghost rules alone."""
+
+    @pytest.mark.parametrize("kind", ["even", "odd"])
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("n", [7, 8, 33, 129])
+    def test_matches_dense_ghost_elimination(self, kind, p, n):
+        r = 0.3 if p == 1 else -0.2
+        params = make_params(r=r, gamma=1.0, p=p, n_elements=2, m_samples=16)
+        grid = FieldGrid(0.0, 2.0 * np.pi * 3 / (n - 1), np.zeros(n), False)
+        left = WALLS[kind](lambda t: 0.03 * np.cos(0.7 * t), lambda t: 0.05 + t, p=p)
+        right = WALLS[kind](lambda t: -0.01 * t, lambda t: 0.02 * np.sin(1.3 * t), p=p)
+        stepper = BoundedStepper(grid, params, left, 0.4 * grid.dx ** 2, forcing_right=right)
+        for t in (0.0, 0.7):
+            A, g, pinned, walls = dense_operator(stepper, r, params.parity_factor, t)
+            got, values = stepper._data(t)
+            g_full = np.zeros(n)
+            g_full[stepper.g_rows] = got
+            assert close(g_full, g)
+            assert np.array_equal(stepper.pinned, pinned) and np.array_equal(values, walls)
+        # the stencil, on the rows that evolve; taps past an end are zero
+        rows = np.setdiff1d(np.arange(n), pinned)
+        for k, offset in enumerate(TAP_OFFSETS):
+            inside = (rows + offset >= 0) & (rows + offset < n)
+            assert close(stepper.stencil[k, rows[inside]], A[rows[inside], rows[inside] + offset])
+            assert not stepper.stencil[k, rows[~inside]].any()
+        # I - dt/2 A in solve_banded layout, a pinned sample's row the identity's
+        M = np.eye(n) - stepper.dt / 2.0 * A
+        i, j = np.indices((n, n))
+        assert not M[np.abs(i - j) > 2].any()
+        band = np.abs(i - j) <= 2
+        ab = np.zeros((5, n))
+        ab[2 + i[band] - j[band], j[band]] = M[band]
+        assert close(stepper.ab_minus, ab)
+
+    def test_pinned_samples_are_zero_rows(self):
+        params = params_for(n=2, m=16)
+        grid = FieldGrid.zeros(params, periodic=False)
+        stepper = BoundedStepper(grid, params, BoundaryForcing.even_given(0.1, 0.2, p=1),
+                                 0.4 * grid.dx ** 2)
+        assert list(stepper.pinned) == [0, len(grid.u) - 1]
+        assert not stepper.stencil[:, stepper.pinned].any()
+
+    @pytest.mark.parametrize("kind", ["even", "odd"])
+    def test_wall_parity_comes_from_params(self, kind):
+        # both walls sit h/2 from an element centre, so both carry (-1)^p
+        # of the parameters; a forcing built for another p is rejected
+        params = params_for(p=2, n=2, m=16)
+        grid = FieldGrid.zeros(params, periodic=False)
+        dt = 0.4 * grid.dx ** 2
+        make = WALLS[kind]
+        for left, right in ((make(0.1, p=1), None), (make(0.1, p=2), make(0.1, p=1)),
+                            (make(0.1, p=1), make(0.1, p=2))):
+            with pytest.raises(ValueError, match=r"wall parity factors must both be \(-1\)\^p = 1"):
+                BoundedStepper(grid, params, left, dt, forcing_right=right)
+            with pytest.raises(ValueError, match="parity"):
+                integrate_bounded(grid, params, left, 10 * dt, dt, forcing_right=right)
+        # any p of the same parity is accepted: p = 2 and p = 4 both give +1
+        BoundedStepper(grid, params, make(0.1, p=2), dt, forcing_right=make(0.1, p=4))
