@@ -92,7 +92,7 @@ class _LatticeKernel:
         self.pad = np.empty(n + 2, dtype=complex)
         self.mid, self.up, self.down = self.pad[1:-1], self.pad[2:], self.pad[:-2]
         # ghosts (0, N+1) take x at (N-1, 0) to wrap, or -s y at (0, N-1)
-        step = max(n - 1, 1)
+        step = n - 1
         self.ghosts, self.source = self.pad[::n + 1], slice(None, None, step if sign else -step)
         self.ghost_factor = np.array(-sign if sign else 1.0, dtype=complex)
         self.cubic = np.full(n, cubic, dtype=complex)

@@ -49,11 +49,10 @@ def boundary_equilibrium(params: ModelParams, alpha: float, beta: float) -> floa
 
 
 def longwave_quadratic_coefficient(params: ModelParams,
-                                   kappa_h_range: tuple[float, float] = (0.01, 0.2),
-                                   n_points: int = 41) -> float:
+                                   kappa_h_range: tuple[float, float] = (0.01, 0.2)) -> float:
     """Coefficient of kappa^2 in a {kappa^2, kappa^4} fit of the lattice
-    dispersion minus r over small kappa h.  Approaches -4 g^2."""
-    kh = np.linspace(*kappa_h_range, n_points)
+    dispersion minus r at 41 points of small kappa h.  Approaches -4 g^2."""
+    kh = np.linspace(*kappa_h_range, 41)
     kappa = kh / params.h
     y = lattice_dispersion(kappa, params) - params.r
     basis = np.stack([kappa ** 2, kappa ** 4], axis=1)
@@ -70,15 +69,17 @@ _VALIDITY_FACTOR = 3.0
 class CompareConfig:
     """Configuration of a model-vs-oracle run on a periodic domain.
 
-    a0 is the initial amplitude profile (b starts as its conjugate).  When
-    r_ladder is set, one run per r is performed with the modulated profile
-    a0_j = sqrt(r/3) (1 + modulation cos(2 pi j / N)) and horizon 10/r, and
-    the convergence slope of the normalised terminal error is fitted.
+    a0 is the initial amplitude profile (b starts as its conjugate), by
+    default the modulated profile a0_j = sqrt(r/3) (1 + modulation
+    cos(2 pi j / N)).  When r_ladder is set, one run per r is performed from
+    that profile at each r (so a0 must stay None), and the convergence
+    slope of the normalised terminal error is fitted.  t_end is the horizon
+    of every run; None means 10/r for each, which needs r > 0.
     """
 
     params: ModelParams
     a0: Optional[np.ndarray] = None
-    t_end: float = 10.0
+    t_end: Optional[float] = None
     n_samples: int = 40
     dt_model: float = 0.1
     dt_oracle: float = 0.05
@@ -162,33 +163,37 @@ def _run_pair(params: ModelParams, a0: np.ndarray, t_end: float,
 def compare_model_vs_direct(config: CompareConfig) -> ComparisonReport:
     """Run the lattice model against the spectral oracle.
 
-    Single-run mode fills the trajectory fields; ladder mode additionally
-    fits the slope of log(normalised terminal error) against log(r) and
-    stores the ladder table in the metadata.
+    Single-run mode fills the trajectory fields; ladder mode runs each rung,
+    returns the report of the last one, and additionally fits the slope of
+    log(normalised terminal error) against log(r) and stores the ladder
+    table in the metadata.
     """
-    if config.r_ladder is None:
-        a0 = config.a0
-        if a0 is None:
-            a0 = modulated_profile(config.params, config.modulation)
-        return _run_pair(config.params, a0, config.t_end, config.n_samples,
-                         config.dt_model, config.dt_oracle)
-
-    if len(set(config.r_ladder)) < 2:
-        raise ValueError("an r-ladder needs at least two distinct rungs, "
-                         f"got {tuple(config.r_ladder)}")
-    rows = []
-    for r in config.r_ladder:
+    ladder, t_end = config.r_ladder, config.t_end
+    if ladder is not None and config.a0 is not None:
+        raise ValueError("an r-ladder starts each rung from its modulated profile, so it takes no a0")
+    if ladder is not None and len(set(ladder)) < 2:
+        raise ValueError(f"an r-ladder needs at least two distinct rungs, got {tuple(ladder)}")
+    rungs = [config.params.r] if ladder is None else ladder
+    # a run without t_end goes to 10/r, and a ladder's error scale sqrt(r/3)
+    # needs r > 0 whatever t_end is: every rung is checked before any runs
+    if t_end is None or ladder is not None:
+        for r in rungs:
+            if not r > 0:
+                raise ValueError(f"the horizon 10/r needs r > 0, got r = {r}")
+    reports = []
+    for r in rungs:
         params_r = replace(config.params, r=float(r))
-        a0 = modulated_profile(params_r, config.modulation)
-        report = _run_pair(params_r, a0, 10.0 / r, config.n_samples,
-                           config.dt_model, config.dt_oracle)
-        scale = math.sqrt(r / 3.0)
-        rows.append((float(r), float(report.sup_error[-1]),
-                     float(report.sup_error[-1] / scale)))
+        a0 = modulated_profile(params_r, config.modulation) if config.a0 is None else config.a0
+        reports.append(_run_pair(params_r, a0, 10.0 / r if t_end is None else t_end,
+                                 config.n_samples, config.dt_model, config.dt_oracle))
+    report = reports[-1]
+    if ladder is None:
+        return report
+    rows = [(float(r), float(rep.sup_error[-1]), float(rep.sup_error[-1] / math.sqrt(r / 3.0)))
+            for r, rep in zip(ladder, reports)]
     rs = np.array([row[0] for row in rows])
     errs = np.array([row[2] for row in rows])
-    slope = float(np.polyfit(np.log(rs), np.log(errs), 1)[0])
-    report.convergence_slope = slope
+    report.convergence_slope = float(np.polyfit(np.log(rs), np.log(errs), 1)[0])
     report.metadata["ladder"] = [
         {"r": r, "terminal_sup_error": e, "normalised": en}
         for r, e, en in rows]

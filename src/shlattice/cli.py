@@ -68,7 +68,7 @@ SHARED_KEYS = {
 
 # keys whose default None means "derived from other keys", each with a
 # value of the type a given value takes
-_UNSET_TYPES = {"t-end": 0.0, "dt": 0.0, "r-ladder": ()}
+_UNSET_TYPES = {"t-end": 0.0, "dt": 0.0, "r-ladder": (), "kind": ""}
 
 EXPERIMENT_KEYS = {
     "dispersion": {"k-min": 0.5, "k-max": 1.5, "k-steps": 21,
@@ -80,7 +80,7 @@ EXPERIMENT_KEYS = {
     "boundary-equilibrium": {"alpha": 0.1, "beta": 0.0, "t-end": 300.0,
                              "dt": 0.05, "right-forcing": "same"},
     "boundary-profiles": {"sign": "upper", "profile-samples": 161},
-    "simulate-direct": {"scheme": "spectral-etd", "kind": "even",
+    "simulate-direct": {"scheme": "spectral-etd", "kind": None,
                         "alpha": 0.0, "beta": 0.0, "alpha-omega": 0.0,
                         "t-end": 10.0, "dt": None, "init-amp": 0.01,
                         "accel-warn": 1.0},
@@ -178,13 +178,22 @@ def _params_from(cfg: dict):
                        n_elements=cfg["n-elements"], m_samples=cfg["m-samples"])
 
 
-def _forcing_from(cfg: dict, params, t_end: float, dt: float) -> BoundaryForcing:
-    """Forcing of the configured kind with constant beta and with alpha, or
-    alpha cos(alpha-omega t) when alpha-omega is set.  The model is only
-    valid for slowly varying signals, so it warns when the peak acceleration
-    |alpha| omega^2 of that signal exceeds accel-warn, once the step rule
-    has accepted the run over [0, t_end] in steps of at most dt."""
-    amp, omega = cfg["alpha"], cfg["alpha-omega"]
+def _forcing_from(cfg: dict, params, kind: str, t_end: float,
+                  dt: float) -> BoundaryForcing:
+    """Forcing of the given kind: periodic, which takes no wall signals, or
+    walls with constant beta and with alpha, or alpha cos(alpha-omega t)
+    when alpha-omega is set.  The model is only valid for slowly varying
+    signals, so it warns when the peak acceleration |alpha| omega^2 of that
+    signal exceeds accel-warn, once the step rule has accepted the run over
+    [0, t_end] in steps of at most dt."""
+    amp, beta, omega = cfg["alpha"], cfg["beta"], cfg["alpha-omega"]
+    if kind == "periodic":
+        if amp or beta or omega:
+            raise ValueError("a periodic domain has no walls: alpha, beta and alpha-omega "
+                             f"must be 0, got {amp:g}, {beta:g} and {omega:g}")
+        return BoundaryForcing.periodic()
+    if kind not in ("even", "odd"):
+        raise ValueError(f"unknown boundary kind '{kind}'")
     alpha = (lambda t: amp * math.cos(omega * t)) if omega else amp
     if omega:
         _step_count(t_end, dt)   # a bad t_end or dt fails before the warning prints
@@ -193,14 +202,8 @@ def _forcing_from(cfg: dict, params, t_end: float, dt: float) -> BoundaryForcing
             print(f"warning: alpha(t) acceleration {acc:.3g} exceeds "
                   f"{threshold:.3g}; the model assumes slowly varying forcing",
                   file=sys.stderr)
-    kind = cfg["kind"]
-    if kind == "even":
-        return BoundaryForcing.even_given(alpha, cfg["beta"], p=params.p)
-    if kind == "odd":
-        return BoundaryForcing.odd_given(alpha, cfg["beta"], p=params.p)
-    if kind == "periodic":
-        return BoundaryForcing.periodic()
-    raise ValueError(f"unknown boundary kind '{kind}'")
+    make = BoundaryForcing.even_given if kind == "even" else BoundaryForcing.odd_given
+    return make(alpha, beta, p=params.p)
 
 
 def _stride(t_end: float, dt: float, rows: int) -> int:
@@ -260,14 +263,9 @@ def run_dispersion(cfg: dict, params) -> tuple:
 
 
 def run_compare(cfg: dict, params) -> tuple:
-    ladder, t_end = cfg["r-ladder"], cfg["t-end"]
-    # ladder rungs, and a single run without t-end, go to t = 10/r
-    for r in ladder or ([params.r] if t_end is None else []):
-        if not r > 0:
-            raise ValueError(f"the horizon 10/r needs r > 0, got r = {r}")
-    t_end = 10.0 / max(params.r, 1e-6) if t_end is None else t_end
+    ladder = cfg["r-ladder"]
     report = compare_model_vs_direct(CompareConfig(
-        params=params, t_end=t_end, n_samples=cfg["n-samples"],
+        params=params, t_end=cfg["t-end"], n_samples=cfg["n-samples"],
         dt_model=cfg["dt-model"], dt_oracle=cfg["dt-oracle"],
         r_ladder=ladder, modulation=cfg["modulation"]))
     if ladder:
@@ -336,20 +334,26 @@ def run_boundary_profiles(cfg: dict, params) -> tuple:
 def run_simulate_direct(cfg: dict, params) -> tuple:
     rng = np.random.default_rng(cfg["seed"])
     amp, t_end, dt = cfg["init-amp"], cfg["t-end"], cfg["dt"]
-    if Scheme(cfg["scheme"]) is Scheme.SPECTRAL_ETD:
+    spectral = Scheme(cfg["scheme"]) is Scheme.SPECTRAL_ETD
+    # the spectral scheme runs a periodic domain, the bounded one has walls
+    kind = cfg["kind"] or ("periodic" if spectral else "even")
+    if spectral and kind != "periodic":
+        raise ValueError(f"the spectral-etd scheme runs a periodic domain, got kind '{kind}'")
+    if spectral:
         # a non-finite amp makes inf - inf here; the solver's start check rejects it
         with np.errstate(invalid="ignore"):
             grid = FieldGrid.sample(
                 lambda x: amp * np.cos(x) + 0.1 * amp * rng.standard_normal(x.size),
                 params, periodic=True)
-        out = integrate_spectral(grid, params, t_end, 0.05 if dt is None else dt)
+        dt = 0.05 if dt is None else dt
     else:
         grid = FieldGrid.sample(lambda x: amp * np.cos(x), params, periodic=False)
         dt = 0.4 * grid.dx ** 2 if dt is None else dt
-        forcing = _forcing_from(cfg, params, t_end, dt)
-        out = integrate_bounded(grid, params, forcing, t_end, dt)
+    forcing = _forcing_from(cfg, params, kind, t_end, dt)
+    out = (integrate_spectral(grid, params, t_end, dt) if spectral
+           else integrate_bounded(grid, params, forcing, t_end, dt))
     rows = [(float(x), float(u)) for x, u in zip(out.x, out.u)]
-    return ["x", "u"], rows, {"t_end": t_end}
+    return ["x", "u"], rows, {"t_end": t_end, "kind": kind}
 
 
 def run_simulate_model(cfg: dict, params) -> tuple:
@@ -359,7 +363,7 @@ def run_simulate_model(cfg: dict, params) -> tuple:
         a0 = amp * (rng.standard_normal(N) + 1j * rng.standard_normal(N))
     else:
         a0 = np.full(N, amp, complex)
-    forcing = _forcing_from(cfg, params, cfg["t-end"], cfg["dt"])
+    forcing = _forcing_from(cfg, params, cfg["kind"], cfg["t-end"], cfg["dt"])
     traj = run_model(conjugate_state(0.0, a0), params, forcing, cfg["t-end"], cfg["dt"],
                      sample_stride=cfg["sample-stride"])
     header = ["t"] + [f"{part}_a{j}" for j in range(1, N + 1) for part in ("re", "im")]

@@ -1,4 +1,4 @@
-"""Shared types, parameter validation and lattice neighbour lookup.
+"""Shared types, parameter validation and the one stepping loop.
 
 The lattice model tracks two complex amplitudes per element, ``a_j`` and
 ``b_j``, multiplying the roll modes exp(+ix) and exp(-ix).  Elements have
@@ -135,17 +135,6 @@ def make_params(r: float, gamma: float, p: int, n_elements: int,
                        m_samples=m)
 
 
-def _resolve_neighbours(n: int, j: int, periodic: bool) -> tuple[int, int]:
-    if not 0 <= j < n:
-        raise IndexError(f"index {j} outside lattice of size {n}")
-    if periodic:
-        return (j - 1) % n, (j + 1) % n
-    if j == 0 or j == n - 1:
-        raise IndexError(
-            f"index {j} has no neighbour on a non-periodic lattice of size {n}")
-    return j - 1, j + 1
-
-
 @dataclass
 class AmplitudeState:
     """Time plus the complex amplitude lattices a[0..N-1], b[0..N-1]."""
@@ -203,20 +192,16 @@ class FieldGrid:
         return self.dx * (n if self.periodic else n - 1)
 
     @classmethod
-    def zeros(cls, params: ModelParams, periodic: bool = True,
-              x0: Optional[float] = None) -> "FieldGrid":
+    def zeros(cls, params: ModelParams, periodic: bool = True) -> "FieldGrid":
         """Element-aligned zero grid in the canonical frame (x0 = -h/2)."""
-        if x0 is None:
-            x0 = -params.h / 2.0
         n = params.n_elements * params.m_samples + (0 if periodic else 1)
-        return cls(x0=x0, dx=params.h / params.m_samples,
+        return cls(x0=-params.h / 2.0, dx=params.h / params.m_samples,
                    u=np.zeros(n), periodic=periodic)
 
     @classmethod
-    def sample(cls, func, params: ModelParams, periodic: bool = True,
-               x0: Optional[float] = None) -> "FieldGrid":
-        """Element-aligned grid sampling ``func(x)``."""
-        grid = cls.zeros(params, periodic=periodic, x0=x0)
+    def sample(cls, func, params: ModelParams, periodic: bool = True) -> "FieldGrid":
+        """Element-aligned grid sampling ``func(x)`` in the canonical frame."""
+        grid = cls.zeros(params, periodic=periodic)
         grid.u = np.asarray(func(grid.x), dtype=float)
         return grid
 

@@ -100,10 +100,8 @@ class SpectralStepper:
 
     def __init__(self, n: int, length: float, r: float, dt: float):
         self.n = n
-        self.length = length
         self.dt = _positive_dt(dt)
-        self.k = 2.0 * np.pi * np.fft.rfftfreq(n, d=length / n)
-        lam = growth_symbol(self.k, r)
+        lam = growth_symbol(2.0 * np.pi * np.fft.rfftfreq(n, d=length / n), r)
         self.exp_full = np.exp(dt * lam)
         self.exp_half = np.exp(0.5 * dt * lam)
         # ETDRK4 coefficients: closed forms where |dt*lambda| >= 1/2, series below
@@ -146,25 +144,26 @@ def integrate_spectral(grid: FieldGrid, params: ModelParams, t_end: float,
     """Advance a periodic grid to t_end (step shrunk to land exactly)."""
     if not grid.periodic:
         raise ValueError("spectral stepping needs a periodic grid")
-    n = len(grid.u)
-    if n < 4 or (n & (n - 1)) != 0:
-        raise ValueError(f"sample count must be a power of two, got {n}")
     n_steps = _step_count(t_end, dt)
-    stepper = SpectralStepper(n, grid.length, params.r, t_end / n_steps)
+    stepper = SpectralStepper(len(grid.u), grid.length, params.r, t_end / n_steps)
     with np.errstate(invalid="ignore"):   # an Inf field fails the loop's start check
         v = stepper.to_spectral(grid.u)
     v = stepper.run(v, n_steps)
     return FieldGrid(grid.x0, grid.dx, stepper.to_physical(v), True)
 
 
-def _commensurate_periods(k: float, max_periods: int = 64) -> tuple[int, int]:
-    """Smallest q with q*k a whole number; returns (q, mode index q*k)."""
-    for q in range(1, max_periods + 1):
+_MAX_PERIODS = 64   # longest domain, in periods 2*pi, a growth-rate run may take
+
+
+def _commensurate_periods(k: float) -> tuple[int, int]:
+    """Smallest q <= _MAX_PERIODS with q*k a whole number; returns (q, mode
+    index q*k)."""
+    for q in range(1, _MAX_PERIODS + 1):
         mode = round(q * k)
         if mode >= 1 and abs(q * k - mode) <= 1e-9 * max(1.0, q * k):
             return q, mode
     raise ValueError(
-        f"wavenumber {k} is not commensurate with any domain up to {max_periods} periods")
+        f"wavenumber {k} is not commensurate with any domain up to {_MAX_PERIODS} periods")
 
 
 def measure_growth_rate(params: ModelParams, k: float, eps0: float, T: float,

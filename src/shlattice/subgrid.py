@@ -16,10 +16,13 @@ d2 v_j = v_{j+1} - 2 v_j + v_{j-1} and md v_j = (v_{j+1} - v_{j-1})/2:
     E+ = a_j + (g/4h) [ (d2 a_j - 2i md b_j) + (4 md a_j - 2i d2 b_j) X ]
     E- = b_j + (g/4h) [ (d2 b_j + 2i md a_j) + (4 md b_j + 2i d2 a_j) X ]
 
-In the wall element the corrections also involve the wall signals alpha and
-beta through fixed quadratic profiles whose coefficients are tabulated
-below.  All formulas assume the canonical frame (element centres at
-multiples of 2*pi) so that exp(+-ix) = exp(+-iX) inside every element.
+The wall element takes the same formula, with the missing neighbour
+replaced by the wall ghosts a_0 = -s b_1, b_0 = -s a_1 of the lattice
+kernel (s = +1 for even wall data, -1 for odd), plus the wall signals alpha
+and beta through fixed quadratic profiles whose coefficients are tabulated
+below.  `eval_field` evaluates every envelope table.  All formulas assume
+the canonical frame (element centres at multiples of 2*pi) so that
+exp(+-ix) = exp(+-iX) inside every element.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .core import (
     FieldGrid,
     ForcingKind,
     ModelParams,
-    _resolve_neighbours,
 )
 from .amplitude_model import SignChoice
 
@@ -51,63 +53,65 @@ BETA_PLUS_SLOPE = -1j / 4
 BETA_PLUS_CURVE = (1 - 1j) / 96
 
 
-def _interior_coefficients(state: AmplitudeState, params: ModelParams,
-                           jm, j, jp) -> tuple:
-    """Constant and slope of E+ and of E- for element(s) j with neighbours
-    jm and jp (integers, or index arrays for many elements at once)."""
-    a, b = state.a, state.b
+def _resolve_neighbours(n: int, j: int, periodic: bool) -> tuple[int, int]:
+    if not 0 <= j < n:
+        raise IndexError(f"index {j} outside lattice of size {n}")
+    if periodic:
+        return (j - 1) % n, (j + 1) % n
+    if j == 0 or j == n - 1:
+        raise IndexError(
+            f"index {j} has no neighbour on a non-periodic lattice of size {n}")
+    return j - 1, j + 1
+
+
+def _interior_coefficients(a: np.ndarray, b: np.ndarray, params: ModelParams,
+                           jm, j, jp) -> tuple[np.ndarray, np.ndarray]:
+    """E+ and E- tables of element(s) j with neighbours jm and jp: ascending
+    coefficients on axis 0, shape (3,) for integer indices or (3, n) for
+    index arrays of n elements."""
     d2a = a[jp] - 2.0 * a[j] + a[jm]
     d2b = b[jp] - 2.0 * b[j] + b[jm]
     mda = (a[jp] - a[jm]) / 2.0
     mdb = (b[jp] - b[jm]) / 2.0
     g4h = params.gamma / (4.0 * params.h)
-    return (a[j] + g4h * (d2a - 2j * mdb), g4h * (4.0 * mda - 2j * d2b),
-            b[j] + g4h * (d2b + 2j * mda), g4h * (4.0 * mdb + 2j * d2a))
+    zero = np.zeros_like(d2a)
+    return (np.array([a[j] + g4h * (d2a - 2j * mdb), g4h * (4.0 * mda - 2j * d2b), zero]),
+            np.array([b[j] + g4h * (d2b + 2j * mda), g4h * (4.0 * mdb + 2j * d2a), zero]))
 
 
 def interior_envelopes(state: AmplitudeState, params: ModelParams, j: int,
                        periodic: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Envelope polynomials (ascending coefficients) for interior element j."""
     jm, jp = _resolve_neighbours(state.n, j, periodic)
-    p0, p1, m0, m1 = _interior_coefficients(state, params, jm, j, jp)
-    return (np.array([p0, p1, 0.0], dtype=complex),
-            np.array([m0, m1, 0.0], dtype=complex))
+    return _interior_coefficients(state.a, state.b, params, jm, j, jp)
 
 
 def boundary_envelopes(state: AmplitudeState, params: ModelParams,
                        forcing: BoundaryForcing) -> tuple[np.ndarray, np.ndarray]:
-    """Envelope polynomials for the wall element (j = 0, wall at X = -h/2);
-    the forcing's kind fixes the sign alternative s."""
+    """Envelope polynomials for the wall element (j = 0, wall at X = -h/2).
+
+    The amplitude part is the interior formula on the lattice padded with
+    the wall ghosts a_0 = -s b_1, b_0 = -s a_1 of the lattice kernel, where
+    the forcing's kind fixes the sign alternative s; the forcing profiles,
+    times s, are added on top.
+    """
     if state.n < 2:
         raise ValueError("the wall element needs an interior neighbour")
     if forcing.kind is ForcingKind.PERIODIC:
         raise ValueError("the wall element needs wall forcing, got periodic")
-    a1, a2 = state.a[0], state.a[1]
-    b1, b2 = state.b[0], state.b[1]
     s = forcing.kind.wall_sign
+    (a1, a2), (b1, b2) = state.a[:2], state.b[:2]
+    plus, minus = _interior_coefficients(np.array([-s * b1, a1, a2]),
+                                         np.array([-s * a1, b1, b2]), params, 0, 1, 2)
     h = params.h
-    g4h = params.gamma / (4.0 * h)
-    g2h = params.gamma ** 2 / h
     al = forcing.alpha_at(state.t)
     be = forcing.beta_at(state.t)
-
-    plus = np.array([
-        a1 + g4h * (-(2.0 + s * 1j) * a1 + a2 - s * b1 - 1j * b2),
-        g4h * 2.0 * (s * 1j * a1 + a2 + s * (1.0 + 2j * s) * b1 - 1j * b2),
-        0.0], dtype=complex)
-    minus = np.array([
-        b1 + g4h * (-s * a1 + 1j * a2 - (2.0 - s * 1j) * b1 + b2),
-        g4h * 2.0 * (s * (1.0 - 2j * s) * a1 + 1j * a2 - s * 1j * b1 + b2),
-        0.0], dtype=complex)
-
     # forcing profiles, quadratic term expanded: c*(h^2 - 12 X^2)
     pc = al * ALPHA_PLUS_CONST + be * BETA_PLUS_CONST
     ps = al * ALPHA_PLUS_SLOPE + be * BETA_PLUS_SLOPE
     pq = al * ALPHA_PLUS_CURVE + be * BETA_PLUS_CURVE
-    profile = s * g2h * np.array([pc + pq * h ** 2, ps, -12.0 * pq])
-    plus += profile
-    minus += np.conj(profile)
-    return plus, minus
+    profile = s * params.gamma ** 2 / h * np.array([pc + pq * h ** 2, ps, -12.0 * pq])
+    return plus + profile, minus + np.conj(profile)
 
 
 def _envelope_derivative(coeffs: np.ndarray, sector: int) -> np.ndarray:
@@ -164,9 +168,10 @@ def lattice_field(state: AmplitudeState, params: ModelParams,
     """Sample the reconstruction of every element onto an aligned grid.
 
     Periodic grids use the interior formula with wrap-around neighbours.
-    Bounded grids drop the neighbour corrections (bare rolls) since the
-    interior formula needs both neighbours; they remain a valid seed field.
-    All elements are evaluated at once as an (N, M) array of envelopes.
+    Bounded grids drop the neighbour corrections (bare rolls: the constant
+    tables a_j and b_j), which remain a valid seed field.  All elements are
+    evaluated at once, as tables with one column per element, at the M
+    local sample positions.
     """
     N, M = params.n_elements, params.m_samples
     if state.n != N:
@@ -175,19 +180,13 @@ def lattice_field(state: AmplitudeState, params: ModelParams,
     xs_local = -params.h / 2.0 + grid.dx * np.arange(M)
     if periodic:
         j = np.arange(N)
-        p0, p1, m0, m1 = _interior_coefficients(state, params, j - 1, j, (j + 1) % N)
-        plus = p1[:, None] * xs_local + p0[:, None]
-        minus = m1[:, None] * xs_local + m0[:, None]
+        plus, minus = _interior_coefficients(state.a, state.b, params, j - 1, j, (j + 1) % N)
     else:
-        plus, minus = state.a[:, None], state.b[:, None]
-
-    def field(plus, minus, xs):
-        return (plus * np.exp(1j * xs) + minus * np.exp(-1j * xs)).real
-
-    u = field(plus, minus, xs_local).ravel()
+        plus, minus = state.a[None], state.b[None]
+    u = eval_field(plus, minus, xs_local).real.ravel()
     if not periodic:
         # closing endpoint belongs to the last element at X = +h/2
-        u = np.append(u, field(plus[-1], minus[-1], np.array([params.h / 2.0])))
+        u = np.append(u, eval_field(plus[:, -1], minus[:, -1], params.h / 2.0).real)
     grid.u = u
     return grid
 
@@ -204,26 +203,17 @@ def ibc_residual(state: AmplitudeState, params: ModelParams, j: int,
     (right residual, left residual).
     """
     p = replace(params, gamma=gamma)
-    env = {}
-    for m in (j - 1, j, j + 1):
-        mm = m % state.n if periodic else m
-        env[m] = interior_envelopes(state, p, mm, periodic)
+    env = {m: interior_envelopes(state, p, m % state.n if periodic else m, periodic)
+           for m in (j - 1, j, j + 1)}
     half = params.h / 2.0
 
-    def w_plus(m, x):   # u + u'
-        pl, mi = env[m]
-        x = np.array([x])
-        return complex(eval_field(pl, mi, x)[0] + eval_field(pl, mi, x, deriv=1)[0])
+    def w(m, x, sign):   # u + sign u'
+        return complex(eval_field(*env[m], x) + sign * eval_field(*env[m], x, deriv=1))
 
-    def w_minus(m, x):  # u - u'
-        pl, mi = env[m]
-        x = np.array([x])
-        return complex(eval_field(pl, mi, x)[0] - eval_field(pl, mi, x, deriv=1)[0])
-
-    r_right = (w_plus(j, half) - (1.0 - gamma) * w_plus(j, -half)
-               - gamma * w_plus(j + 1, -half))
-    r_left = (w_minus(j, -half) - (1.0 - gamma) * w_minus(j, half)
-              - gamma * w_minus(j - 1, half))
+    r_right = (w(j, half, 1) - (1.0 - gamma) * w(j, -half, 1)
+               - gamma * w(j + 1, -half, 1))
+    r_left = (w(j, -half, -1) - (1.0 - gamma) * w(j, half, -1)
+              - gamma * w(j - 1, half, -1))
     return r_right, r_left
 
 

@@ -188,3 +188,38 @@ class TestCompare:
         cfg = CompareConfig(params=params_for(r=0.1, n=4), r_ladder=ladder)
         with pytest.raises(ValueError, match="at least two distinct rungs"):
             compare_model_vs_direct(cfg)
+
+    def _horizons(self, monkeypatch, **kwargs):
+        """The horizon of each run compare_model_vs_direct starts, with the
+        runs themselves stubbed out."""
+        horizons = []
+
+        def stub(params, a0, t_end, *args):
+            horizons.append(t_end)
+            return analysis.ComparisonReport(np.zeros(1), None, None, np.array([1e-3]))
+        monkeypatch.setattr(analysis, "_run_pair", stub)
+        compare_model_vs_direct(CompareConfig(params=params_for(r=0.1, n=4), **kwargs))
+        return horizons
+
+    def test_horizon_is_ten_over_r_unless_given(self, monkeypatch):
+        assert self._horizons(monkeypatch) == [10.0 / 0.1]
+        assert self._horizons(monkeypatch, r_ladder=(0.2, 0.1)) == [10.0 / 0.2, 10.0 / 0.1]
+        assert self._horizons(monkeypatch, t_end=5.0) == [5.0]
+        assert self._horizons(monkeypatch, r_ladder=(0.2, 0.1), t_end=5.0) == [5.0, 5.0]
+
+    @pytest.mark.parametrize("kwargs", [{"r_ladder": (0.1, 0.0)},
+                                        {"r_ladder": (0.1, -0.2), "t_end": 5.0},
+                                        {"params": params_for(r=0.0, n=4)}])
+    def test_every_rung_needs_r_positive_before_any_runs(self, monkeypatch, kwargs):
+        def no_run(*args, **kw):
+            raise AssertionError("a rung ran")
+        monkeypatch.setattr(analysis, "_run_pair", no_run)
+        cfg = CompareConfig(**{"params": params_for(r=0.1, n=4), **kwargs})
+        with pytest.raises(ValueError, match="the horizon 10/r needs r > 0"):
+            compare_model_vs_direct(cfg)
+
+    def test_ladder_takes_no_a0(self):
+        cfg = CompareConfig(params=params_for(r=0.1, n=4), a0=np.zeros(4, complex),
+                            r_ladder=(0.2, 0.1))
+        with pytest.raises(ValueError, match="takes no a0"):
+            compare_model_vs_direct(cfg)

@@ -217,6 +217,22 @@ class TestOtherExperiments:
         header, rows = read_rows(newest_csv(tmp_path))
         assert len(rows) == 2 * 32 + 1
 
+    def test_simulate_direct_spectral_any_sample_count(self, tmp_path):
+        code = main(["simulate-direct", "--scheme", "spectral-etd", "--n-elements", "3",
+                     "--t-end", "1", "--output-dir", str(tmp_path)])
+        assert code == 0
+        _, rows = read_rows(newest_csv(tmp_path))
+        assert len(rows) == 3 * 32
+
+    def test_simulate_direct_bounded_defaults_to_even_walls(self, tmp_path):
+        args = ["simulate-direct", "--scheme", "bounded-imex", "--alpha", "0.05",
+                "--t-end", "0.1", "--n-elements", "2", "--m-samples", "16"]
+        assert main(args + ["--output-dir", str(tmp_path / "a")]) == 0
+        assert main(args + ["--kind", "even", "--output-dir", str(tmp_path / "b")]) == 0
+        assert newest_csv(tmp_path / "a").read_bytes() == newest_csv(tmp_path / "b").read_bytes()
+        manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        assert manifest["config"]["kind"] is None and manifest["kind"] == "even"
+
     def test_compare_single_run(self, tmp_path):
         code = main(["compare", "--r", "0.02", "--n-elements", "8",
                      "--t-end", "20", "--n-samples", "5",
@@ -410,6 +426,33 @@ class TestOtherExperiments:
         expected = [[t] + [v for aj in a for v in (aj.real, aj.imag)]
                     for t, a in zip(traj.times, traj.a)]
         assert rows == [["%.12g" % v for v in row] for row in expected]
+
+
+class TestForcingKind:
+    @pytest.mark.parametrize("args, message", [
+        (["simulate-model", "--kind", "periodic", "--alpha", "0.5", "--alpha-omega", "5",
+          "--t-end", "1"], "a periodic domain has no walls"),
+        (["simulate-model", "--beta", "0.1", "--t-end", "1"], "a periodic domain has no walls"),
+        (["simulate-direct", "--alpha", "0.1", "--t-end", "1"], "a periodic domain has no walls"),
+        (["simulate-direct", "--scheme", "bounded-imex", "--kind", "periodic", "--t-end", "1"],
+         "bounded stepping rejects periodic forcing"),
+        (["simulate-direct", "--scheme", "spectral-etd", "--kind", "odd", "--alpha", "0.5",
+          "--alpha-omega", "5"], "the spectral-etd scheme runs a periodic domain, got kind 'odd'"),
+        (["simulate-direct", "--kind", "even", "--t-end", "1"],
+         "the spectral-etd scheme runs a periodic domain, got kind 'even'"),
+        (["simulate-model", "--kind", "wavy", "--alpha", "0.1", "--alpha-omega", "25"],
+         "unknown boundary kind 'wavy'"),
+    ])
+    def test_signals_a_kind_cannot_carry_exit_one(self, tmp_path, capsys, args, message):
+        # one error line, before any warning, and no output
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(args + ["--output-dir", str(tmp_path)])
+        assert code == 1
+        assert [str(w.message) for w in caught] == []
+        (line,) = err_lines(capsys.readouterr().err)
+        assert line.startswith("error: ") and message in line
+        assert not list(tmp_path.glob("*.csv"))
 
 
 class TestSharedOutputDir:

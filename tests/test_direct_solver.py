@@ -67,9 +67,21 @@ class TestStepSpectral:
         bounded = FieldGrid.zeros(params, periodic=False)
         with pytest.raises(ValueError):
             integrate_spectral(bounded, params, 0.1, 0.1)
+
+    @pytest.mark.parametrize("n_elements", [3, 5])
+    def test_any_sample_count(self, n_elements):
+        # 96 and 160 samples: integrate_spectral is SpectralStepper.run on
+        # the grid, whatever its sample count
+        params = params_for(r=0.3, n=n_elements, m=32)
+        rng = np.random.default_rng(n_elements)
+        grid = FieldGrid.sample(lambda x: 0.1 * np.cos(x) + 0.01 * rng.standard_normal(x.size),
+                                params)
+        out = integrate_spectral(grid, params, 1.0, 0.05)
+        stepper = SpectralStepper(len(grid.u), grid.length, params.r, 1.0 / 20)
+        v = stepper.run(stepper.to_spectral(grid.u), 20)
+        assert np.array_equal(out.u, stepper.to_physical(v))
         odd = FieldGrid(0.0, 0.1, np.zeros(100), True)
-        with pytest.raises(ValueError):
-            integrate_spectral(odd, params, 0.1, 0.1)
+        assert np.array_equal(integrate_spectral(odd, params, 0.1, 0.1).u, odd.u)
 
     def test_field_stays_real_and_bounded(self):
         # 1000 steps from real data: the state is carried as a real array,
@@ -244,7 +256,7 @@ class TestStepBounded:
         out_b = integrate_bounded(grid_b, params, forcing, t_end=1.0,
                                   dt=0.4 * grid_b.dx ** 2)
         params2 = make_params(r=0.3, gamma=1.0, p=1, n_elements=4, m_samples=128)
-        grid_p = FieldGrid.sample(init, params2, periodic=True, x0=x0)
+        grid_p = FieldGrid.sample(init, params2, periodic=True)
         out_p = integrate_spectral(grid_p, params2, t_end=1.0, dt=0.01)
         nb = len(out_b.u)
         assert np.max(np.abs(out_b.u - out_p.u[:nb])) <= 1e-4

@@ -298,6 +298,58 @@ class TestBoundaryReconstruction:
             g4h * (-1j * a1 - b1) + profile[0][0], rel=1e-13)
 
 
+def hand_expanded_wall(state, params, s):
+    """Amplitude envelopes of the wall element written out term by term:
+    the interior formula with the ghosts a_0 = -s b_1, b_0 = -s a_1
+    substituted by hand (zero wall signals)."""
+    a1, a2 = state.a[0], state.a[1]
+    b1, b2 = state.b[0], state.b[1]
+    g4h = params.gamma / (4.0 * params.h)
+    plus = [a1 + g4h * (-(2.0 + s * 1j) * a1 + a2 - s * b1 - 1j * b2),
+            g4h * 2.0 * (s * 1j * a1 + a2 + s * (1.0 + 2j * s) * b1 - 1j * b2), 0.0]
+    minus = [b1 + g4h * (-s * a1 + 1j * a2 - (2.0 - s * 1j) * b1 + b2),
+             g4h * 2.0 * (s * (1.0 - 2j * s) * a1 + 1j * a2 - s * 1j * b1 + b2), 0.0]
+    return np.array(plus, dtype=complex), np.array(minus, dtype=complex)
+
+
+WALL_CASES = list(itertools.product((0.0, 0.3, 0.5, 1.0), (1, 2, 3), (True, False), range(3)))
+
+
+def assert_envelopes_close(got, expect):
+    """Both envelopes within 1e-15 of the largest expected coefficient."""
+    scale = max(np.max(np.abs(e)) for e in expect)
+    for g, e in zip(got, expect):
+        assert np.max(np.abs(g - e)) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("make", [BoundaryForcing.even_given, BoundaryForcing.odd_given])
+class TestWallEnvelopeIsInteriorFormula:
+    def test_left_wall_matches_hand_expansion(self, make):
+        for gamma, p, conjugate, seed in WALL_CASES:
+            params = params_for(gamma=gamma, p=p, n=3)
+            st = random_state(3, seed=seed, conjugate=conjugate)
+            forcing = make(0.0, 0.0, p=p)
+            expect = hand_expanded_wall(st, params, forcing.kind.wall_sign)
+            assert_envelopes_close(boundary_envelopes(st, params, forcing), expect)
+
+    def test_right_wall_is_mirrored_left_wall(self, make):
+        # x -> -x reverses the lattice, swaps a and b, and maps an envelope
+        # P(X) to P(-X); the right wall element is then the interior formula
+        # with the right ghosts a_{N+1} = -s b_N, b_{N+1} = -s a_N
+        flip = np.array([1.0, -1.0, 1.0])
+        for gamma, p, conjugate, seed in WALL_CASES:
+            params = params_for(gamma=gamma, p=p, n=4)
+            st = random_state(4, seed=seed, conjugate=conjugate)
+            forcing = make(0.0, 0.0, p=p)
+            s = forcing.kind.wall_sign
+            padded = AmplitudeState(0.0, np.append(st.a, -s * st.b[-1]),
+                                    np.append(st.b, -s * st.a[-1]))
+            expect = interior_envelopes(padded, params, 3)
+            mirrored = AmplitudeState(0.0, st.b[::-1], st.a[::-1])
+            left_plus, left_minus = boundary_envelopes(mirrored, params, forcing)
+            assert_envelopes_close((flip * left_minus, flip * left_plus), expect)
+
+
 class TestIbcResidual:
     def test_gamma_zero_residual_vanishes(self):
         params = params_for(n=5)
