@@ -45,7 +45,6 @@ import numpy as np
 from .core import (
     AmplitudeState,
     BoundaryForcing,
-    ForcingKind,
     ModelParams,
     _integrate,
     _positive_dt,
@@ -84,11 +83,12 @@ class _LatticeKernel:
     """
 
     def __init__(self, n: int, r: float, c: float, cubic: float,
-                 sign: float = 0.0, walls: Optional[tuple] = None, g2_h: float = 0.0):
+                 forcing: BoundaryForcing, g2_h: float):
         # 0-d arrays scale a short array faster than Python scalars do,
         # with the same complex arithmetic
         self.r, self.c, self.two = (np.array(v, dtype=complex) for v in (r, c, 2.0))
-        self.sign, self.walls, self.g2_h, self.dt = sign, walls, g2_h, None
+        self.sign = sign = forcing.kind.wall_sign
+        self.forcing, self.g2_h, self.dt = forcing, g2_h, None
         self.pad = np.empty(n + 2, dtype=complex)
         self.mid, self.up, self.down = self.pad[1:-1], self.pad[2:], self.pad[:-2]
         # ghosts (0, N+1) take x at (N-1, 0) to wrap, or -s y at (0, N-1)
@@ -100,9 +100,12 @@ class _LatticeKernel:
             self.cubic[::step], self.phase = 3.0, sign * (1.0 - 1.0j)
 
     def drives(self, t: float) -> Optional[list[float]]:
-        """Left and right wall drives (g^2/h)(alpha + beta) at time t."""
-        return None if self.walls is None else [
-            self.g2_h * (f.alpha_at(t) + f.beta_at(t)) for f in self.walls]
+        """Left and right wall drives (g^2/h)(alpha + beta) at time t, None
+        without walls."""
+        if not self.sign:
+            return None
+        (al, bl), (ar, br) = self.forcing.signals(t)
+        return [self.g2_h * (al + bl), self.g2_h * (ar + br)]
 
     def __call__(self, x: np.ndarray, y: np.ndarray, drives=None,
                  conj: bool = False) -> np.ndarray:
@@ -137,34 +140,26 @@ class _LatticeKernel:
         return x + sixth * (k1 + self.two * k2 + self.two * k3 + k4)
 
 
-def _kernel(state: AmplitudeState, params: ModelParams, forcing: BoundaryForcing,
-            forcing_right: Optional[BoundaryForcing] = None) -> _LatticeKernel:
+def _kernel(state: AmplitudeState, params: ModelParams,
+            forcing: BoundaryForcing) -> _LatticeKernel:
     if state.n != params.n_elements:
         raise ValueError(
             f"state has {state.n} elements but params expect {params.n_elements}")
     g2 = params.gamma ** 2
-    args = (params.n_elements, params.r, 4.0 * g2 / params.h ** 2, 3.0 * g2)
-    right = forcing if forcing_right is None else forcing_right
-    if right.kind is not forcing.kind:
-        raise ValueError(f"right wall kind {right.kind} does not match {forcing.kind}")
-    if forcing.kind is ForcingKind.PERIODIC:
-        return _LatticeKernel(*args)
-    return _LatticeKernel(*args, forcing.kind.wall_sign, (forcing, right), g2 / params.h)
+    return _LatticeKernel(params.n_elements, params.r, 4.0 * g2 / params.h ** 2,
+                          3.0 * g2, forcing, g2 / params.h)
 
 
 def model_rhs(state: AmplitudeState, params: ModelParams,
-              forcing: BoundaryForcing,
-              forcing_right: Optional[BoundaryForcing] = None
-              ) -> tuple[np.ndarray, np.ndarray]:
+              forcing: BoundaryForcing) -> tuple[np.ndarray, np.ndarray]:
     """Full lattice derivative.
 
     Periodic forcing wraps every stencil.  Otherwise the first and last
     elements use the wall stencils and the rest the interior one (the
-    j = 2 element needs no special treatment).  forcing_right, when given,
-    supplies different signals of the same kind for the right wall; by
-    default the right wall mirrors the left one with the same signals.
+    j = 2 element needs no special treatment).  Each wall takes its own
+    signals from the forcing (`BoundaryForcing.signals`).
     """
-    kernel = _kernel(state, params, forcing, forcing_right)
+    kernel = _kernel(state, params, forcing)
     da, db = kernel.rhs(np.array((state.a, state.b)), kernel.drives(state.t))
     return da, db
 
@@ -196,15 +191,14 @@ def _check_dt(dt: float, params: ModelParams) -> None:
 
 
 def rk4_step(state: AmplitudeState, params: ModelParams,
-             forcing: BoundaryForcing, dt: float,
-             forcing_right: Optional[BoundaryForcing] = None) -> AmplitudeState:
+             forcing: BoundaryForcing, dt: float) -> AmplitudeState:
     """One classical fourth-order Runge-Kutta step.
 
     Time-dependent forcing is evaluated at the stage times, which assumes
     slowly varying signals (the model itself is only valid in that regime).
     """
     _check_dt(dt, params)
-    kernel = _kernel(state, params, forcing, forcing_right)
+    kernel = _kernel(state, params, forcing)
     a, b = kernel.rk4(state.t, np.array((state.a, state.b)), dt)
     return AmplitudeState(state.t + dt, a, b)
 
@@ -224,7 +218,6 @@ class Trajectory:
 
 def run_model(state: AmplitudeState, params: ModelParams,
               forcing: BoundaryForcing, t_end: float, dt: float,
-              forcing_right: Optional[BoundaryForcing] = None,
               sample_stride: int = 1) -> Trajectory:
     """Integrate the lattice model from state.t to t_end.
 
@@ -244,7 +237,7 @@ def run_model(state: AmplitudeState, params: ModelParams,
         raise ValueError(f"sample_stride must be at least 1, got {sample_stride}")
     dt_eff = span / n_steps
     _check_dt(dt_eff, params)
-    kernel = _kernel(state, params, forcing, forcing_right)
+    kernel = _kernel(state, params, forcing)
     real = bool(np.array_equal(state.b, np.conj(state.a)))
     x = state.a if real else np.array((state.a, state.b))
 

@@ -305,14 +305,12 @@ def run_boundary_select(cfg: dict, params) -> tuple:
 
 def run_boundary_equilibrium(cfg: dict, params) -> tuple:
     alpha, beta, t_end, dt = cfg["alpha"], cfg["beta"], cfg["t-end"], cfg["dt"]
-    forcing = BoundaryForcing.even_given(alpha, beta, p=params.p)
-    right = None
-    if cfg["right-forcing"] == "zero":
-        right = BoundaryForcing.even_given(p=params.p)
-    elif cfg["right-forcing"] != "same":
+    if cfg["right-forcing"] not in ("same", "zero"):
         raise ValueError("right-forcing must be 'same' or 'zero'")
+    right = (0.0, 0.0) if cfg["right-forcing"] == "zero" else None
+    forcing = BoundaryForcing.even_given(alpha, beta, p=params.p, right=right)
     state = conjugate_state(0.0, np.zeros(params.n_elements, complex))
-    traj = run_model(state, params, forcing, t_end, dt, forcing_right=right,
+    traj = run_model(state, params, forcing, t_end, dt,
                      sample_stride=_stride(t_end, dt, 400))
     predicted = boundary_equilibrium(params, alpha, beta)
     rows = [(float(t), float(a1.real), float(a1.imag), predicted)

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
-Signal = Callable[[float], float]
+Signal = Union[Callable[[float], float], float]
 
 _LARGEST = float(np.finfo(float).max)   # max|x| <= _LARGEST fails only on NaN/Inf
 
@@ -206,35 +206,35 @@ class FieldGrid:
         return grid
 
 
-def as_signal(value: Union[Signal, float, int, None]) -> Optional[Signal]:
-    """Normalise a constant or callable to a time signal (None passes through)."""
-    if value is None:
-        return None
-    if callable(value):
-        return value
-    const = float(value)
-    return lambda t: const
+def _value(signal: Signal, t: float) -> float:
+    """A signal's value at t: the number itself, or the function called at t."""
+    return float(signal(t)) if callable(signal) else float(signal)
 
 
 @dataclass(frozen=True)
 class BoundaryForcing:
-    """Boundary condition family and its time signals.
+    """Boundary condition family and the time signals of both walls.
 
     kind selects periodic wrap, even-derivative data (u, u_xx given) or
-    odd-derivative data (u_x, u_xxx given).  alpha(t), beta(t) are the
-    roll-frame signals; the physical wall values carry the extra factor
+    odd-derivative data (u_x, u_xxx given).  alpha and beta are the left
+    wall's roll-frame signals and right the right wall's (alpha, beta)
+    pair, None to repeat the left wall's; each signal is a number or a
+    function of t.  The physical wall values carry the extra factor
     parity_factor = (-1)**p.
     """
 
     kind: ForcingKind
-    alpha: Optional[Signal] = None
-    beta: Optional[Signal] = None
+    alpha: Signal = 0.0
+    beta: Signal = 0.0
     parity_factor: float = 1.0
+    right: Optional[tuple[Signal, Signal]] = None
 
     def __post_init__(self):
         if self.kind is ForcingKind.PERIODIC and (
-                self.alpha is not None or self.beta is not None):
+                (self.alpha, self.beta, self.right) != (0.0, 0.0, None)):
             raise ValueError("periodic forcing carries no signals")
+        if self.right is not None and not (isinstance(self.right, tuple) and len(self.right) == 2):
+            raise ValueError(f"right must be an (alpha, beta) pair, got {self.right!r}")
         if self.parity_factor not in (-1.0, 1.0):
             raise ValueError(
                 f"parity_factor must be +1 or -1, got {self.parity_factor}")
@@ -244,17 +244,15 @@ class BoundaryForcing:
         return cls(kind=ForcingKind.PERIODIC)
 
     @classmethod
-    def even_given(cls, alpha=0.0, beta=0.0, p: int = 1) -> "BoundaryForcing":
-        return cls(kind=ForcingKind.EVEN_GIVEN, alpha=as_signal(alpha),
-                   beta=as_signal(beta), parity_factor=(-1.0) ** int(p))
+    def even_given(cls, alpha=0.0, beta=0.0, p: int = 1, right=None) -> "BoundaryForcing":
+        return cls(ForcingKind.EVEN_GIVEN, alpha, beta, (-1.0) ** int(p), right)
 
     @classmethod
-    def odd_given(cls, alpha=0.0, beta=0.0, p: int = 1) -> "BoundaryForcing":
-        return cls(kind=ForcingKind.ODD_GIVEN, alpha=as_signal(alpha),
-                   beta=as_signal(beta), parity_factor=(-1.0) ** int(p))
+    def odd_given(cls, alpha=0.0, beta=0.0, p: int = 1, right=None) -> "BoundaryForcing":
+        return cls(ForcingKind.ODD_GIVEN, alpha, beta, (-1.0) ** int(p), right)
 
-    def alpha_at(self, t: float) -> float:
-        return 0.0 if self.alpha is None else float(self.alpha(t))
-
-    def beta_at(self, t: float) -> float:
-        return 0.0 if self.beta is None else float(self.beta(t))
+    def signals(self, t: float) -> tuple[tuple[float, float], tuple[float, float]]:
+        """((alpha, beta) of the left wall, (alpha, beta) of the right) at t."""
+        left = (_value(self.alpha, t), _value(self.beta, t))
+        return left, (left if self.right is None
+                      else (_value(self.right[0], t), _value(self.right[1], t)))

@@ -37,7 +37,7 @@ factor (-1)**p of the parameters: the prescribed physical values are
 u = (-1)^p alpha(t), u_xx = (-1)^p beta(t) (even case) or the analogous
 odd-derivative pair.  A forcing whose own parity factor differs is
 rejected.  The right wall applies the mirror-image condition (odd
-derivatives flip sign under reflection).
+derivatives flip sign under reflection) to its own signals.
 """
 
 from __future__ import annotations
@@ -220,8 +220,7 @@ class BoundedStepper:
     """
 
     def __init__(self, grid: FieldGrid, params: ModelParams,
-                 forcing: BoundaryForcing, dt: float,
-                 forcing_right: Optional[BoundaryForcing] = None):
+                 forcing: BoundaryForcing, dt: float):
         if grid.periodic:
             raise ValueError("bounded stepping needs a non-periodic grid")
         if forcing.kind is ForcingKind.PERIODIC:
@@ -233,14 +232,9 @@ class BoundedStepper:
         if _positive_dt(dt) > 0.5 * self.dx ** 2 * (1 + 1e-12):
             raise ValueError(f"dt={dt} unstable: exceeds dx^2/2={0.5 * self.dx ** 2:.4g}")
         self.dt = dt
-        self.left = forcing
-        self.right = forcing if forcing_right is None else forcing_right
-        if self.right.kind is not forcing.kind:
-            raise ValueError("both walls must use the same condition kind")
-        self.parity = params.parity_factor
-        if {forcing.parity_factor, self.right.parity_factor} != {self.parity}:
+        self.forcing, self.kind, self.parity = forcing, forcing.kind, params.parity_factor
+        if forcing.parity_factor != self.parity:
             raise ValueError(f"wall parity factors must both be (-1)^p = {self.parity:g}")
-        self.kind = forcing.kind
         self._build(params.r)
 
     # -- operator assembly -------------------------------------------------
@@ -303,8 +297,8 @@ class BoundedStepper:
         """Wall-data terms g(t) on the rows g_rows (g is zero elsewhere)
         and the values of the pinned samples."""
         dx, p = self.dx, self.parity
-        al, bl = p * self.left.alpha_at(t), p * self.left.beta_at(t)
-        ar, br = p * self.right.alpha_at(t), p * self.right.beta_at(t)
+        (al, bl), (ar, br) = self.forcing.signals(t)
+        al, bl, ar, br = p * al, p * bl, p * ar, p * br
         if self.kind is ForcingKind.EVEN_GIVEN:
             return np.array([-bl / dx ** 2, -br / dx ** 2]), np.array([al, ar])
         g = np.array([4.0 * al / dx - 4.0 * al / dx ** 3 + 2.0 * bl / dx,
@@ -348,11 +342,10 @@ class BoundedStepper:
 
 def integrate_bounded(grid: FieldGrid, params: ModelParams,
                       forcing: BoundaryForcing, t_end: float, dt: float,
-                      t0: float = 0.0,
-                      forcing_right: Optional[BoundaryForcing] = None) -> FieldGrid:
+                      t0: float = 0.0) -> FieldGrid:
     """Advance a bounded grid from t0 to t_end (step shrunk to land exactly)."""
     span = t_end - t0
     n_steps = _step_count(span, dt)
-    stepper = BoundedStepper(grid, params, forcing, span / n_steps, forcing_right)
+    stepper = BoundedStepper(grid, params, forcing, span / n_steps)
     u = stepper.run(grid.u, t0, n_steps)
     return FieldGrid(grid.x0, grid.dx, u, False)

@@ -67,23 +67,24 @@ def _resolve_neighbours(n: int, j: int, periodic: bool) -> tuple[int, int]:
 def _interior_coefficients(a: np.ndarray, b: np.ndarray, params: ModelParams,
                            jm, j, jp) -> tuple[np.ndarray, np.ndarray]:
     """E+ and E- tables of element(s) j with neighbours jm and jp: ascending
-    coefficients on axis 0, shape (3,) for integer indices or (3, n) for
-    index arrays of n elements."""
+    coefficients of the degree-1 envelopes on axis 0, shape (2,) for integer
+    indices or (2, n) for index arrays of n elements."""
     d2a = a[jp] - 2.0 * a[j] + a[jm]
     d2b = b[jp] - 2.0 * b[j] + b[jm]
     mda = (a[jp] - a[jm]) / 2.0
     mdb = (b[jp] - b[jm]) / 2.0
     g4h = params.gamma / (4.0 * params.h)
-    zero = np.zeros_like(d2a)
-    return (np.array([a[j] + g4h * (d2a - 2j * mdb), g4h * (4.0 * mda - 2j * d2b), zero]),
-            np.array([b[j] + g4h * (d2b + 2j * mda), g4h * (4.0 * mdb + 2j * d2a), zero]))
+    return (np.array([a[j] + g4h * (d2a - 2j * mdb), g4h * (4.0 * mda - 2j * d2b)]),
+            np.array([b[j] + g4h * (d2b + 2j * mda), g4h * (4.0 * mdb + 2j * d2a)]))
 
 
 def interior_envelopes(state: AmplitudeState, params: ModelParams, j: int,
                        periodic: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Envelope polynomials (ascending coefficients) for interior element j."""
+    """Envelope polynomials (ascending coefficients, up to X^2 like the wall
+    element's) for interior element j."""
     jm, jp = _resolve_neighbours(state.n, j, periodic)
-    return _interior_coefficients(state.a, state.b, params, jm, j, jp)
+    plus, minus = _interior_coefficients(state.a, state.b, params, jm, j, jp)
+    return np.append(plus, 0.0), np.append(minus, 0.0)
 
 
 def boundary_envelopes(state: AmplitudeState, params: ModelParams,
@@ -104,14 +105,13 @@ def boundary_envelopes(state: AmplitudeState, params: ModelParams,
     plus, minus = _interior_coefficients(np.array([-s * b1, a1, a2]),
                                          np.array([-s * a1, b1, b2]), params, 0, 1, 2)
     h = params.h
-    al = forcing.alpha_at(state.t)
-    be = forcing.beta_at(state.t)
+    (al, be), _ = forcing.signals(state.t)
     # forcing profiles, quadratic term expanded: c*(h^2 - 12 X^2)
     pc = al * ALPHA_PLUS_CONST + be * BETA_PLUS_CONST
     ps = al * ALPHA_PLUS_SLOPE + be * BETA_PLUS_SLOPE
     pq = al * ALPHA_PLUS_CURVE + be * BETA_PLUS_CURVE
     profile = s * params.gamma ** 2 / h * np.array([pc + pq * h ** 2, ps, -12.0 * pq])
-    return plus + profile, minus + np.conj(profile)
+    return np.append(plus, 0.0) + profile, np.append(minus, 0.0) + np.conj(profile)
 
 
 def _envelope_derivative(coeffs: np.ndarray, sector: int) -> np.ndarray:

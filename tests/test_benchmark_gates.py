@@ -1,9 +1,10 @@
-"""The benchmark's in-process workloads, run once at their tiny size.
+"""The benchmark's workloads, run once at their tiny size.
 
 Each workload of ``benchmarks/workloads.py`` calls the library the way the
 benchmark does (`compare_model_vs_direct`, `lattice_field`,
-`integrate_bounded`, `SpectralStepper`, ...) and checks its outputs with its
-own gates.  Running them here makes a change to any of those calls fail the
+`integrate_bounded`, `SpectralStepper`, ...; `cli` runs every README command
+but compare as a fresh CLI process) and checks its outputs with its own
+gates.  Running them here makes a change to any of those calls fail the
 suite, not just the manual benchmark self-test.
 """
 
@@ -17,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 import workloads  # noqa: E402
 
 
-@pytest.mark.parametrize("name", ["ladder", "walls", "wide"])
+@pytest.mark.parametrize("name", ["ladder", "walls", "wide", "cli"])
 def test_gates_pass_and_catch_corruption(name):
     wl = workloads.WORKLOADS[name]
     inp = wl.inputs(7, True)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from shlattice import BoundaryForcing, conjugate_state, make_params, run_model
-from shlattice.cli import _create_unique, main, resolve_config
+from shlattice.cli import RUNNERS, _create_unique, main, resolve_config
 
 
 def newest_csv(directory):
@@ -198,6 +198,26 @@ class TestOtherExperiments:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert "predicted_re_a1" in manifest
         assert "final_re_a1" in manifest
+
+    def test_boundary_equilibrium_zero_right_wall(self, tmp_path, capsys):
+        # --right-forcing zero leaves the right wall unforced: the rows are
+        # run_model's with right = (0, 0), bit for bit (800 steps, stride 2)
+        flags = {"alpha": "0.1", "beta": "0.02", "t-end": "40", "n-elements": "3"}
+        params = make_params(r=0.0, gamma=1.0, p=1, n_elements=3, m_samples=32)
+        runner = RUNNERS["boundary-equilibrium"]
+        _, rows, _ = runner(resolve_config("boundary-equilibrium", {},
+                                           {**flags, "right-forcing": "zero"}), params)
+        traj = run_model(conjugate_state(0.0, np.zeros(3, complex)), params,
+                         BoundaryForcing.even_given(0.1, 0.02, p=1, right=(0.0, 0.0)),
+                         40.0, 0.05, sample_stride=2)
+        expected = np.array([traj.times, traj.a[:, 0].real, traj.a[:, 0].imag]).T
+        assert np.array_equal(np.array(rows)[:, :3], expected)
+        _, same, _ = runner(resolve_config("boundary-equilibrium", {}, flags), params)
+        assert not np.array_equal(np.array(same)[:, :3], expected)
+        code = main(["boundary-equilibrium", "--right-forcing", "bogus",
+                     "--output-dir", str(tmp_path)])
+        assert code == 1 and not list(tmp_path.iterdir())
+        assert "right-forcing must be 'same' or 'zero'" in capsys.readouterr().err
 
     def test_simulate_direct_spectral(self, tmp_path):
         code = main(["simulate-direct", "--scheme", "spectral-etd",

@@ -147,9 +147,16 @@ class TestStateAndGrid:
 class TestBoundaryForcing:
     def test_periodic_carries_no_signals(self):
         f = BoundaryForcing.periodic()
-        assert f.alpha is None and f.beta is None
+        assert f.alpha == 0.0 and f.beta == 0.0 and f.right is None
         with pytest.raises(ValueError):
             BoundaryForcing(kind=ForcingKind.PERIODIC, alpha=lambda t: 1.0)
+        with pytest.raises(ValueError, match="periodic forcing carries no signals"):
+            BoundaryForcing(kind=ForcingKind.PERIODIC, right=(0.0, 0.0))
+
+    @pytest.mark.parametrize("right", [0.1, (0.1,), (0.1, 0.2, 0.3), "ab"])
+    def test_right_must_be_a_pair(self, right):
+        with pytest.raises(ValueError, match=r"right must be an \(alpha, beta\) pair"):
+            BoundaryForcing.even_given(0.1, 0.0, p=1, right=right)
 
     def test_parity_matches_p(self):
         assert BoundaryForcing.even_given(0.1, 0.0, p=1).parity_factor == -1.0
@@ -158,10 +165,13 @@ class TestBoundaryForcing:
             BoundaryForcing(kind=ForcingKind.EVEN_GIVEN, parity_factor=0.5)
 
     def test_signals_evaluate(self):
+        # constants and callables, the right wall repeating the left by default
         f = BoundaryForcing.even_given(alpha=0.25, beta=lambda t: 0.5 * t, p=1)
-        assert f.alpha_at(3.0) == pytest.approx(0.25)
-        assert f.beta_at(3.0) == pytest.approx(1.5)
-        assert BoundaryForcing.periodic().alpha_at(1.0) == 0.0
+        assert f.signals(3.0) == ((0.25, 1.5), (0.25, 1.5))
+        assert BoundaryForcing.periodic().signals(1.0) == ((0.0, 0.0), (0.0, 0.0))
+        g = BoundaryForcing.odd_given(0.25, 0.0, p=2, right=(lambda t: -t, 2))
+        assert g.signals(3.0) == ((0.25, 0.0), (-3.0, 2.0))
+        assert all(type(v) is float for pair in g.signals(3.0) for v in pair)
 
 
 class TestStepRule:

@@ -150,6 +150,19 @@ class TestMeasureGrowthRate:
         rate = measure_growth_rate(params, 1.2, eps0=1e-6, T=5.0)
         assert rate == pytest.approx(0.1 - (1 - 1.44) ** 2, abs=1e-5)
 
+    def test_nonlinear_regime_stops_the_fit(self):
+        # at eps0 = 3 the explicit cubic blows the mode past 100 eps0 within
+        # the first step of 0.5; a linear mode cannot grow at r <= 0, so the
+        # run stops there, before it overflows
+        with pytest.raises(DivergenceError, match=(
+                r"^spectral solve diverged at step 1, t=0.5: mode 1.0 reached the "
+                r"nonlinear regime \(\|u_k\| > 100 eps0 at r <= 0\)$")):
+            measure_growth_rate(params_for(r=-0.1), 1.0, eps0=3.0, T=5.0, dt=0.5)
+        # the guard holds only for r <= 0: at r > 0 the same run overflows
+        with pytest.raises(DivergenceError,
+                           match=r"^spectral solve diverged at step 3, t=1.5: NaN/Inf$"):
+            measure_growth_rate(params_for(r=0.1), 1.0, eps0=3.0, T=5.0, dt=0.5)
+
     def test_incommensurate_rejected(self):
         params = params_for(r=0.0)
         with pytest.raises(ValueError):
@@ -425,11 +438,9 @@ def reference_step(stepper, u, t):
     def data(time):
         g = np.zeros(n)
         pinned = {}
-        left, right = stepper.left, stepper.right
-        al = left.parity_factor * left.alpha_at(time)
-        bl = left.parity_factor * left.beta_at(time)
-        ar = right.parity_factor * right.alpha_at(time)
-        br = right.parity_factor * right.beta_at(time)
+        parity = stepper.forcing.parity_factor
+        (al, bl), (ar, br) = stepper.forcing.signals(time)
+        al, bl, ar, br = parity * al, parity * bl, parity * ar, parity * br
         if stepper.kind is ForcingKind.EVEN_GIVEN:
             pinned = {0: al, n - 1: ar}
             g[1] = -bl / dx ** 2
@@ -494,14 +505,13 @@ class TestFactoredSolve:
         a0 = 0.1 * (rng.standard_normal(n_elements)
                     + 1j * rng.standard_normal(n_elements))
         grid = lattice_field(conjugate_state(0.0, a0), params, periodic=False)
-        left = WALLS[kind](lambda t: 0.03 * np.cos(0.7 * t), 0.02, p=1)
-        right = WALLS[kind](0.01, lambda t: -0.02 * np.sin(1.3 * t), p=1)
+        forcing = WALLS[kind](lambda t: 0.03 * np.cos(0.7 * t), 0.02, p=1,
+                              right=(0.01, lambda t: -0.02 * np.sin(1.3 * t)))
         t0, n_steps = 0.25, 150
         t_end = t0 + n_steps * 0.45 * grid.dx ** 2
-        out = integrate_bounded(grid, params, left, t_end=t_end,
-                                dt=0.45 * grid.dx ** 2, t0=t0, forcing_right=right)
-        stepper = BoundedStepper(grid, params, left, (t_end - t0) / n_steps,
-                                 forcing_right=right)
+        out = integrate_bounded(grid, params, forcing, t_end=t_end,
+                                dt=0.45 * grid.dx ** 2, t0=t0)
+        stepper = BoundedStepper(grid, params, forcing, (t_end - t0) / n_steps)
         u, t = grid.u, t0
         for i in range(n_steps):
             u = reference_step(stepper, u, t)
@@ -524,9 +534,8 @@ def dense_operator(stepper, r, parity, t):
     Returns A, g, the pinned rows and their values.
     """
     n, dx = stepper.n, stepper.dx
-    left, right = stepper.left, stepper.right
-    al, bl = parity * left.alpha_at(t), parity * left.beta_at(t)
-    ar, br = parity * right.alpha_at(t), parity * right.beta_at(t)
+    (al, bl), (ar, br) = stepper.forcing.signals(t)
+    al, bl, ar, br = parity * al, parity * bl, parity * ar, parity * br
     weights = ((r - 1.0) * np.array([0, 0, 1, 0, 0])
                - 2.0 * np.array([0, 1, -2, 1, 0]) / dx ** 2
                - np.array([1, -4, 6, -4, 1]) / dx ** 4)
@@ -567,9 +576,9 @@ class TestOperatorAssembly:
         r = 0.3 if p == 1 else -0.2
         params = make_params(r=r, gamma=1.0, p=p, n_elements=2, m_samples=16)
         grid = FieldGrid(0.0, 2.0 * np.pi * 3 / (n - 1), np.zeros(n), False)
-        left = WALLS[kind](lambda t: 0.03 * np.cos(0.7 * t), lambda t: 0.05 + t, p=p)
-        right = WALLS[kind](lambda t: -0.01 * t, lambda t: 0.02 * np.sin(1.3 * t), p=p)
-        stepper = BoundedStepper(grid, params, left, 0.4 * grid.dx ** 2, forcing_right=right)
+        forcing = WALLS[kind](lambda t: 0.03 * np.cos(0.7 * t), lambda t: 0.05 + t, p=p,
+                              right=(lambda t: -0.01 * t, lambda t: 0.02 * np.sin(1.3 * t)))
+        stepper = BoundedStepper(grid, params, forcing, 0.4 * grid.dx ** 2)
         for t in (0.0, 0.7):
             A, g, pinned, walls = dense_operator(stepper, r, params.parity_factor, t)
             got, values = stepper._data(t)
@@ -608,11 +617,9 @@ class TestOperatorAssembly:
         grid = FieldGrid.zeros(params, periodic=False)
         dt = 0.4 * grid.dx ** 2
         make = WALLS[kind]
-        for left, right in ((make(0.1, p=1), None), (make(0.1, p=2), make(0.1, p=1)),
-                            (make(0.1, p=1), make(0.1, p=2))):
-            with pytest.raises(ValueError, match=r"wall parity factors must both be \(-1\)\^p = 1"):
-                BoundedStepper(grid, params, left, dt, forcing_right=right)
-            with pytest.raises(ValueError, match="parity"):
-                integrate_bounded(grid, params, left, 10 * dt, dt, forcing_right=right)
+        with pytest.raises(ValueError, match=r"wall parity factors must both be \(-1\)\^p = 1"):
+            BoundedStepper(grid, params, make(0.1, p=1), dt)
+        with pytest.raises(ValueError, match="parity"):
+            integrate_bounded(grid, params, make(0.1, p=1), 10 * dt, dt)
         # any p of the same parity is accepted: p = 2 and p = 4 both give +1
-        BoundedStepper(grid, params, make(0.1, p=2), dt, forcing_right=make(0.1, p=4))
+        BoundedStepper(grid, params, make(0.1, p=4, right=(0.2, 0.0)), dt)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -169,15 +170,11 @@ class TestBoundaryRhs:
         assert db_r == pytest.approx(da_l, rel=1e-14)
 
     def test_rejects_mismatch_and_periodic(self):
-        # both walls take one kind of data, and a periodic lattice has none
+        # a periodic lattice has no walls, so no right-wall signals either
         params = params_for(n=2)
-        st = random_state(2)
         even = BoundaryForcing.even_given(0.0, 0.0, p=1)
-        odd = BoundaryForcing.odd_given(0.0, 0.0, p=1)
-        with pytest.raises(ValueError, match="does not match"):
-            model_rhs(st, params, even, forcing_right=odd)
-        with pytest.raises(ValueError, match="does not match"):
-            model_rhs(st, params, BoundaryForcing.periodic(), forcing_right=even)
+        with pytest.raises(ValueError, match="periodic forcing carries no signals"):
+            replace(BoundaryForcing.periodic(), right=(0.0, 0.0))
         one = AmplitudeState(0.0, np.zeros(1, complex), np.zeros(1, complex))
         with pytest.raises(ValueError):
             model_rhs(one, params, even)
@@ -334,15 +331,13 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=N
 WALLS = {"even": BoundaryForcing.even_given, "odd": BoundaryForcing.odd_given}
 
 
-def drawn_forcing(draw, kind, p):
-    if kind == "periodic":
-        return BoundaryForcing.periodic()
+def drawn_signals(draw):
+    """A wall's (alpha, beta): constants, or alpha cos(omega t) and a constant."""
     alpha = draw(st.floats(-0.1, 0.1))
     omega = draw(st.sampled_from([0.0, 0.3, 1.0]))
     if omega:
-        return WALLS[kind](lambda t: alpha * math.cos(omega * t),
-                           draw(st.floats(-0.1, 0.1)), p=p)
-    return WALLS[kind](alpha, draw(st.floats(-0.1, 0.1)), p=p)
+        return (lambda t: alpha * math.cos(omega * t)), draw(st.floats(-0.1, 0.1))
+    return alpha, draw(st.floats(-0.1, 0.1))
 
 
 @st.composite
@@ -353,26 +348,28 @@ def real_sector_runs(draw):
     params = make_params(r=draw(st.floats(-0.1, 0.2)), gamma=draw(st.floats(0.0, 1.0)),
                          p=p, n_elements=n, m_samples=32)
     kind = draw(st.sampled_from(["periodic", "even", "odd"]))
-    forcing = drawn_forcing(draw, kind, p)
-    right = None
-    if kind != "periodic" and draw(st.booleans()):
-        right = drawn_forcing(draw, kind, p)
+    if kind == "periodic":
+        forcing = BoundaryForcing.periodic()
+    else:
+        forcing = WALLS[kind](*drawn_signals(draw), p=p)
+        if draw(st.booleans()):
+            forcing = replace(forcing, right=drawn_signals(draw))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     a = draw(st.floats(0.01, 0.4)) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     return dict(state=conjugate_state(draw(st.floats(-1.0, 1.0)), a), params=params,
-                forcing=forcing, forcing_right=right, t_span=draw(st.floats(0.3, 6.0)),
+                forcing=forcing, t_span=draw(st.floats(0.3, 6.0)),
                 dt=draw(st.sampled_from([0.05, 0.1, 0.25])),
                 stride=draw(st.integers(1, 6)))
 
 
-def rk4_reference(state, params, forcing, t_end, dt, forcing_right, stride):
+def rk4_reference(state, params, forcing, t_end, dt, stride):
     """run_model's sampling, stepping (a, b) with rk4_step."""
     n_steps = max(1, math.ceil((t_end - state.t) / dt - 1e-12))
     dt_eff = (t_end - state.t) / n_steps
     samples = [state]
     current = state
     for step in range(1, n_steps + 1):
-        current = rk4_step(current, params, forcing, dt_eff, forcing_right)
+        current = rk4_step(current, params, forcing, dt_eff)
         if step % stride == 0 or step == n_steps:
             samples.append(current)
     return (np.array([s.t for s in samples]), np.array([s.a for s in samples]),
@@ -385,9 +382,9 @@ class TestRealSectorFastPath:
     def test_matches_general_rk4_path(self, run):
         state, t_end = run["state"], run["state"].t + run["t_span"]
         traj = run_model(state, run["params"], run["forcing"], t_end, run["dt"],
-                         forcing_right=run["forcing_right"], sample_stride=run["stride"])
+                         sample_stride=run["stride"])
         times, a, b = rk4_reference(state, run["params"], run["forcing"], t_end,
-                                    run["dt"], run["forcing_right"], run["stride"])
+                                    run["dt"], run["stride"])
         assert np.array_equal(traj.times, times)
         assert traj.a.shape == a.shape and traj.b.shape == b.shape
         assert np.array_equal(traj.b, np.conj(traj.a))
@@ -431,10 +428,13 @@ class TestRealSectorFastPath:
             run_model(st0, params, BoundaryForcing.periodic(), 2.0, 0.4)
 
 
-def lyapunov(a, params, sign):
+def lyapunov(a, params, sign, signals=((0.0, 0.0), (0.0, 0.0))):
     """V = sum_j [-r|a_j|^2 + (3/2) w_j |a_j|^4] + (4 g^2/h^2) sum |a_{j+1} - a_j|^2,
     with w = g^2 inside and 1 at a wall element, which also adds
-    (4 g^2/h^2)(|a_j|^2 + s Re a_j^2); sign = 0 is periodic.  a is (nt, N)."""
+    (4 g^2/h^2)(|a_j|^2 + s Re a_j^2); sign = 0 is periodic.  Constant wall
+    signals ((alpha_l, beta_l), (alpha_r, beta_r)) add the linear term
+    2 Re(K_l conj a_1) + 2 Re(K_r conj a_N), with K_l = s(1 - i)(g^2/h)(alpha_l + beta_l)
+    and K_r = s(1 + i)(g^2/h)(alpha_r + beta_r).  a is (nt, N)."""
     g2 = params.gamma ** 2
     c = 4.0 * g2 / params.h ** 2
     w = np.full(a.shape[1], g2)
@@ -443,6 +443,9 @@ def lyapunov(a, params, sign):
         w[[0, -1]] = 1.0
         ends = a[:, [0, -1]]
         walls = c * np.sum(np.abs(ends) ** 2 + sign * (ends ** 2).real, axis=1)
+        (al, bl), (ar, br) = signals
+        k = sign * g2 / params.h * np.array([(1 - 1j) * (al + bl), (1 + 1j) * (ar + br)])
+        walls = walls + 2.0 * (k * np.conj(ends)).real.sum(axis=1)
     else:
         links = np.roll(a, -1, axis=1) - a
         walls = 0.0
@@ -470,20 +473,39 @@ class TestLyapunovDecrease:
         assert np.all(np.diff(v) <= 1e-13 * np.max(np.abs(v)))
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0])
+    @pytest.mark.parametrize("kind", ["even", "odd"])
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(r=st.floats(-0.05, 0.2), scale=st.floats(0.02, 0.5),
+           signals=st.lists(st.floats(-0.1, 0.1), min_size=4, max_size=4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_forced_run_never_increases_v(self, kind, gamma, r, scale, signals, seed):
+        # constant wall signals keep the run a gradient flow of the forced V
+        n = 6
+        params = make_params(r=r, gamma=gamma, p=1, n_elements=n, m_samples=32)
+        forcing = WALLS[kind](*signals[:2], p=1, right=tuple(signals[2:]))
+        rng = np.random.default_rng(seed)
+        a0 = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        traj = run_model(conjugate_state(0.0, a0), params, forcing, 40.0, 0.1)
+        v = lyapunov(traj.a, params, forcing.kind.wall_sign, forcing.signals(0.0))
+        assert np.all(np.diff(v) <= 1e-13 * np.max(np.abs(v)))
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0])
     @pytest.mark.parametrize("kind", ["periodic", "even", "odd"])
     def test_rhs_is_minus_gradient_of_v(self, kind, gamma):
-        # da_j/dt = -dV/d(conj a_j) = -(dV/dRe a_j + i dV/dIm a_j) / 2
+        # da_j/dt = -dV/d(conj a_j) = -(dV/dRe a_j + i dV/dIm a_j) / 2, with
+        # constant wall signals, the right wall's its own
         n, eps = 5, 1e-6
         params = make_params(r=0.07, gamma=gamma, p=1, n_elements=n, m_samples=32)
         forcing = (BoundaryForcing.periodic() if kind == "periodic"
-                   else WALLS[kind](0.0, 0.0, p=1))
+                   else WALLS[kind](0.03, -0.05, p=1, right=(0.02, 0.04)))
         sign = {"periodic": 0.0, "even": 1.0, "odd": -1.0}[kind]
         a = random_state(n, scale=0.3, seed=17).a
         grad = np.empty(n, complex)
         for j in range(n):
             step = np.zeros(n, complex)
             step[j] = eps
-            d_re, d_im = (np.diff(lyapunov(np.array([a - s, a + s]), params, sign))[0]
+            d_re, d_im = (np.diff(lyapunov(np.array([a - s, a + s]), params, sign,
+                                          forcing.signals(0.0)))[0]
                           / (2 * eps) for s in (step, 1j * step))
             grad[j] = (d_re + 1j * d_im) / 2
         da, _ = model_rhs(conjugate_state(0.0, a), params, forcing)
