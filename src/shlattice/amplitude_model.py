@@ -32,6 +32,13 @@ states in that real sector.  `run_model` takes its step count
 from `core._step_count` and steps the kernel's RK4 through the loop
 `core._integrate` that the direct solvers share, with a runaway bound of
 1e6 on |a| and |b|.
+
+A kernel holds its working arrays for the run: the padded row, a scratch
+row and the conjugate partner from the start, and the four RK4 stages and
+the stage state from the first step, sized for an (N,) or a (2, N) state.
+Every operation writes into them through a ufunc's out argument and keeps
+the operands and order of the allocating expression, so the results are
+the same bit for bit; each step returns a fresh state.
 """
 
 from __future__ import annotations
@@ -73,7 +80,8 @@ class SignChoice(Enum):
 
 
 class _LatticeKernel:
-    """Right-hand side of one lattice, precomputed once per run.
+    """Right-hand side and RK4 step of one lattice, with its coefficients
+    and working arrays made once per run.
 
     With partner y (b for a, a for b) an amplitude row x evolves by
     dx_j/dt = r x_j + c (x_{j+1} - 2 x_j + x_{j-1}) - w_j x_j^2 y_j, less
@@ -88,8 +96,9 @@ class _LatticeKernel:
         # with the same complex arithmetic
         self.r, self.c, self.two = (np.array(v, dtype=complex) for v in (r, c, 2.0))
         self.sign = sign = forcing.kind.wall_sign
-        self.forcing, self.g2_h, self.dt = forcing, g2_h, None
-        self.pad = np.empty(n + 2, dtype=complex)
+        self.forcing, self.g2_h, self.dt, self.shape = forcing, g2_h, None, None
+        self.pad, self.scratch, self.partner = (np.empty(k, dtype=complex)
+                                                for k in (n + 2, n, n))
         self.mid, self.up, self.down = self.pad[1:-1], self.pad[2:], self.pad[:-2]
         # ghosts (0, N+1) take x at (N-1, 0) to wrap, or -s y at (0, N-1)
         step = n - 1
@@ -107,37 +116,70 @@ class _LatticeKernel:
         (al, bl), (ar, br) = self.forcing.signals(t)
         return [self.g2_h * (al + bl), self.g2_h * (ar + br)]
 
-    def __call__(self, x: np.ndarray, y: np.ndarray, drives=None,
+    def __call__(self, x: np.ndarray, y: np.ndarray, out: np.ndarray, drives=None,
                  conj: bool = False) -> np.ndarray:
-        """dx/dt given the partner y; conj selects the b-equation's phases."""
+        """Write dx/dt given the partner y into out; conj selects the
+        b-equation's phases.  out is r x + c((up - 2x) + down) - (w (x x)) y,
+        each operation in that order, with s the scratch row."""
+        s = self.scratch
         self.mid[...] = x
-        np.multiply((y if self.sign else x)[self.source], self.ghost_factor, out=self.ghosts)
-        out = (self.r * x + self.c * (self.up - self.two * x + self.down)
-               - self.cubic * (x * x) * y)
+        np.multiply((y if self.sign else x)[self.source], self.ghost_factor, self.ghosts)
+        np.multiply(self.two, x, s)
+        np.subtract(self.up, s, s)
+        np.add(s, self.down, s)
+        np.multiply(self.c, s, s)
+        np.multiply(self.r, x, out)
+        np.add(out, s, out)
+        np.multiply(x, x, s)
+        np.multiply(self.cubic, s, s)
+        np.multiply(s, y, s)
+        np.subtract(out, s, out)
         if drives is not None:
             phase = self.phase.conjugate() if conj else self.phase
             out[0] -= phase * drives[0]
             out[-1] -= phase.conjugate() * drives[1]
         return out
 
-    def rhs(self, x: np.ndarray, drives) -> np.ndarray:
-        """Derivative of x = a in the real sector, or of x = (a, b)."""
+    def rhs(self, x: np.ndarray, drives, out: np.ndarray) -> np.ndarray:
+        """Write the derivative of x = a in the real sector, or of
+        x = (a, b), into out."""
         if x.ndim == 1:
-            return self(x, np.conj(x), drives)
-        return np.array((self(x[0], x[1], drives), self(x[1], x[0], drives, True)))
+            return self(x, np.conjugate(x, self.partner), out, drives)
+        self(x[0], x[1], out[0], drives)
+        self(x[1], x[0], out[1], drives, True)
+        return out
 
     def rk4(self, t: float, x: np.ndarray, dt: float) -> np.ndarray:
-        """One classical RK4 step, with the drives at the stage times."""
+        """One classical RK4 step, with the drives at the stage times.  The
+        stages live in buffers sized by the first call; only the returned
+        state x + sixth(((k1 + 2 k2) + 2 k3) + k4) is a fresh array."""
         if dt != self.dt:
             self.dt = dt
             self.steps = tuple(np.array(v, dtype=complex) for v in (dt / 2, dt, dt / 6))
+        if x.shape != self.shape:
+            self.shape = x.shape
+            self.k1, self.k2, self.k3, self.k4, self.stage = (
+                np.empty(x.shape, dtype=complex) for _ in range(5))
         half, full, sixth = self.steps
+        k1, k2, k3, k4, stage, two = self.k1, self.k2, self.k3, self.k4, self.stage, self.two
         mid = self.drives(t + dt / 2)
-        k1 = self.rhs(x, self.drives(t))
-        k2 = self.rhs(x + half * k1, mid)
-        k3 = self.rhs(x + half * k2, mid)
-        k4 = self.rhs(x + full * k3, self.drives(t + dt))
-        return x + sixth * (k1 + self.two * k2 + self.two * k3 + k4)
+        self.rhs(x, self.drives(t), k1)
+        np.multiply(half, k1, stage)
+        np.add(x, stage, stage)
+        self.rhs(stage, mid, k2)
+        np.multiply(half, k2, stage)
+        np.add(x, stage, stage)
+        self.rhs(stage, mid, k3)
+        np.multiply(full, k3, stage)
+        np.add(x, stage, stage)
+        self.rhs(stage, self.drives(t + dt), k4)
+        np.multiply(two, k2, k2)
+        np.add(k1, k2, k1)
+        np.multiply(two, k3, k3)
+        np.add(k1, k3, k1)
+        np.add(k1, k4, k1)
+        np.multiply(sixth, k1, k1)
+        return x + k1
 
 
 def _kernel(state: AmplitudeState, params: ModelParams,
@@ -160,7 +202,8 @@ def model_rhs(state: AmplitudeState, params: ModelParams,
     signals from the forcing (`BoundaryForcing.signals`).
     """
     kernel = _kernel(state, params, forcing)
-    da, db = kernel.rhs(np.array((state.a, state.b)), kernel.drives(state.t))
+    da, db = kernel.rhs(np.array((state.a, state.b)), kernel.drives(state.t),
+                        np.empty((2, state.n), dtype=complex))
     return da, db
 
 

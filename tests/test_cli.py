@@ -307,6 +307,17 @@ class TestOtherExperiments:
             "error: numerical divergence: spectral solve diverged at step 1, "
             "t=0.05: NaN/Inf"]
 
+    def test_nonlinear_dispersion_seed_exits_two(self, tmp_path, capsys):
+        # eps0 = 1 is far from linear at r = 0.1; the fit used to report
+        # -0.1375 for the linear rate 0.1 and exit 0
+        code = main(["dispersion", "--r", "0.1", "--k-min", "1", "--k-max", "1",
+                     "--k-steps", "1", "--eps0", "1", "--output-dir", str(tmp_path)])
+        assert code == 2
+        assert err_lines(capsys.readouterr().err) == [
+            "error: numerical divergence: growth-rate fit of mode 1.0 failed: log|u_k| "
+            "departs from its line by 0.227 > 1e-05 (the seed eps0=1 is not linear)"]
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("args, solver", [
         (["simulate-direct", "--scheme", "spectral-etd", "--init-amp", "nan"],
          "spectral solve"),

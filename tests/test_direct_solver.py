@@ -152,16 +152,42 @@ class TestMeasureGrowthRate:
 
     def test_nonlinear_regime_stops_the_fit(self):
         # at eps0 = 3 the explicit cubic blows the mode past 100 eps0 within
-        # the first step of 0.5; a linear mode cannot grow at r <= 0, so the
-        # run stops there, before it overflows
-        with pytest.raises(DivergenceError, match=(
-                r"^spectral solve diverged at step 1, t=0.5: mode 1.0 reached the "
-                r"nonlinear regime \(\|u_k\| > 100 eps0 at r <= 0\)$")):
-            measure_growth_rate(params_for(r=-0.1), 1.0, eps0=3.0, T=5.0, dt=0.5)
-        # the guard holds only for r <= 0: at r > 0 the same run overflows
+        # the first step of 0.5; no linear mode outgrows exp(max(r, 0) t), so
+        # the run stops there at any r, before it overflows
+        for r in (-0.1, 0.1):
+            with pytest.raises(DivergenceError, match=(
+                    r"^spectral solve diverged at step 1, t=0.5: mode 1.0 reached the "
+                    r"nonlinear regime \(\|u_k\| > 100 \|u_k\(0\)\| "
+                    r"exp\(max\(r, 0\) t\)\)$")):
+                measure_growth_rate(params_for(r=r), 1.0, eps0=3.0, T=5.0, dt=0.5)
+
+    def test_overflow_in_the_first_step_is_divergence(self):
+        # the r = 0.1, eps0 = 3 run used to overflow at step 3; the guard now
+        # stops it first, so the overflow is pinned on a seed whose first cube
+        # is already infinite
         with pytest.raises(DivergenceError,
-                           match=r"^spectral solve diverged at step 3, t=1.5: NaN/Inf$"):
-            measure_growth_rate(params_for(r=0.1), 1.0, eps0=3.0, T=5.0, dt=0.5)
+                           match=r"^spectral solve diverged at step 1, t=0.5: NaN/Inf$"):
+            measure_growth_rate(params_for(r=0.1), 1.0, eps0=1e200, T=5.0, dt=0.5)
+
+    @pytest.mark.parametrize("eps0, misfit", [(1.0, "0.227"), (0.3, "0.00764")])
+    def test_curved_log_amplitude_is_rejected(self, eps0, misfit):
+        # below the ceiling but nonlinear: log|u_k| bends away from a line
+        # (eps0 = 1 used to return -0.1375 against the linear rate 0.1)
+        with pytest.raises(DivergenceError, match=(
+                rf"^growth-rate fit of mode 1.0 failed: log\|u_k\| departs from its "
+                rf"line by {misfit} > 1e-05 \(the seed eps0={eps0:g} is not linear\)$")):
+            measure_growth_rate(params_for(r=0.1, n=8, m=32), 1.0, eps0=eps0, T=5.0)
+
+    def test_ceiling_past_the_float_range_is_quiet(self):
+        # exp(r t) overflows for t > 142 at r = 5: that ceiling bounds
+        # nothing, and no overflow warning escapes while it is formed
+        with pytest.raises(DivergenceError, match="reached the nonlinear regime"):
+            measure_growth_rate(params_for(r=5.0), 1.0, eps0=1e-6, T=200.0, dt=0.5)
+
+    def test_small_seeds_pass_the_linearity_check(self):
+        for eps0 in (1e-6, 1e-3):
+            rate = measure_growth_rate(params_for(r=0.1, n=8, m=32), 1.0, eps0=eps0, T=5.0)
+            assert rate == pytest.approx(0.1, abs=2e-6)
 
     def test_incommensurate_rejected(self):
         params = params_for(r=0.0)
