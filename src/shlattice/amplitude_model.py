@@ -27,8 +27,8 @@ Every right-hand side here is one `_LatticeKernel`: the wall is a ghost
 neighbour -s b_1 and a cubic weight 3 instead of 3 g^2, so interior and
 wall rows share one slice-based stencil.  The forcing's kind fixes s
 (`ForcingKind.wall_sign`).  Because the b-equation is the conjugate of
-the a-equation when b = conj(a), `run_model` integrates a alone for
-states in that real sector.  `run_model` takes its step count
+the a-equation when b = conj(a), `run_model` integrates and stores a
+alone for states in that real sector.  `run_model` takes its step count
 from `core._step_count` and steps the kernel's RK4 through the loop
 `core._integrate` that the direct solvers share, with a runaway bound of
 1e6 on |a| and |b|.
@@ -43,7 +43,6 @@ the same bit for bit; each step returns a fresh state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -246,17 +245,25 @@ def rk4_step(state: AmplitudeState, params: ModelParams,
     return AmplitudeState(state.t + dt, a, b)
 
 
-@dataclass
 class Trajectory:
-    """Sampled model trajectory: times (nt,), amplitudes (nt, N)."""
+    """Sampled model trajectory: times (nt,), amplitudes a and b (nt, N).
 
-    times: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
+    A real-sector run stores a alone (b None); b then reads as conj(a),
+    formed on each read, and `final` conjugates only the last row.
+    """
+
+    def __init__(self, times: np.ndarray, a: np.ndarray, b: Optional[np.ndarray] = None):
+        self.times, self.a, self._b = times, a, b
+
+    @property
+    def b(self) -> np.ndarray:
+        return np.conj(self.a) if self._b is None else self._b
 
     @property
     def final(self) -> AmplitudeState:
-        return AmplitudeState(float(self.times[-1]), self.a[-1].copy(), self.b[-1].copy())
+        a = self.a[-1]
+        return AmplitudeState(float(self.times[-1]), a.copy(),
+                              np.conj(a) if self._b is None else self._b[-1].copy())
 
 
 def run_model(state: AmplitudeState, params: ModelParams,
@@ -271,8 +278,8 @@ def run_model(state: AmplitudeState, params: ModelParams,
     1e6.
 
     A state exactly in the real sector (b == conj(a)) stays there, so only
-    a is integrated and b = conj(a) is returned; this matches stepping
-    (a, b) with `rk4_step`.
+    a is integrated and stored, and the trajectory reads b as conj(a);
+    this matches stepping (a, b) with `rk4_step`.
     """
     span = t_end - state.t
     n_steps = _step_count(span, dt)
@@ -298,5 +305,4 @@ def run_model(state: AmplitudeState, params: ModelParams,
 
     _integrate("lattice model", lambda x, t: kernel.rk4(t, x, dt_eff), x,
                map(float, clock), record, _BLOWUP)
-    a = samples[0]
-    return Trajectory(clock[sampled], a, np.conj(a) if real else samples[1])
+    return Trajectory(clock[sampled], *samples)   # (a,) in the real sector, else (a, b)

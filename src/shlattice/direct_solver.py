@@ -110,10 +110,10 @@ class SpectralStepper:
         self.exp_full = np.exp(dt * lam)
         self.exp_half = np.exp(0.5 * dt * lam)
         # ETDRK4 coefficients: closed forms where |dt*lambda| >= 1/2, series below
-        self.q, self.f1, self.f2, self.f3 = dt * _etd_coefficients(dt * lam)
+        self.q, self.f1, f2, self.f3 = dt * _etd_coefficients(dt * lam)
+        self.two_f2 = 2.0 * f2
         # two-thirds rule: modes above n // 3 are zeroed after each product
         self.cutoff = n // 3 + 1
-        self.two_f2 = 2.0 * self.f2
         self.physical = np.empty(n)   # the cube -u^3 of `nonlinear`
         self.held = None              # the step's buffers, see `step`
 

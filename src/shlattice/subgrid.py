@@ -4,7 +4,9 @@ Amplitudes are defined as element averages against the roll modes,
 
     a_j = (1/h) int u(x) exp(-ix) dx,    b_j = (1/h) int u(x) exp(+ix) dx,
 
-integrated over element j.  The in-element field is reconstructed as
+integrated over element j.  A sampled field is real, so extraction lands
+in the real sector and stores b as conj(a) rather than integrating it a
+second time.  The in-element field is reconstructed as
 
     u_j(x) = E+(X) exp(+ix) + E-(X) exp(-ix),
 
@@ -138,7 +140,8 @@ def extract_amplitudes(grid: FieldGrid, params: ModelParams,
     """Element-average amplitudes of an element-aligned grid.
 
     Trapezoidal rule over each element's samples including both endpoints;
-    samples shared by two elements get half weight on each side.
+    samples shared by two elements get half weight on each side.  u and
+    the weights are real, so b is conj(a) exactly and is not integrated.
     """
     n = len(grid.u)
     N, M = params.n_elements, params.m_samples
@@ -157,10 +160,8 @@ def extract_amplitudes(grid: FieldGrid, params: ModelParams,
     w = np.full(M + 1, grid.dx / params.h)
     w[0] *= 0.5
     w[-1] *= 0.5
-    em = np.exp(-1j * xs)
-    a = (uvals * em) @ w
-    b = (uvals * np.conj(em)) @ w
-    return AmplitudeState(t, a, b)
+    a = (uvals * np.exp(-1j * xs)) @ w
+    return AmplitudeState(t, a, np.conj(a))
 
 
 def lattice_field(state: AmplitudeState, params: ModelParams,

@@ -122,7 +122,8 @@ def reference_etdrk4(stepper, v):
     nb = nonlinear(vb)
     vc = e * va + q * (2.0 * nb - n0)
     nc = nonlinear(vc)
-    return (stepper.exp_full * v + stepper.f1 * n0 + 2.0 * stepper.f2 * (na + nb)
+    f2 = 0.5 * stepper.two_f2   # the stepper keeps only 2 f2; halving is exact
+    return (stepper.exp_full * v + stepper.f1 * n0 + 2.0 * f2 * (na + nb)
             + stepper.f3 * nc)
 
 

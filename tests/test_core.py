@@ -232,3 +232,44 @@ class TestSteppingLoop:
                            match=r"^demo diverged at step 4, t=4: runaway past 10$"):
             _integrate("demo", lambda x, t: 2.0 * x, np.ones(2, complex),
                        np.arange(10.0), bound=10.0)
+
+    # The bound check looks at the real view's extremes first (|Re|, |Im|
+    # within bound/2) and forms the modulus only when they fail.
+    @pytest.mark.parametrize("value", [8.0 - 8.0j, -8.0 - 8.0j])
+    def test_modulus_past_the_bound_with_both_parts_inside_it(self, value):
+        # |Re| = |Im| = 0.8 bound: each part is within the bound, |x| is not;
+        # a (2, N) state, as the lattice's general sector steps
+        corner = np.zeros((2, 3), complex)
+        corner[1, 2] = value
+        with pytest.raises(DivergenceError,
+                           match=r"^demo diverged at step 1, t=1: runaway past 10$"):
+            _integrate("demo", lambda x, t: corner, np.zeros((2, 3), complex),
+                       np.arange(3.0), bound=10.0)
+
+    @pytest.mark.parametrize("value", [0.9, -0.9, 0.6 + 0.6j, -0.7j])
+    def test_states_within_the_bound_pass(self, value):
+        # past bound/2 in one part, so only the modulus decides
+        x = _integrate("demo", lambda x, t: np.full(4, value * 10.0), np.zeros(4, complex),
+                       np.arange(4.0), bound=10.0)
+        assert np.array_equal(x, np.full(4, value * 10.0))
+        real = _integrate("demo", lambda x, t: x + 1e-3, np.zeros(5), np.arange(50.0))
+        assert real[0] == pytest.approx(0.049)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan),
+                                     complex(0, -np.inf), complex(np.nan, np.inf)])
+    @pytest.mark.parametrize("bound", [10.0, None])
+    def test_nonfinite_state_is_divergence(self, bad, bound):
+        def step(x, t):
+            x = x + 1.0
+            if t == 2.0:
+                x[1] = bad
+            return x
+
+        kwargs = {} if bound is None else {"bound": bound}
+        with pytest.raises(DivergenceError,
+                           match=r"^demo diverged at step 3, t=3: NaN/Inf$"):
+            _integrate("demo", step, np.zeros(3, complex), np.arange(6.0), **kwargs)
+        if not isinstance(bad, complex):
+            with pytest.raises(DivergenceError,
+                               match=r"^demo diverged at step 3, t=3: NaN/Inf$"):
+                _integrate("demo", step, np.zeros(3), np.arange(6.0), **kwargs)

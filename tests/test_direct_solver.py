@@ -1,3 +1,4 @@
+import functools
 import warnings
 from decimal import Decimal, localcontext
 
@@ -20,6 +21,7 @@ from shlattice import (
     lattice_field,
     make_params,
     measure_growth_rate,
+    run_model,
 )
 from shlattice.direct_solver import _etd_coefficients, growth_symbol
 
@@ -649,3 +651,55 @@ class TestOperatorAssembly:
             integrate_bounded(grid, params, make(0.1, p=1), 10 * dt, dt)
         # any p of the same parity is accepted: p = 2 and p = 4 both give +1
         BoundedStepper(grid, params, make(0.1, p=4, right=(0.2, 0.0)), dt)
+
+
+@functools.lru_cache(maxsize=None)
+def forced_wall_a1(kind):
+    """a_1 at t = 300 from zero under constant forcing alpha = 0.003 (r = 0,
+    N = 8, p = 1, m = 32): the model at dt 0.05 and the bounded oracle at
+    0.4 dx^2, about 1 s each."""
+    params = params_for(r=0.0, n=8, m=32)
+    forcing = WALLS[kind](0.003, 0.0, p=1)
+    zero = conjugate_state(0.0, np.zeros(8, complex))
+    model = run_model(zero, params, forcing, 300.0, 0.05).final.a[0]
+    grid = lattice_field(zero, params, periodic=False)
+    out = integrate_bounded(grid, params, forcing, 300.0, 0.4 * grid.dx ** 2)
+    return complex(model), complex(extract_amplitudes(out, params).a[0])
+
+
+# The closed form, the model and the oracle at r = 0, N = 8, t = 300, from
+# zero.  Oracle Re a_1 at alpha = 0.003 moves to +0.00106 (m = 64) and
+# +0.00109 (m = 128).  At m = 64 and signal 0.003 the model's fast
+# component answers alpha + beta, the oracle's alpha and beta apart:
+FAST_COMPONENT = """
+forcing      closed-form Re a_1   model a_1                  oracle a_1 (m=32)
+alpha=0.1    -0.0785              -0.0530 + 0.1431i          +0.0238 + 0.1451i
+alpha=0.003  -0.00236             -0.00234 + 0.01584i        +0.00095 + 0.01587i
+walls p  model (alpha or beta)  oracle alpha  oracle beta
+even  1  -0.00234               +0.00106      -0.00043
+even  2  -0.00422               +0.00068      -0.00068
+odd   1  -0.00202               -0.00221      -0.00092
+odd   2  -0.00398               -0.00202      -0.00073
+"""
+
+
+class TestForcedWallsAgainstModel:
+    """A forced wall pumps the slow component of a_1 (Im a_1 for even wall
+    data, Re a_1 for odd), and the oracle confirms it; the fast component
+    it does not."""
+
+    @pytest.mark.parametrize("kind, part", [("even", "imag"), ("odd", "real")])
+    def test_pumped_component_matches_the_oracle(self, kind, part):
+        # measured: Im a_1 0.0158429 (model) against 0.0158724 (oracle),
+        # Re a_1 0.0323325 against 0.0323603
+        model, oracle = (getattr(v, part) for v in forced_wall_a1(kind))
+        assert abs(oracle) > 0.01
+        assert model == pytest.approx(oracle, rel=0.01)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the model's fast component of a_1 under even-wall forcing has the "
+        "wrong sign against the PDE, even in the linear regime (model "
+        "-0.00234, oracle +0.00095 at alpha = 0.003):" + FAST_COMPONENT))
+    def test_even_wall_fast_component_matches_the_oracle(self):
+        model, oracle = (v.real for v in forced_wall_a1("even"))
+        assert model == pytest.approx(oracle, rel=0.1)
