@@ -13,10 +13,15 @@ Two schemes:
   relative (5.4e-14 measured; f1, which changes sign near z = -2.688,
   within 1e-16 absolute there).  A step writes its stages into buffers
   made by the first step and held until `run` returns (four nonlinear
-  terms, two stage states and a scratch array), through ufunc and
-  `np.fft` out arguments (numpy >= 2.0), in the operand order of the
-  closed formulas, so the numbers are those of the allocating form bit
-  for bit; each step returns a fresh state.
+  terms, two stage states and a scratch array), through ufunc out
+  arguments, in the operand order of the closed formulas, so the numbers
+  are those of the allocating form bit for bit; each step returns a fresh
+  state.  Its eight transforms call the pocketfft gufuncs that
+  `np.fft.irfft` and `np.fft.rfft` wrap (numpy >= 2.0), with the same
+  arguments, so the results are those of `np.fft`: the stepper fixes n
+  and makes the buffers itself, so the wrapper's dtype, norm, axis and
+  output-shape handling would only add per-call overhead (a third to a
+  half of a transform's cost at n = 512).
 
 * BoundedStepper: second-order central differences on a bounded domain
   with two ghost samples per end.  Walls prescribe either (u, u_xx) or
@@ -29,7 +34,8 @@ Two schemes:
   row of I - dt/2 A, so each solve copies the wall value from its
   right-hand side.  The banded matrix I - dt/2 A is derived from the
   stencil and LU-factorised once per stepper; each step costs two
-  triangular-solve pairs against those factors.
+  triangular-solve pairs against those factors.  The wall data of a step
+  are derived again only when the signal values change.
 
 Both steppers reject dt <= 0 and run through the loop `core._integrate`
 that the lattice model shares: a non-finite initial field is rejected
@@ -47,11 +53,14 @@ derivatives flip sign under reflection) to its own signals.
 
 from __future__ import annotations
 
+import struct
 from enum import Enum
 from math import factorial
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.polynomial import polyval
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
@@ -72,6 +81,10 @@ from .core import (
 # 4/(j+3)! - 1/(j+2)! is (1-j)/(j+3)!; q's is 1/(2^(j+1) (j+1)!)
 _ETD_SERIES = np.array([(1 / (2 ** (j + 1) * factorial(j + 1)), (j + 1) ** 2 / factorial(j + 3),
                          (j + 1) / factorial(j + 3), (1 - j) / factorial(j + 3)) for j in range(16)])
+
+
+# the eight wall signal values of a step, as bytes: the key of its wall terms
+_pack_signals = struct.Struct("8d").pack
 
 
 class Scheme(Enum):
@@ -114,6 +127,11 @@ class SpectralStepper:
         self.two_f2 = 2.0 * f2
         # two-thirds rule: modes above n // 3 are zeroed after each product
         self.cutoff = n // 3 + 1
+        # the gufuncs np.fft.irfft and np.fft.rfft call, with their
+        # arguments: irfft scaled by 1/n, rfft by 1 through the kernel of
+        # n's parity
+        self._inv_n = 1 / n
+        self._rfft = _pocketfft.rfft_n_even if n % 2 == 0 else _pocketfft.rfft_n_odd
         self.physical = np.empty(n)   # the cube -u^3 of `nonlinear`
         self.held = None              # the step's buffers, see `step`
 
@@ -131,11 +149,11 @@ class SpectralStepper:
         """
         if out is None:
             out = np.empty(self.n // 2 + 1, dtype=complex)
-        u = np.fft.irfft(v, self.n, out=out.view(float)[:self.n])
+        u = _pocketfft.irfft(v, self._inv_n, out=out.view(float)[:self.n])
         cube = np.negative(u, self.physical)
         np.multiply(cube, u, cube)
         np.multiply(cube, u, cube)
-        np.fft.rfft(cube, out=out)
+        self._rfft(cube, 1, out=out)
         out[self.cutoff:] = 0.0
         return out
 
@@ -297,6 +315,7 @@ class BoundedStepper:
         if forcing.parity_factor != self.parity:
             raise ValueError(f"wall parity factors must both be (-1)^p = {self.parity:g}")
         self._build(params.r)
+        self._wall_key = None   # the signal values `_walls` was derived from
 
     # -- operator assembly -------------------------------------------------
 
@@ -324,9 +343,13 @@ class BoundedStepper:
         # the right wall mirrors the left one: taps i-k and i+k swap
         s[:, -2:] = s[[0, 3, 4, 1, 2], 1::-1]
         self.stencil = s
-        # `taps` indexes u padded with two zeros per end
-        self.taps = np.arange(n) + np.array([2, 1, 0, 3, 4])[:, None]
+        # u padded with two zeros per end; window k of it is u_{i+k-2}, so
+        # windows 2, 1, 0 are the taps u_i, u_{i-1}, u_{i-2} of stencil
+        # rows 0-2, and windows 3, 4 the taps u_{i+1}, u_{i+2} of rows 3-4
         self._padded = np.zeros(n + 4)
+        windows = sliding_window_view(self._padded, n)
+        self._near, self._far = windows[2::-1], windows[3:]
+        self._terms, self._a_u = np.empty((5, n)), np.empty(n)
         # I - dt/2 A in solve_banded layout (2, 2): band row k holds
         # A[j + 2 - k, j], a stencil row shifted onto column j (the wrapped
         # entries are the zero taps); a zero row of A gives an identity row
@@ -347,18 +370,20 @@ class BoundedStepper:
         return x
 
     def _apply_a(self, u: np.ndarray) -> np.ndarray:
+        """A u, in a held row that the next call overwrites."""
         self._padded[2:-2] = u
-        terms = self._padded[self.taps]
-        terms *= self.stencil
+        terms = self._terms
+        np.multiply(self.stencil[:3], self._near, terms[:3])
+        np.multiply(self.stencil[3:], self._far, terms[3:])
         # reducing over axis 0 adds the five rows one after another, so each
         # sample sums its terms in stencil order (the order the tests pin)
-        return np.add.reduce(terms, axis=0)
+        return np.add.reduce(terms, axis=0, out=self._a_u)
 
-    def _data(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Wall-data terms g(t) on the rows g_rows (g is zero elsewhere)
-        and the values of the pinned samples."""
+    def _data(self, signals: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """Wall-data terms g on the rows g_rows (g is zero elsewhere) and
+        the values of the pinned samples, from `forcing.signals` at a time."""
         dx, p = self.dx, self.parity
-        (al, bl), (ar, br) = self.forcing.signals(t)
+        (al, bl), (ar, br) = signals
         al, bl, ar, br = p * al, p * bl, p * ar, p * br
         if self.kind is ForcingKind.EVEN_GIVEN:
             return np.array([-bl / dx ** 2, -br / dx ** 2]), np.array([al, ar])
@@ -368,15 +393,27 @@ class BoundedStepper:
                       4.0 * ar / dx - 4.0 * ar / dx ** 3 + 2.0 * br / dx])
         return g, np.empty(0)
 
+    def _wall_terms(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """dt/2 (g(t) + g(t + dt)) on g_rows and the pinned values at
+        t + dt, derived again only when the signal values at t and t + dt
+        change.  The values are compared bit for bit, as 0.0 == -0.0 and a
+        pinned sample carries the sign of its zero into the state."""
+        s0, s1 = self.forcing.signals(t), self.forcing.signals(t + self.dt)
+        key = _pack_signals(*s0[0], *s0[1], *s1[0], *s1[1])
+        if key != self._wall_key:
+            g0, _ = self._data(s0)
+            g1, walls = self._data(s1)
+            self._wall_key, self._walls = key, (self.dt / 2.0 * (g0 + g1), walls)
+        return self._walls
+
     def step(self, u: np.ndarray, t: float) -> np.ndarray:
         """One step from time t; each solve's pinned rows (zero rows of A,
         so stale in base and in the cubic) take the wall values at t + dt."""
         dt = self.dt
         half = dt / 2.0
-        g0, _ = self._data(t)
-        g1, walls = self._data(t + dt)
+        g_terms, walls = self._wall_terms(t)
         base = u + half * self._apply_a(u)
-        base[self.g_rows] += half * (g0 + g1)
+        base[self.g_rows] += g_terms
         n0 = -u   # the cubic -u^3, in place
         n0 *= u
         n0 *= u

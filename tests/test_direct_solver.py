@@ -136,6 +136,56 @@ class TestStepSpectral:
         assert np.array_equal(out.u, stepper.to_physical(v))
 
 
+def fft_nonlinear(stepper):
+    """The stepper's nonlinear term through np.fft.irfft and np.fft.rfft."""
+    def nonlinear(v, out=None):
+        u = np.fft.irfft(v, stepper.n)
+        cube = -u   # (-u u) u, the order `nonlinear` forms it in
+        cube *= u
+        cube *= u
+        w = np.fft.rfft(cube)
+        w[stepper.cutoff:] = 0.0
+        if out is None:
+            return w
+        out[...] = w
+        return out
+    return nonlinear
+
+
+def spectral_pair(n):
+    """Two identical steppers and a start state; the second transforms
+    through np.fft."""
+    length = 2.0 * np.pi * 8
+    x = length * np.arange(n) / n
+    u = (0.4 * np.cos(x) + 0.2 * np.sin(3 * x)
+         + 0.05 * np.random.default_rng(n).standard_normal(n))
+    stepper, reference = (SpectralStepper(n, length, 0.2, 0.05) for _ in range(2))
+    reference.nonlinear = fft_nonlinear(reference)
+    return stepper, reference, stepper.to_spectral(u)
+
+
+class TestPocketfftTransforms:
+    """`nonlinear` calls the pocketfft gufuncs behind np.fft directly: rfft
+    through the kernel of n's parity, so both are run here."""
+
+    @pytest.mark.parametrize("n", [64, 96, 100, 512, 513])
+    def test_match_np_fft_bit_for_bit(self, n):
+        stepper, reference, v = spectral_pair(n)
+        assert stepper.nonlinear(v).tobytes() == reference.nonlinear(v).tobytes()
+        assert stepper.run(v, 200).tobytes() == reference.run(v, 200).tobytes()
+
+    def test_run_does_not_call_the_np_fft_wrappers(self, monkeypatch):
+        stepper, reference, v = spectral_pair(512)
+        expected = reference.run(v, 20)
+
+        def wrapper(*args, **kwargs):
+            raise AssertionError("the ETDRK4 step went through the np.fft wrapper")
+
+        monkeypatch.setattr(np.fft, "rfft", wrapper)
+        monkeypatch.setattr(np.fft, "irfft", wrapper)
+        assert np.array_equal(stepper.run(v, 20), expected)
+
+
 class TestMeasureGrowthRate:
     def test_at_critical_wavenumber(self):
         params = params_for(r=0.1, n=8, m=32)
@@ -547,6 +597,76 @@ class TestFactoredSolve:
         assert np.array_equal(out.u, u)
 
 
+def reference_trajectory(stepper, u, t0, n_steps):
+    states = []
+    for i in range(n_steps):
+        u = reference_step(stepper, u, t0 + i * stepper.dt)
+        states.append(u)
+    return states
+
+
+def switching(t):
+    return 0.03 if t < 0.5 else -0.01
+
+
+class TestWallTermsMemo:
+    """A step derives its wall terms again only when the signal values at
+    t and t + dt change; the trajectories stay those of reference_step."""
+
+    @staticmethod
+    def stepper(kind, forcing, p=1):
+        params = make_params(r=0.1, gamma=1.0, p=p, n_elements=2, m_samples=32)
+        rng = np.random.default_rng(7)
+        a0 = 0.1 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        grid = lattice_field(conjugate_state(0.0, a0), params, periodic=False)
+        return BoundedStepper(grid, params, forcing, 0.4 * grid.dx ** 2), grid.u
+
+    @staticmethod
+    def count_data_calls(stepper):
+        calls = []
+        data = stepper._data
+
+        def counted(signals):
+            calls.append(signals)
+            return data(signals)
+
+        stepper._data = counted
+        return calls
+
+    @pytest.mark.parametrize("kind", ["even", "odd"])
+    def test_switching_signal_matches_reference_steps(self, kind):
+        stepper, u0 = self.stepper(kind, WALLS[kind](switching, 0.01, p=1))
+        calls = self.count_data_calls(stepper)
+        kept = []
+        n_steps = int(1.0 / stepper.dt)
+        stepper.run(u0, 0.0, n_steps, callback=lambda i, u: kept.append(u))
+        # the states are handed out uncopied: none was overwritten later
+        expected = reference_trajectory(stepper, u0, 0.0, n_steps)
+        assert all(np.array_equal(got, ref) for got, ref in zip(kept, expected))
+        # derived before the switch, across it (t < 0.5 <= t + dt) and after
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("kind", ["even", "odd"])
+    def test_constant_signals_are_derived_once(self, kind):
+        forcing = WALLS[kind](0.02, lambda t: 0.01, p=1, right=(-0.01, 0.0))
+        stepper, u0 = self.stepper(kind, forcing)
+        calls = self.count_data_calls(stepper)
+        out = stepper.run(u0, 0.0, 40)
+        assert len(calls) == 2   # g(t) and g(t + dt) of the first step
+        assert np.array_equal(out, reference_trajectory(stepper, u0, 0.0, 40)[-1])
+
+    def test_signed_zero_signal_reaches_the_pinned_samples(self):
+        # 0.0 == -0.0, but the pinned wall sample takes the sign of the zero
+        forcing = BoundaryForcing.even_given(lambda t: 0.0 if t < 0.5 else -0.0, p=2)
+        params = make_params(r=0.1, gamma=1.0, p=2, n_elements=2, m_samples=32)
+        grid = FieldGrid.zeros(params, periodic=False)
+        stepper = BoundedStepper(grid, params, forcing, 0.4 * grid.dx ** 2)
+        n_steps = int(1.0 / stepper.dt)
+        out = stepper.run(grid.u, 0.0, n_steps)
+        assert np.signbit(out[stepper.pinned]).all()
+        assert out.tobytes() == reference_trajectory(stepper, grid.u, 0.0, n_steps)[-1].tobytes()
+
+
 TAP_OFFSETS = (0, -1, -2, 1, 2)   # stencil row k weighs u_{i + TAP_OFFSETS[k]}
 
 
@@ -609,7 +729,7 @@ class TestOperatorAssembly:
         stepper = BoundedStepper(grid, params, forcing, 0.4 * grid.dx ** 2)
         for t in (0.0, 0.7):
             A, g, pinned, walls = dense_operator(stepper, r, params.parity_factor, t)
-            got, values = stepper._data(t)
+            got, values = stepper._data(forcing.signals(t))
             g_full = np.zeros(n)
             g_full[stepper.g_rows] = got
             assert close(g_full, g)
