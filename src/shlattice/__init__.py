@@ -25,7 +25,6 @@ from .amplitude_model import (
 )
 from .direct_solver import (
     BoundedStepper,
-    Scheme,
     SpectralStepper,
     integrate_bounded,
     integrate_spectral,

@@ -46,12 +46,7 @@ from .analysis import (
     compare_model_vs_direct,
     she_growth_rate,
 )
-from .direct_solver import (
-    Scheme,
-    integrate_bounded,
-    integrate_spectral,
-    measure_growth_rate,
-)
+from .direct_solver import integrate_bounded, integrate_spectral, measure_growth_rate
 from .subgrid import boundary_profiles, extract_amplitudes, lattice_field
 
 _FMT = "%.12g"
@@ -179,14 +174,16 @@ def _params_from(cfg: dict):
 
 
 def _forcing_from(cfg: dict, params, kind: str, t_end: float,
-                  dt: float) -> BoundaryForcing:
+                  dt: float | None) -> BoundaryForcing:
     """Forcing of the given kind: periodic, which takes no wall signals, or
     walls with constant beta and with alpha, or alpha cos(alpha-omega t)
     when alpha-omega is set.  The model is only valid for slowly varying
     signals, so it warns when the peak acceleration |alpha| omega^2 of that
     signal exceeds accel-warn, once the step rule has accepted the run over
-    [0, t_end] in steps of at most dt."""
+    [0, t_end] in steps of at most dt (None: the solver's own step)."""
     amp, beta, omega = cfg["alpha"], cfg["beta"], cfg["alpha-omega"]
+    if not math.isfinite(omega):
+        raise ValueError(f"alpha-omega must be finite, got {omega}")
     if kind == "periodic":
         if amp or beta or omega:
             raise ValueError("a periodic domain has no walls: alpha, beta and alpha-omega "
@@ -196,7 +193,9 @@ def _forcing_from(cfg: dict, params, kind: str, t_end: float,
         raise ValueError(f"unknown boundary kind '{kind}'")
     alpha = (lambda t: amp * math.cos(omega * t)) if omega else amp
     if omega:
-        _step_count(t_end, dt)   # a bad t_end or dt fails before the warning prints
+        # a bad t_end or dt fails before the warning prints; a None dt is
+        # the solver's own, so only t_end is checked
+        _step_count(t_end, t_end if dt is None else dt)
         acc, threshold = abs(amp) * omega ** 2, cfg["accel-warn"]
         if acc > threshold:
             print(f"warning: alpha(t) acceleration {acc:.3g} exceeds "
@@ -255,6 +254,8 @@ def _write_outputs(cfg: dict, experiment: str, header: list[str],
 # -- experiment runners: (cfg, params) -> (header, rows, extra manifest keys) --
 
 def run_dispersion(cfg: dict, params) -> tuple:
+    if cfg["k-steps"] < 1:
+        raise ValueError(f"k-steps must be at least 1, got {cfg['k-steps']}")
     rows = [(k, she_growth_rate(k, params.r),
              measure_growth_rate(params, k, eps0=cfg["eps0"], T=cfg["t-fit"],
                                  dt=cfg["dt"]))
@@ -296,8 +297,7 @@ def run_boundary_select(cfg: dict, params) -> tuple:
     meta: dict = {"t_end": t_end}
     if cfg["with-oracle"]:
         grid = lattice_field(state, params, periodic=False)
-        dt_pde = 0.4 * grid.dx ** 2
-        out = integrate_bounded(grid, params, forcing, t_end, dt_pde)
+        out = integrate_bounded(grid, params, forcing, t_end)
         a1 = extract_amplitudes(out, params).a[0]
         meta["oracle_phase_deg"] = math.degrees(np.angle(a1))
     return ["t", "re_fraction", "im_fraction"], rows, meta
@@ -321,6 +321,8 @@ def run_boundary_equilibrium(cfg: dict, params) -> tuple:
 
 
 def run_boundary_profiles(cfg: dict, params) -> tuple:
+    if cfg["profile-samples"] < 1:
+        raise ValueError(f"profile-samples must be at least 1, got {cfg['profile-samples']}")
     sign = SignChoice(cfg["sign"])
     xs = np.linspace(-params.h / 2, params.h / 2, cfg["profile-samples"])
     table = boundary_profiles(params, sign, xs)
@@ -332,7 +334,10 @@ def run_boundary_profiles(cfg: dict, params) -> tuple:
 def run_simulate_direct(cfg: dict, params) -> tuple:
     rng = np.random.default_rng(cfg["seed"])
     amp, t_end, dt = cfg["init-amp"], cfg["t-end"], cfg["dt"]
-    spectral = Scheme(cfg["scheme"]) is Scheme.SPECTRAL_ETD
+    if cfg["scheme"] not in ("spectral-etd", "bounded-imex"):
+        raise ValueError(f"unknown scheme '{cfg['scheme']}': "
+                         "expected 'spectral-etd' or 'bounded-imex'")
+    spectral = cfg["scheme"] == "spectral-etd"
     # the spectral scheme runs a periodic domain, the bounded one has walls
     kind = cfg["kind"] or ("periodic" if spectral else "even")
     if spectral and kind != "periodic":
@@ -343,10 +348,8 @@ def run_simulate_direct(cfg: dict, params) -> tuple:
             grid = FieldGrid.sample(
                 lambda x: amp * np.cos(x) + 0.1 * amp * rng.standard_normal(x.size),
                 params, periodic=True)
-        dt = 0.05 if dt is None else dt
     else:
         grid = FieldGrid.sample(lambda x: amp * np.cos(x), params, periodic=False)
-        dt = 0.4 * grid.dx ** 2 if dt is None else dt
     forcing = _forcing_from(cfg, params, kind, t_end, dt)
     out = (integrate_spectral(grid, params, t_end, dt) if spectral
            else integrate_bounded(grid, params, forcing, t_end, dt))

@@ -133,6 +133,8 @@ class ModelParams:
 def make_params(r: float, gamma: float, p: int, n_elements: int,
                 m_samples: int) -> ModelParams:
     """Build ModelParams, rejecting out-of-range values."""
+    if not math.isfinite(r):
+        raise ValueError(f"r must be finite, got {r}")
     if int(p) != p or p < 1:
         raise ValueError(f"p must be a positive integer, got {p}")
     if int(n_elements) != n_elements or n_elements < 2:
@@ -232,8 +234,8 @@ class BoundaryForcing:
     kind selects periodic wrap, even-derivative data (u, u_xx given) or
     odd-derivative data (u_x, u_xxx given).  alpha and beta are the left
     wall's roll-frame signals and right the right wall's (alpha, beta)
-    pair, None to repeat the left wall's; each signal is a number or a
-    function of t.  The physical wall values carry the extra factor
+    pair, None to repeat the left wall's; each signal is a finite number
+    or a function of t.  The physical wall values carry the extra factor
     parity_factor = (-1)**p.
     """
 
@@ -249,6 +251,9 @@ class BoundaryForcing:
             raise ValueError("periodic forcing carries no signals")
         if self.right is not None and not (isinstance(self.right, tuple) and len(self.right) == 2):
             raise ValueError(f"right must be an (alpha, beta) pair, got {self.right!r}")
+        for signal in (self.alpha, self.beta, *(self.right or ())):
+            if not callable(signal) and not math.isfinite(signal):
+                raise ValueError(f"wall signals must be finite, got {signal}")
         if self.parity_factor not in (-1.0, 1.0):
             raise ValueError(
                 f"parity_factor must be +1 or -1, got {self.parity_factor}")

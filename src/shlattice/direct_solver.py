@@ -31,11 +31,17 @@ Two schemes:
   the step obeys dt <= dx^2/2.
   The operator A is written once, as five stencil rows.  A wall sample
   pinned to its data (even walls) is a zero row of A, hence an identity
-  row of I - dt/2 A, so each solve copies the wall value from its
-  right-hand side.  The banded matrix I - dt/2 A is derived from the
-  stencil and LU-factorised once per stepper; each step costs two
-  triangular-solve pairs against those factors.  The wall data of a step
-  are derived again only when the signal values change.
+  row of M = I - dt/2 A, so each solve copies the wall value from its
+  right-hand side.  The band of M is derived from the stencil and
+  LU-factorised once per stepper.  A step forms its explicit half
+  u + dt/2 A u as 2u - M u, one BLAS gbmv on that band, then costs two
+  triangular-solve pairs against the factors.  The band is held in
+  Fortran order, the layout BLAS reads; a C-ordered band would be copied
+  on every call.  The wall data of a step are derived again only when
+  the signal values change.
+
+Each oracle has its own default step: `integrate_spectral` takes 0.05 and
+`integrate_bounded` 0.4 dx^2 when no dt is given.
 
 Both steppers reject dt <= 0 and run through the loop `core._integrate`
 that the lattice model shares: a non-finite initial field is rejected
@@ -54,14 +60,13 @@ derivatives flip sign under reflection) to its own signals.
 from __future__ import annotations
 
 import struct
-from enum import Enum
 from math import factorial
 from typing import Callable, Optional
 
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
-from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.polynomial import polyval
+from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .core import (
@@ -85,11 +90,6 @@ _ETD_SERIES = np.array([(1 / (2 ** (j + 1) * factorial(j + 1)), (j + 1) ** 2 / f
 
 # the eight wall signal values of a step, as bytes: the key of its wall terms
 _pack_signals = struct.Struct("8d").pack
-
-
-class Scheme(Enum):
-    SPECTRAL_ETD = "spectral-etd"
-    BOUNDED_IMEX = "bounded-imex"
 
 
 def growth_symbol(k, r: float):
@@ -141,14 +141,12 @@ class SpectralStepper:
     def to_physical(self, v: np.ndarray) -> np.ndarray:
         return np.fft.irfft(v, self.n)
 
-    def nonlinear(self, v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Dealiased rfft(-u^3) of u = irfft(v), written into out when given.
+    def nonlinear(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Dealiased rfft(-u^3) of u = irfft(v), written into out.
 
         u is held in out's own memory, seen as n reals, until the cube
         (-u u) u is formed in the physical buffer; rfft then overwrites it.
         """
-        if out is None:
-            out = np.empty(self.n // 2 + 1, dtype=complex)
         u = _pocketfft.irfft(v, self._inv_n, out=out.view(float)[:self.n])
         cube = np.negative(u, self.physical)
         np.multiply(cube, u, cube)
@@ -202,11 +200,12 @@ class SpectralStepper:
 
 
 def integrate_spectral(grid: FieldGrid, params: ModelParams, t_end: float,
-                       dt: float) -> FieldGrid:
-    """Advance a periodic grid to t_end (step shrunk to land exactly)."""
+                       dt: Optional[float] = None) -> FieldGrid:
+    """Advance a periodic grid to t_end (step shrunk to land exactly), in
+    steps of at most dt, 0.05 when not given."""
     if not grid.periodic:
         raise ValueError("spectral stepping needs a periodic grid")
-    n_steps = _step_count(t_end, dt)
+    n_steps = _step_count(t_end, 0.05 if dt is None else dt)
     stepper = SpectralStepper(len(grid.u), grid.length, params.r, t_end / n_steps)
     with np.errstate(invalid="ignore"):   # an Inf field fails the loop's start check
         v = stepper.to_spectral(grid.u)
@@ -293,9 +292,11 @@ class BoundedStepper:
     factor (-1)^p of the parameters.
 
     One step does Crank-Nicolson on A and explicit trapezoid on the cubic.
-    The matrix I - dt/2 A never changes, so it is LU-factorised once per
-    stepper (LAPACK gbtrf); each step then does two banded solves, each a
-    pair of triangular solves against those factors (gbtrs).
+    The band of M = I - dt/2 A never changes, so it is LU-factorised once
+    per stepper (LAPACK gbtrf).  Each step forms its explicit half
+    u + dt/2 A u as 2u - M u, one band product (BLAS gbmv), and then does
+    two banded solves, each a pair of triangular solves against the
+    factors (gbtrs).
     """
 
     def __init__(self, grid: FieldGrid, params: ModelParams,
@@ -323,8 +324,8 @@ class BoundedStepper:
         n, dx = self.n, self.dx
         inv2, inv4 = 1.0 / dx ** 2, 1.0 / dx ** 4
         # A as five stencil rows, weights of u_i, u_{i-1}, u_{i-2}, u_{i+1},
-        # u_{i+2} in the order _apply_a sums them; interior rows are
-        # (r-1) - 2 D2 - D4, and taps past an end are zero.
+        # u_{i+2}; interior rows are (r-1) - 2 D2 - D4, and taps past an end
+        # are zero.
         s = np.repeat([[(r - 1.0) + 4.0 * inv2 - 6.0 * inv4], [-2.0 * inv2 + 4.0 * inv4],
                        [-inv4], [-2.0 * inv2 + 4.0 * inv4], [-inv4]], n, axis=1)
         s[1, 0] = s[2, :2] = 0.0
@@ -343,19 +344,15 @@ class BoundedStepper:
         # the right wall mirrors the left one: taps i-k and i+k swap
         s[:, -2:] = s[[0, 3, 4, 1, 2], 1::-1]
         self.stencil = s
-        # u padded with two zeros per end; window k of it is u_{i+k-2}, so
-        # windows 2, 1, 0 are the taps u_i, u_{i-1}, u_{i-2} of stencil
-        # rows 0-2, and windows 3, 4 the taps u_{i+1}, u_{i+2} of rows 3-4
-        self._padded = np.zeros(n + 4)
-        windows = sliding_window_view(self._padded, n)
-        self._near, self._far = windows[2::-1], windows[3:]
-        self._terms, self._a_u = np.empty((5, n)), np.empty(n)
-        # I - dt/2 A in solve_banded layout (2, 2): band row k holds
-        # A[j + 2 - k, j], a stencil row shifted onto column j (the wrapped
-        # entries are the zero taps); a zero row of A gives an identity row
+        # M = I - dt/2 A in solve_banded layout (2, 2), which is also BLAS
+        # gbmv's: band row k holds A[j + 2 - k, j], a stencil row shifted
+        # onto column j (the wrapped entries are the zero taps); a zero row
+        # of A gives an identity row.  Held in Fortran order, the layout
+        # BLAS reads without a copy.
         bands = np.array([np.roll(s[k], shift)
                           for k, shift in ((4, 2), (3, 1), (0, 0), (1, -1), (2, -2))])
-        self.ab_minus = np.array([[0.0], [0.0], [1.0], [0.0], [0.0]]) - self.dt / 2.0 * bands
+        self.ab_minus = np.asfortranarray(
+            np.array([[0.0], [0.0], [1.0], [0.0], [0.0]]) - self.dt / 2.0 * bands)
         # gbtrf needs kl = 2 extra leading rows for the fill-in of pivoting
         self.lu, self.piv, info = dgbtrf(np.concatenate((np.zeros((2, n)), self.ab_minus)),
                                          2, 2, overwrite_ab=True)
@@ -368,16 +365,6 @@ class BoundedStepper:
         if info != 0:
             raise ValueError(f"illegal argument {-info} to gbtrs")
         return x
-
-    def _apply_a(self, u: np.ndarray) -> np.ndarray:
-        """A u, in a held row that the next call overwrites."""
-        self._padded[2:-2] = u
-        terms = self._terms
-        np.multiply(self.stencil[:3], self._near, terms[:3])
-        np.multiply(self.stencil[3:], self._far, terms[3:])
-        # reducing over axis 0 adds the five rows one after another, so each
-        # sample sums its terms in stencil order (the order the tests pin)
-        return np.add.reduce(terms, axis=0, out=self._a_u)
 
     def _data(self, signals: tuple) -> tuple[np.ndarray, np.ndarray]:
         """Wall-data terms g on the rows g_rows (g is zero elsewhere) and
@@ -408,11 +395,13 @@ class BoundedStepper:
 
     def step(self, u: np.ndarray, t: float) -> np.ndarray:
         """One step from time t; each solve's pinned rows (zero rows of A,
-        so stale in base and in the cubic) take the wall values at t + dt."""
+        so stale in base and in the cubic) take the wall values at t + dt.
+        The explicit half u + dt/2 A u is 2u - M u, one gbmv on the band
+        that is factorised, into a copy of u (u itself is not written)."""
         dt = self.dt
         half = dt / 2.0
         g_terms, walls = self._wall_terms(t)
-        base = u + half * self._apply_a(u)
+        base = dgbmv(self.n, self.n, 2, 2, -1.0, self.ab_minus, u, beta=2.0, y=u)
         base[self.g_rows] += g_terms
         n0 = -u   # the cubic -u^3, in place
         n0 *= u
@@ -439,11 +428,12 @@ class BoundedStepper:
 
 
 def integrate_bounded(grid: FieldGrid, params: ModelParams,
-                      forcing: BoundaryForcing, t_end: float, dt: float,
-                      t0: float = 0.0) -> FieldGrid:
-    """Advance a bounded grid from t0 to t_end (step shrunk to land exactly)."""
+                      forcing: BoundaryForcing, t_end: float,
+                      dt: Optional[float] = None, t0: float = 0.0) -> FieldGrid:
+    """Advance a bounded grid from t0 to t_end (step shrunk to land exactly),
+    in steps of at most dt, 0.4 dx^2 when not given."""
     span = t_end - t0
-    n_steps = _step_count(span, dt)
+    n_steps = _step_count(span, 0.4 * grid.dx ** 2 if dt is None else dt)
     stepper = BoundedStepper(grid, params, forcing, span / n_steps)
     u = stepper.run(grid.u, t0, n_steps)
     return FieldGrid(grid.x0, grid.dx, u, False)

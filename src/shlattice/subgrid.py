@@ -135,8 +135,7 @@ def eval_field(plus: np.ndarray, minus: np.ndarray, xs,
     return polyval(xs, p) * np.exp(1j * xs) + polyval(xs, m) * np.exp(-1j * xs)
 
 
-def extract_amplitudes(grid: FieldGrid, params: ModelParams,
-                       t: float = 0.0) -> AmplitudeState:
+def extract_amplitudes(grid: FieldGrid, params: ModelParams) -> AmplitudeState:
     """Element-average amplitudes of an element-aligned grid.
 
     Trapezoidal rule over each element's samples including both endpoints;
@@ -161,7 +160,7 @@ def extract_amplitudes(grid: FieldGrid, params: ModelParams,
     w[0] *= 0.5
     w[-1] *= 0.5
     a = (uvals * np.exp(-1j * xs)) @ w
-    return AmplitudeState(t, a, np.conj(a))
+    return AmplitudeState(0.0, a, np.conj(a))
 
 
 def lattice_field(state: AmplitudeState, params: ModelParams,

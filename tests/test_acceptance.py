@@ -120,7 +120,7 @@ def test_criterion_5_boundary_selection():
                        (SignChoice.LOWER, BoundaryForcing.odd_given)):
         forcing = make(0.0, 0.0, p=1)
         grid = lattice_field(conjugate_state(0.0, a0), params, periodic=False)
-        out = integrate_bounded(grid, params, forcing, t_end, 0.4 * grid.dx ** 2)
+        out = integrate_bounded(grid, params, forcing, t_end)
         phases[sign] = np.degrees(np.angle(extract_amplitudes(out, params).a[0]))
 
     upper_off = min(abs(phases[SignChoice.UPPER] - 90),

@@ -486,6 +486,55 @@ class TestForcingKind:
         assert not list(tmp_path.glob("*.csv"))
 
 
+class TestRejectedInput:
+    """Bad input exits 1 with one error line, before any warning, and
+    writes nothing."""
+
+    @staticmethod
+    def rejected(args, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(args + ["--output-dir", str(tmp_path)])
+        assert code == 1
+        assert [str(w.message) for w in caught] == []
+        (line,) = err_lines(capsys.readouterr().err)
+        assert line.startswith("error: ")
+        assert not tmp_path.exists() or not list(tmp_path.iterdir())
+        return line
+
+    @pytest.mark.parametrize("args, message", [
+        (["simulate-model", "--r", "nan", "--t-end", "1"], "r must be finite, got nan"),
+        (["dispersion", "--r", "inf", "--k-steps", "1"], "r must be finite, got inf"),
+        (["boundary-select", "--r", "inf", "--n-elements", "2", "--t-end", "1"],
+         "r must be finite, got inf"),
+        (["simulate-model", "--kind", "even", "--alpha", "nan", "--t-end", "1"],
+         "wall signals must be finite, got nan"),
+        (["boundary-equilibrium", "--alpha", "inf", "--t-end", "1"],
+         "wall signals must be finite, got inf"),
+        (["simulate-direct", "--scheme", "bounded-imex", "--beta", "inf", "--t-end", "0.1",
+          "--n-elements", "2", "--m-samples", "16"], "wall signals must be finite, got inf"),
+        (["simulate-model", "--kind", "even", "--alpha", "0.01", "--alpha-omega", "nan",
+          "--t-end", "1"], "alpha-omega must be finite, got nan"),
+        # requests for no rows
+        (["dispersion", "--k-steps", "0"], "k-steps must be at least 1, got 0"),
+        (["boundary-profiles", "--profile-samples", "0"],
+         "profile-samples must be at least 1, got 0"),
+        (["simulate-direct", "--scheme", "crank", "--t-end", "1"], "unknown scheme 'crank'"),
+    ])
+    def test_bad_input_exits_one(self, tmp_path, capsys, args, message):
+        assert message in self.rejected(args, tmp_path, capsys)
+
+    def test_forced_bounded_run_takes_the_oracles_step(self, tmp_path, capsys):
+        # no --dt: the warning's step check accepts the oracle's own step,
+        # and still rejects a bad t-end before the warning prints
+        args = ["simulate-direct", "--scheme", "bounded-imex", "--alpha", "0.05",
+                "--alpha-omega", "3", "--accel-warn", "0.1"]
+        assert main(args + ["--t-end", "2", "--output-dir", str(tmp_path / "run")]) == 0
+        assert "slowly varying" in capsys.readouterr().err
+        line = self.rejected(args + ["--t-end", "0"], tmp_path / "none", capsys)
+        assert "t_end must exceed the start time" in line
+
+
 class TestSharedOutputDir:
     def test_two_runs_keep_both_outputs(self, tmp_path):
         args = ["boundary-profiles", "--profile-samples", "5",

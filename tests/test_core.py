@@ -37,6 +37,11 @@ class TestMakeParams:
         with pytest.raises(ValueError):
             make_params(r=0.0, gamma=1.0, p=1, n_elements=8, m_samples=m)
 
+    @pytest.mark.parametrize("r", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_r_rejected(self, r):
+        with pytest.raises(ValueError, match="r must be finite"):
+            make_params(r=r, gamma=1.0, p=1, n_elements=8, m_samples=32)
+
     def test_small_lattice_rejected(self):
         with pytest.raises(ValueError):
             make_params(r=0.0, gamma=1.0, p=1, n_elements=1, m_samples=32)
@@ -157,6 +162,17 @@ class TestBoundaryForcing:
     def test_right_must_be_a_pair(self, right):
         with pytest.raises(ValueError, match=r"right must be an \(alpha, beta\) pair"):
             BoundaryForcing.even_given(0.1, 0.0, p=1, right=right)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("make", [BoundaryForcing.even_given, BoundaryForcing.odd_given])
+    def test_nonfinite_constant_signals_rejected(self, make, bad):
+        for kwargs in ({"alpha": bad}, {"beta": bad},
+                       {"right": (bad, 0.0)}, {"right": (0.0, bad)}):
+            with pytest.raises(ValueError, match="wall signals must be finite"):
+                make(p=1, **kwargs)
+        # a function is called only at the stage times, so it is not checked
+        f = make(lambda t: bad, p=1, right=(0.1, lambda t: bad))
+        assert f.signals(0.0)[1][0] == 0.1
 
     def test_parity_matches_p(self):
         assert BoundaryForcing.even_given(0.1, 0.0, p=1).parity_factor == -1.0

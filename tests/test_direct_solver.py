@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
+from scipy.linalg.blas import dgbmv
 
 from shlattice import (
     BoundaryForcing,
@@ -23,6 +24,7 @@ from shlattice import (
     measure_growth_rate,
     run_model,
 )
+from shlattice import direct_solver
 from shlattice.direct_solver import _etd_coefficients, growth_symbol
 
 
@@ -135,6 +137,12 @@ class TestStepSpectral:
         out = integrate_spectral(grid, params, 2.0, 0.05)
         assert np.array_equal(out.u, stepper.to_physical(v))
 
+    def test_default_step_is_the_oracles_own(self):
+        params = params_for(r=0.3, n=4, m=64)
+        grid = FieldGrid.sample(lambda x: 0.5 * np.cos(x) + 0.1 * np.sin(2 * x), params)
+        assert np.array_equal(integrate_spectral(grid, params, 3.3).u,
+                              integrate_spectral(grid, params, 3.3, 0.05).u)
+
 
 def fft_nonlinear(stepper):
     """The stepper's nonlinear term through np.fft.irfft and np.fft.rfft."""
@@ -171,7 +179,8 @@ class TestPocketfftTransforms:
     @pytest.mark.parametrize("n", [64, 96, 100, 512, 513])
     def test_match_np_fft_bit_for_bit(self, n):
         stepper, reference, v = spectral_pair(n)
-        assert stepper.nonlinear(v).tobytes() == reference.nonlinear(v).tobytes()
+        got = stepper.nonlinear(v, np.empty_like(v))
+        assert got.tobytes() == reference.nonlinear(v).tobytes()
         assert stepper.run(v, 200).tobytes() == reference.run(v, 200).tobytes()
 
     def test_run_does_not_call_the_np_fft_wrappers(self, monkeypatch):
@@ -309,8 +318,7 @@ class TestStepBounded:
         params = params_for(n=4)
         grid = FieldGrid.zeros(params, periodic=False)
         forcing = BoundaryForcing.even_given(0.1, 0.0, p=1)
-        out = integrate_bounded(grid, params, forcing, t_end=1.0,
-                                dt=0.4 * grid.dx ** 2)
+        out = integrate_bounded(grid, params, forcing, t_end=1.0)
         assert abs(out.u[0] + 0.1) <= 2e-3
         assert abs(out.u[-1] + 0.1) <= 2e-3  # mirrored wall, same signals
 
@@ -321,12 +329,11 @@ class TestStepBounded:
         grid = FieldGrid.sample(lambda x: 1e-3 * np.sin(x - x0), params,
                                 periodic=False)
         forcing = BoundaryForcing.even_given(0.0, 0.0, p=1)
-        dt = 0.4 * grid.dx ** 2
         n = len(grid.u)
         times, amps = [0.0], [np.max(np.abs(grid.u[n // 4:3 * n // 4]))]
         g = grid
         for seg in range(1, 11):
-            g = integrate_bounded(g, params, forcing, t_end=2.0, dt=dt)
+            g = integrate_bounded(g, params, forcing, t_end=2.0)
             times.append(2.0 * seg)
             amps.append(np.max(np.abs(g.u[n // 4:3 * n // 4])))
         rate = np.polyfit(times, np.log(amps), 1)[0]
@@ -344,8 +351,7 @@ class TestStepBounded:
         init = lambda x: 0.1 * np.cos(x - x0) + 0.02 * np.cos(2 * (x - x0))
         grid_b = FieldGrid.sample(init, params, periodic=False)
         forcing = BoundaryForcing.odd_given(0.0, 0.0, p=1)
-        out_b = integrate_bounded(grid_b, params, forcing, t_end=1.0,
-                                  dt=0.4 * grid_b.dx ** 2)
+        out_b = integrate_bounded(grid_b, params, forcing, t_end=1.0)
         params2 = make_params(r=0.3, gamma=1.0, p=1, n_elements=4, m_samples=128)
         grid_p = FieldGrid.sample(init, params2, periodic=True)
         out_p = integrate_spectral(grid_p, params2, t_end=1.0, dt=0.01)
@@ -365,6 +371,28 @@ class TestStepBounded:
         e1 = np.max(np.abs(sols[0] - sols[1]))
         e2 = np.max(np.abs(sols[1] - sols[2]))
         assert np.log2(e1 / e2) >= 1.9
+
+    @pytest.mark.parametrize("kind", ["even", "odd"])
+    def test_default_step_is_the_oracles_own(self, kind):
+        params = params_for(r=0.1, n=2, m=32)
+        grid = FieldGrid.sample(lambda x: 0.1 * np.cos(x), params, periodic=False)
+        forcing = WALLS[kind](lambda t: 0.02 * np.cos(0.3 * t), 0.01, p=1)
+        dt = 0.4 * grid.dx ** 2
+        assert np.array_equal(integrate_bounded(grid, params, forcing, 1.5).u,
+                              integrate_bounded(grid, params, forcing, 1.5, dt).u)
+        assert np.array_equal(integrate_bounded(grid, params, forcing, 2.0, t0=0.5).u,
+                              integrate_bounded(grid, params, forcing, 2.0, dt, 0.5).u)
+
+    @pytest.mark.parametrize("kind", ["even", "odd"])
+    def test_step_leaves_its_input_untouched(self, kind):
+        params = params_for(r=0.1, n=2, m=32)
+        grid = FieldGrid.sample(lambda x: 0.1 * np.cos(x) + 0.05 * np.sin(3 * x), params,
+                                periodic=False)
+        stepper = BoundedStepper(grid, params, WALLS[kind](0.02, 0.01, p=1),
+                                 0.4 * grid.dx ** 2)
+        u = grid.u.copy()
+        out = stepper.step(u, 0.0)
+        assert np.array_equal(u, grid.u) and not np.shares_memory(out, u)
 
     def test_unstable_dt_rejected(self):
         params = params_for(n=4)
@@ -399,8 +427,7 @@ class TestStepBounded:
         st = conjugate_state(0.0, np.full(2, 0.05 * np.exp(1j * np.pi / 4)))
         grid = lattice_field(st, params, periodic=False)
         forcing = BoundaryForcing.even_given(0.0, 0.0, p=1)
-        out = integrate_bounded(grid, params, forcing, t_end=40.0,
-                                dt=0.4 * grid.dx ** 2)
+        out = integrate_bounded(grid, params, forcing, t_end=40.0)
         a1 = extract_amplitudes(out, params).a[0]
         phase = np.degrees(np.angle(a1))
         assert min(abs(phase - 90), abs(phase + 90)) < 10
@@ -427,8 +454,7 @@ class TestBadInput:
         grid = FieldGrid.sample(lambda x: 1e3 * np.cos(x), params, periodic=False)
         forcing = BoundaryForcing.even_given(0.0, 0.0, p=1)
         with pytest.raises(DivergenceError, match=r"bounded solve diverged at step \d+, t="):
-            integrate_bounded(grid, params, forcing, t_end=1.0,
-                              dt=0.4 * grid.dx ** 2)
+            integrate_bounded(grid, params, forcing, t_end=1.0)
 
     def test_spectral_divergence_raises_divergence_error(self):
         params = params_for(n=2, m=32)
@@ -442,8 +468,7 @@ class TestBadInput:
         grid.u[5] = np.nan
         forcing = BoundaryForcing.odd_given(0.0, 0.0, p=1)
         with pytest.raises(ValueError, match="NaN/Inf"):
-            integrate_bounded(grid, params, forcing, t_end=1.0,
-                              dt=0.4 * grid.dx ** 2)
+            integrate_bounded(grid, params, forcing, t_end=1.0)
 
     def test_spectral_nonfinite_initial_field_rejected(self):
         params = params_for(n=2, m=32)
@@ -498,20 +523,11 @@ class TestBadInput:
 
 def reference_step(stepper, u, t):
     """One IMEX step assembled as in the solve_banded implementation: full
-    wall-data vectors, diagonal-by-diagonal A u and a fresh banded solve
-    (factorise and solve) for each of the two stages."""
+    wall-data vectors and a fresh banded solve (factorise and solve) for
+    each of the two stages.  The explicit half u + dt/2 A u is formed as
+    the stepper forms it, 2u - M u by gbmv on its band M = I - dt/2 A
+    (TestOperatorAssembly checks it against a dense A)."""
     n, dx, dt = stepper.n, stepper.dx, stepper.dt
-    d0, dm1, dm2, dp1, dp2 = stepper.stencil
-
-    def apply_a(v):
-        y = d0 * v
-        y[1:] += dm1[1:] * v[:-1]
-        y[2:] += dm2[2:] * v[:-2]
-        y[:-1] += dp1[:-1] * v[1:]
-        y[:-2] += dp2[:-2] * v[2:]
-        for row in stepper.pinned:
-            y[row] = 0.0
-        return y
 
     def data(time):
         g = np.zeros(n)
@@ -538,7 +554,7 @@ def reference_step(stepper, u, t):
 
     g0, _ = data(t)
     g1, pinned = data(t + dt)
-    base = u + (dt / 2.0) * apply_a(u) + (dt / 2.0) * (g0 + g1)
+    base = dgbmv(n, n, 2, 2, -1.0, stepper.ab_minus, u, beta=2.0, y=u) + (dt / 2.0) * (g0 + g1)
     n0 = cubic(u)
     rhs = base + dt * n0
     for row, val in pinned.items():
@@ -720,7 +736,7 @@ class TestOperatorAssembly:
     @pytest.mark.parametrize("kind", ["even", "odd"])
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("n", [7, 8, 33, 129])
-    def test_matches_dense_ghost_elimination(self, kind, p, n):
+    def test_matches_dense_ghost_elimination(self, kind, p, n, monkeypatch):
         r = 0.3 if p == 1 else -0.2
         params = make_params(r=r, gamma=1.0, p=p, n_elements=2, m_samples=16)
         grid = FieldGrid(0.0, 2.0 * np.pi * 3 / (n - 1), np.zeros(n), False)
@@ -748,6 +764,28 @@ class TestOperatorAssembly:
         ab = np.zeros((5, n))
         ab[2 + i[band] - j[band], j[band]] = M[band]
         assert close(stepper.ab_minus, ab)
+        # the explicit half 2u - M u that a step forms is u + dt/2 A u
+        formed = []
+
+        def recorded(*args, **kwargs):
+            formed.append(dgbmv(*args, **kwargs).copy())
+            return formed[-1].copy()
+
+        monkeypatch.setattr(direct_solver, "dgbmv", recorded)
+        u = np.random.default_rng(n).standard_normal(n)
+        stepper.step(u, 0.7)
+        (got,) = formed
+        assert close(got, u + stepper.dt / 2.0 * (A @ u))
+
+    @pytest.mark.parametrize("kind", ["even", "odd"])
+    def test_band_and_factors_are_fortran_ordered(self, kind):
+        params = params_for(n=2, m=16)
+        grid = FieldGrid.zeros(params, periodic=False)
+        stepper = BoundedStepper(grid, params, WALLS[kind](0.1, 0.2, p=1), 0.4 * grid.dx ** 2)
+        for name in ("ab_minus", "lu"):
+            assert getattr(stepper, name).flags.f_contiguous, (
+                f"stepper.{name} is not Fortran-ordered: BLAS/LAPACK would copy "
+                "the band on every call of a step")
 
     def test_pinned_samples_are_zero_rows(self):
         params = params_for(n=2, m=16)
@@ -783,7 +821,7 @@ def forced_wall_a1(kind):
     zero = conjugate_state(0.0, np.zeros(8, complex))
     model = run_model(zero, params, forcing, 300.0, 0.05).final.a[0]
     grid = lattice_field(zero, params, periodic=False)
-    out = integrate_bounded(grid, params, forcing, 300.0, 0.4 * grid.dx ** 2)
+    out = integrate_bounded(grid, params, forcing, 300.0)
     return complex(model), complex(extract_amplitudes(out, params).a[0])
 
 
