@@ -184,6 +184,8 @@ def _forcing_from(cfg: dict, params, kind: str, t_end: float,
     amp, beta, omega = cfg["alpha"], cfg["beta"], cfg["alpha-omega"]
     if not math.isfinite(omega):
         raise ValueError(f"alpha-omega must be finite, got {omega}")
+    if not cfg["accel-warn"] >= 0.0:   # NaN would never warn
+        raise ValueError(f"accel-warn must be a non-negative number, got {cfg['accel-warn']}")
     if kind == "periodic":
         if amp or beta or omega:
             raise ValueError("a periodic domain has no walls: alpha, beta and alpha-omega "
@@ -256,6 +258,9 @@ def _write_outputs(cfg: dict, experiment: str, header: list[str],
 def run_dispersion(cfg: dict, params) -> tuple:
     if cfg["k-steps"] < 1:
         raise ValueError(f"k-steps must be at least 1, got {cfg['k-steps']}")
+    for key in ("k-min", "k-max"):
+        if not math.isfinite(cfg[key]):
+            raise ValueError(f"{key} must be finite, got {cfg[key]}")
     rows = [(k, she_growth_rate(k, params.r),
              measure_growth_rate(params, k, eps0=cfg["eps0"], T=cfg["t-fit"],
                                  dt=cfg["dt"]))
@@ -403,6 +408,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 1
     return 0
 

@@ -29,16 +29,26 @@ Two schemes:
   stepping is Crank-Nicolson on the linear operator with a Heun (explicit
   trapezoid) treatment of the cubic, second order overall and self-starting;
   the step obeys dt <= dx^2/2.
-  The operator A is written once, as five stencil rows.  A wall sample
-  pinned to its data (even walls) is a zero row of A, hence an identity
-  row of M = I - dt/2 A, so each solve copies the wall value from its
-  right-hand side.  The band of M is derived from the stencil and
-  LU-factorised once per stepper.  A step forms its explicit half
-  u + dt/2 A u as 2u - M u, one BLAS gbmv on that band, then costs two
-  triangular-solve pairs against the factors.  The band is held in
-  Fortran order, the layout BLAS reads; a C-ordered band would be copied
-  on every call.  The wall data of a step are derived again only when
-  the signal values change.
+  The linear algebra is diagonal on a mirrored grid, as in the
+  fast-transform direct solvers (Hockney, J. ACM 12, 1965; Buzbee, Golub
+  & Nielson, SIAM J. Numer. Anal. 7, 1970).  With zero wall data the
+  ghost rules are exactly the odd reflection (even walls, wall samples
+  pinned at zero: DST-I) or the even reflection (odd walls: DCT-I), so
+  the finite-difference operator A is the periodic five-point stencil on
+  the mirror image of length 2(n-1), whose real FFT diagonalises it with
+  symbol (r-1) + 8 s_k/dx^2 - 16 s_k^2/dx^4, s_k = sin^2(pi k/(2(n-1))).
+  The wall data, and for even walls the pinned samples' coupling to the
+  next two rows, are sources on four rows: their transforms divided by
+  m = 1 - dt/2 symbol are tabulated once, and a step's source is four
+  weights times that table, derived again only when the signal values,
+  or the pinned samples a step starts from, change.  The state inside
+  `run` is the mirrored spectrum v; a step costs four transforms,
+  u = irfft(v), v* = R v + (S - dt rfft(u^3))/m with
+  R = (1 + dt/2 symbol)/m, u* = irfft(v*), and v* - dt/2 rfft(u*^3 - u^3)/m,
+  through the pocketfft gufuncs as SpectralStepper calls them.  Even
+  walls keep the pinned samples as stepper state: the first step starts
+  from the field's own, and the field `run` returns holds the data at
+  its end time.
 
 Each oracle has its own default step: `integrate_spectral` takes 0.05 and
 `integrate_bounded` 0.4 dx^2 when no dt is given.
@@ -59,15 +69,12 @@ derivatives flip sign under reflection) to its own signals.
 
 from __future__ import annotations
 
-import struct
 from math import factorial
 from typing import Callable, Optional
 
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
 from numpy.polynomial.polynomial import polyval
-from scipy.linalg.blas import dgbmv
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .core import (
     BoundaryForcing,
@@ -86,10 +93,6 @@ from .core import (
 # 4/(j+3)! - 1/(j+2)! is (1-j)/(j+3)!; q's is 1/(2^(j+1) (j+1)!)
 _ETD_SERIES = np.array([(1 / (2 ** (j + 1) * factorial(j + 1)), (j + 1) ** 2 / factorial(j + 3),
                          (j + 1) / factorial(j + 3), (1 - j) / factorial(j + 3)) for j in range(16)])
-
-
-# the eight wall signal values of a step, as bytes: the key of its wall terms
-_pack_signals = struct.Struct("8d").pack
 
 
 def growth_symbol(k, r: float):
@@ -245,6 +248,8 @@ def measure_growth_rate(params: ModelParams, k: float, eps0: float, T: float,
     """
     if not 0.0 < eps0 < np.inf:
         raise ValueError(f"eps0 must be finite and positive, got {eps0}")
+    if not np.isfinite(k):
+        raise ValueError(f"wavenumber k must be finite, got {k}")
     q, mode = _commensurate_periods(k)
     n = 512
     if mode > n // 3:
@@ -281,22 +286,22 @@ def measure_growth_rate(params: ModelParams, k: float, eps0: float, T: float,
 
 
 class BoundedStepper:
-    """IMEX stepper for a bounded grid with wall data at both ends.
+    """Crank-Nicolson/Heun stepper for a bounded grid with wall data at both
+    ends, state held as the mirrored spectrum.
 
-    The discrete linear operator is A u + g(t) where A folds the ghost
-    eliminations into banded coefficients and g(t) collects the wall-data
-    terms.  A is held once, as five stencil rows.  A wall sample pinned to
-    its data (even walls) is a zero row of A, so it is an identity row of
-    I - dt/2 A and each solve copies its value from the right-hand side.
-    Both walls sit h/2 from an element centre, so both carry the parity
-    factor (-1)^p of the parameters.
-
-    One step does Crank-Nicolson on A and explicit trapezoid on the cubic.
-    The band of M = I - dt/2 A never changes, so it is LU-factorised once
-    per stepper (LAPACK gbtrf).  Each step forms its explicit half
-    u + dt/2 A u as 2u - M u, one band product (BLAS gbmv), and then does
-    two banded solves, each a pair of triangular solves against the
-    factors (gbtrs).
+    The linear operator is A u + g(t): the five-point stencil of
+    (r-1) - 2 D2 - D4 with the ghosts eliminated through the wall rules,
+    and g(t) the wall-data terms.  With zero data the ghost rules are
+    reflections: u_{-1} = 2 u_0 - u_1 with u_0 = 0 is the odd one (even
+    walls, DST-I), u_{-1} = u_1 and u_{-2} = u_2 the even one (odd walls,
+    DCT-I).  So on the vectors [0, u_1 .. u_{n-2}, 0, -u_{n-2} .. -u_1]
+    (even walls, wall samples pinned) and [u_0 .. u_{n-1}, u_{n-2} .. u_1]
+    (odd walls) the rows of A are the periodic stencil of length
+    2(n - 1), diagonal on their real FFT with the symbol `symbol`.  The
+    wall data, and for even walls the pinned samples through A[1, 0] and
+    A[2, 0], enter as sources on four rows.  Both walls sit h/2 from an
+    element centre, so both carry the parity factor (-1)^p of the
+    parameters.
     """
 
     def __init__(self, grid: FieldGrid, params: ModelParams,
@@ -305,126 +310,124 @@ class BoundedStepper:
             raise ValueError("bounded stepping needs a non-periodic grid")
         if forcing.kind is ForcingKind.PERIODIC:
             raise ValueError("bounded stepping rejects periodic forcing")
-        self.n = len(grid.u)
-        if self.n < 7:
+        self.n = n = len(grid.u)
+        if n < 7:
             raise ValueError("bounded grid too small")
-        self.dx = grid.dx
-        if _positive_dt(dt) > 0.5 * self.dx ** 2 * (1 + 1e-12):
-            raise ValueError(f"dt={dt} unstable: exceeds dx^2/2={0.5 * self.dx ** 2:.4g}")
+        self.dx = dx = grid.dx
+        if _positive_dt(dt) > 0.5 * dx ** 2 * (1 + 1e-12):
+            raise ValueError(f"dt={dt} unstable: exceeds dx^2/2={0.5 * dx ** 2:.4g}")
         self.dt = dt
         self.forcing, self.kind, self.parity = forcing, forcing.kind, params.parity_factor
         if forcing.parity_factor != self.parity:
             raise ValueError(f"wall parity factors must both be (-1)^p = {self.parity:g}")
-        self._build(params.r)
-        self._wall_key = None   # the signal values `_walls` was derived from
-
-    # -- operator assembly -------------------------------------------------
-
-    def _build(self, r: float) -> None:
-        n, dx = self.n, self.dx
         inv2, inv4 = 1.0 / dx ** 2, 1.0 / dx ** 4
-        # A as five stencil rows, weights of u_i, u_{i-1}, u_{i-2}, u_{i+1},
-        # u_{i+2}; interior rows are (r-1) - 2 D2 - D4, and taps past an end
-        # are zero.
-        s = np.repeat([[(r - 1.0) + 4.0 * inv2 - 6.0 * inv4], [-2.0 * inv2 + 4.0 * inv4],
-                       [-inv4], [-2.0 * inv2 + 4.0 * inv4], [-inv4]], n, axis=1)
-        s[1, 0] = s[2, :2] = 0.0
+        s = np.sin(np.pi * np.arange(n) / (2 * (n - 1))) ** 2
+        self.symbol = (params.r - 1.0) + 8.0 * inv2 * s - 16.0 * inv4 * s * s
+        m = 1.0 - dt / 2.0 * self.symbol
+        # R = (1 + dt/2 symbol)/m as complex, and 1/m with each entry twice,
+        # to scale a spectrum seen as floats: neither mixes dtypes in a step
+        self._gain = ((1.0 + dt / 2.0 * self.symbol) / m).astype(complex)
+        self._inv_m = np.repeat(1.0 / m, 2)
         if self.kind is ForcingKind.EVEN_GIVEN:
-            # the wall sample is pinned to the data: a zero row of A; row 1 takes
-            # the ghost u_{-1} = 2 u_0 - u_1 + dx^2 P beta
-            self.pinned, self.g_rows = np.array([0, n - 1]), np.array([1, n - 2])
-            s[:, 0] = 0.0
-            s[:2, 1] = (r - 1.0) + 4.0 * inv2 - 5.0 * inv4, -2.0 * inv2 + 2.0 * inv4
+            # odd mirror; a pinned sample couples to the next two rows
+            # through A[1, 0] and A[2, 0]
+            self.sign, self.pinned, rows = -1.0, [0, n - 1], [1, 2, n - 3, n - 2]
+            self.coupling = (-2.0 * inv2 + 2.0 * inv4, -inv4)
         else:
-            # the wall sample evolves, with ghosts u_{-1} = u_1 - 2 dx P alpha
-            # and u_{-2} = u_2 - 4 dx P alpha - 2 dx^3 P beta
-            self.pinned, self.g_rows = np.array([], dtype=int), np.array([0, 1, n - 2, n - 1])
-            s[3:, 0] = -4.0 * inv2 + 8.0 * inv4, -2.0 * inv4
-            s[0, 1] = (r - 1.0) + 4.0 * inv2 - 7.0 * inv4
-        # the right wall mirrors the left one: taps i-k and i+k swap
-        s[:, -2:] = s[[0, 3, 4, 1, 2], 1::-1]
-        self.stencil = s
-        # M = I - dt/2 A in solve_banded layout (2, 2), which is also BLAS
-        # gbmv's: band row k holds A[j + 2 - k, j], a stencil row shifted
-        # onto column j (the wrapped entries are the zero taps); a zero row
-        # of A gives an identity row.  Held in Fortran order, the layout
-        # BLAS reads without a copy.
-        bands = np.array([np.roll(s[k], shift)
-                          for k, shift in ((4, 2), (3, 1), (0, 0), (1, -1), (2, -2))])
-        self.ab_minus = np.asfortranarray(
-            np.array([[0.0], [0.0], [1.0], [0.0], [0.0]]) - self.dt / 2.0 * bands)
-        # gbtrf needs kl = 2 extra leading rows for the fill-in of pivoting
-        self.lu, self.piv, info = dgbtrf(np.concatenate((np.zeros((2, n)), self.ab_minus)),
-                                         2, 2, overwrite_ab=True)
-        if info != 0:
-            raise ValueError(f"I - dt/2 A is singular (gbtrf info={info})")
+            self.sign, self.pinned, rows = 1.0, [], [0, 1, n - 2, n - 1]
+        # dt/2 times the mirrored transform of each source row, divided by m
+        unit = np.zeros((4, n))
+        unit[range(4), rows] = dt / 2.0
+        self.sources = self.to_spectral(unit) / m
+        self.walls = (0.0,) * len(self.pinned)   # the pinned samples, see `run`
+        self._wall_key = None   # what `_source` was derived from
+        # the step's buffers: the mirrored field, two cubes and a spectrum;
+        # the mirrored length 2(n - 1) is even, so rfft takes the even kernel
+        self._inv_len, self._spec = 1 / (2 * (n - 1)), np.empty(n, dtype=complex)
+        self._u, self._cube, self._diff = np.empty((3, 2 * (n - 1)))
+        self._spec_re = self._spec.view(float)
 
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve (I - dt/2 A) x = rhs with the stored factors; overwrites rhs."""
-        x, info = dgbtrs(self.lu, 2, 2, rhs, self.piv, overwrite_b=True)
-        if info != 0:
-            raise ValueError(f"illegal argument {-info} to gbtrs")
-        return x
+    def to_spectral(self, u: np.ndarray) -> np.ndarray:
+        """rfft of the mirror image of u (along its last axis), the pinned
+        samples zeroed."""
+        mirrored = np.concatenate((u, self.sign * u[..., -2:0:-1]), axis=-1)
+        mirrored[..., self.pinned] = 0.0
+        return np.fft.rfft(mirrored)
 
-    def _data(self, signals: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """Wall-data terms g on the rows g_rows (g is zero elsewhere) and
-        the values of the pinned samples, from `forcing.signals` at a time."""
+    def to_physical(self, v: np.ndarray) -> np.ndarray:
+        """The n samples of irfft(v), the pinned ones set to `walls`."""
+        u = np.fft.irfft(v, 2 * (self.n - 1))[:self.n].copy()
+        u[self.pinned] = self.walls
+        return u
+
+    def _data(self, signals: tuple) -> list[float]:
+        """Wall-data terms g on the four source rows (g is zero elsewhere),
+        from `forcing.signals` at a time."""
         dx, p = self.dx, self.parity
         (al, bl), (ar, br) = signals
         al, bl, ar, br = p * al, p * bl, p * ar, p * br
         if self.kind is ForcingKind.EVEN_GIVEN:
-            return np.array([-bl / dx ** 2, -br / dx ** 2]), np.array([al, ar])
-        g = np.array([4.0 * al / dx - 4.0 * al / dx ** 3 + 2.0 * bl / dx,
-                      2.0 * al / dx ** 3,
-                      2.0 * ar / dx ** 3,
-                      4.0 * ar / dx - 4.0 * ar / dx ** 3 + 2.0 * br / dx])
-        return g, np.empty(0)
+            # row 1 takes the ghost u_{-1} = 2 u_0 - u_1 + dx^2 P beta
+            return [-bl / dx ** 2, 0.0, 0.0, -br / dx ** 2]
+        # ghosts u_{-1} = u_1 - 2 dx P alpha, u_{-2} = u_2 - 4 dx P alpha - 2 dx^3 P beta
+        return [4.0 * al / dx - 4.0 * al / dx ** 3 + 2.0 * bl / dx, 2.0 * al / dx ** 3,
+                2.0 * ar / dx ** 3, 4.0 * ar / dx - 4.0 * ar / dx ** 3 + 2.0 * br / dx]
 
-    def _wall_terms(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """dt/2 (g(t) + g(t + dt)) on g_rows and the pinned values at
-        t + dt, derived again only when the signal values at t and t + dt
-        change.  The values are compared bit for bit, as 0.0 == -0.0 and a
-        pinned sample carries the sign of its zero into the state."""
+    def _wall_terms(self, t: float) -> np.ndarray:
+        """Source spectrum of the step from t: dt/2 (g(t) + g(t + dt)), and
+        for even walls A's coupling to the pinned samples at t and their
+        data at t + dt, transformed and divided by m.  Derived again only
+        when those values change; the pinned samples move to their data at
+        t + dt every step, as a sample carries the sign of its zero."""
         s0, s1 = self.forcing.signals(t), self.forcing.signals(t + self.dt)
-        key = _pack_signals(*s0[0], *s0[1], *s1[0], *s1[1])
+        start = self.walls
+        if self.pinned:
+            self.walls = (self.parity * s1[0][0], self.parity * s1[1][0])
+        key = (s0, s1, start)
         if key != self._wall_key:
-            g0, _ = self._data(s0)
-            g1, walls = self._data(s1)
-            self._wall_key, self._walls = key, (self.dt / 2.0 * (g0 + g1), walls)
-        return self._walls
+            weights = [a + b for a, b in zip(self._data(s0), self._data(s1))]
+            if self.pinned:
+                (c1, c2), (left, right) = self.coupling, (a + b for a, b in zip(start, self.walls))
+                weights = [weights[0] + c1 * left, weights[1] + c2 * left,
+                           weights[2] + c2 * right, weights[3] + c1 * right]
+            self._wall_key, self._source = key, np.dot(weights, self.sources)
+        return self._source
 
-    def step(self, u: np.ndarray, t: float) -> np.ndarray:
-        """One step from time t; each solve's pinned rows (zero rows of A,
-        so stale in base and in the cubic) take the wall values at t + dt.
-        The explicit half u + dt/2 A u is 2u - M u, one gbmv on the band
-        that is factorised, into a copy of u (u itself is not written)."""
-        dt = self.dt
-        half = dt / 2.0
-        g_terms, walls = self._wall_terms(t)
-        base = dgbmv(self.n, self.n, 2, 2, -1.0, self.ab_minus, u, beta=2.0, y=u)
-        base[self.g_rows] += g_terms
-        n0 = -u   # the cubic -u^3, in place
-        n0 *= u
-        n0 *= u
-        rhs = dt * n0
-        rhs += base
-        rhs[self.pinned] = walls
-        u_star = self._solve(rhs)
-        rhs = -u_star
-        rhs *= u_star
-        rhs *= u_star
-        rhs += n0
-        rhs *= half
-        rhs += base
-        rhs[self.pinned] = walls
-        return self._solve(rhs)
+    def step(self, v: np.ndarray, t: float) -> np.ndarray:
+        """One step from time t of the mirrored spectrum v, four transforms:
+        u* = M^-1 (base + dt n(u)) and u_new = u* + M^-1 dt/2 (n(u*) - n(u)),
+        base = u + dt/2 (A u + g), n(u) = -u^3, M = 1 - dt/2 symbol."""
+        u, cube, diff, spec, spec_re = self._u, self._cube, self._diff, self._spec, self._spec_re
+        out = self._gain * v
+        out += self._wall_terms(t)
+        _pocketfft.irfft(v, self._inv_len, out=u)
+        np.multiply(u, u, cube)
+        cube *= u
+        _pocketfft.rfft_n_even(cube, -self.dt, out=spec)
+        np.multiply(spec_re, self._inv_m, spec_re)
+        out += spec
+        _pocketfft.irfft(out, self._inv_len, out=u)
+        np.multiply(u, u, diff)
+        diff *= u
+        diff -= cube
+        _pocketfft.rfft_n_even(diff, -self.dt / 2.0, out=spec)
+        np.multiply(spec_re, self._inv_m, spec_re)
+        out += spec
+        return out
 
     def run(self, u: np.ndarray, t0: float, n_steps: int,
             callback: Optional[Callable[[int, np.ndarray], None]] = None) -> np.ndarray:
-        """Take n_steps steps from u at time t0, step i starting at
-        t0 + (i - 1) dt; callback(i, u) after step i."""
-        return _integrate("bounded solve", self.step, u,
-                          (t0 + i * self.dt for i in range(n_steps + 1)), callback)
+        """Take n_steps steps from the field u at time t0, step i starting
+        at t0 + (i - 1) dt; callback(i, field) after step i.  The pinned
+        samples start from u's own and end at their data."""
+        if not np.isfinite(u).all():
+            raise ValueError("bounded solve: start state contains NaN/Inf")
+        self.walls, self._wall_key = tuple(u[self.pinned].tolist()), None
+        v = _integrate("bounded solve", self.step, self.to_spectral(u),
+                       (t0 + i * self.dt for i in range(n_steps + 1)),
+                       None if callback is None
+                       else lambda i, v: callback(i, self.to_physical(v)))
+        return self.to_physical(v)
 
 
 def integrate_bounded(grid: FieldGrid, params: ModelParams,

@@ -520,9 +520,34 @@ class TestRejectedInput:
         (["boundary-profiles", "--profile-samples", "0"],
          "profile-samples must be at least 1, got 0"),
         (["simulate-direct", "--scheme", "crank", "--t-end", "1"], "unknown scheme 'crank'"),
+        # a NaN threshold never warned, whatever the acceleration (62.5 here)
+        (["simulate-model", "--kind", "even", "--alpha", "0.1", "--alpha-omega", "25",
+          "--accel-warn", "nan", "--t-end", "1", "--n-elements", "4"],
+         "accel-warn must be a non-negative number, got nan"),
+        (["simulate-direct", "--scheme", "bounded-imex", "--accel-warn", "-1", "--t-end", "0.1",
+          "--n-elements", "2", "--m-samples", "16"],
+         "accel-warn must be a non-negative number, got -1.0"),
+        (["dispersion", "--k-min", "nan", "--k-max", "1", "--k-steps", "1"],
+         "k-min must be finite, got nan"),
+        (["dispersion", "--k-max", "inf", "--k-steps", "2"], "k-max must be finite, got inf"),
     ])
     def test_bad_input_exits_one(self, tmp_path, capsys, args, message):
         assert message in self.rejected(args, tmp_path, capsys)
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 146. TiB for an array with shape "
+                     "(20000000000001,) and data type float64"),
+         "error: out of memory: Unable to allocate 146. TiB for an array with shape "
+         "(20000000000001,) and data type float64"),
+        (MemoryError(), "error: out of memory: an allocation failed"),
+    ])
+    def test_memory_error_exits_one(self, tmp_path, capsys, monkeypatch, exc, message):
+        # a runner that raises, as a run too large to allocate does
+        def runner(cfg, params):
+            raise exc
+
+        monkeypatch.setitem(RUNNERS, "simulate-model", runner)
+        assert self.rejected(["simulate-model", "--t-end", "1"], tmp_path, capsys) == message
 
     def test_forced_bounded_run_takes_the_oracles_step(self, tmp_path, capsys):
         # no --dt: the warning's step check accepts the oracle's own step,

@@ -5,8 +5,6 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import solve_banded
-from scipy.linalg.blas import dgbmv
 
 from shlattice import (
     BoundaryForcing,
@@ -24,7 +22,6 @@ from shlattice import (
     measure_growth_rate,
     run_model,
 )
-from shlattice import direct_solver
 from shlattice.direct_solver import _etd_coefficients, growth_symbol
 
 
@@ -308,7 +305,7 @@ class TestStepBounded:
         grid = FieldGrid.zeros(params, periodic=False)
         forcing = BoundaryForcing.even_given(0.0, 0.0, p=1)
         stepper = BoundedStepper(grid, params, forcing, dt=0.3 * grid.dx ** 2)
-        assert np.all(stepper.step(grid.u, 0.0) == 0)
+        assert np.all(stepper.step(stepper.to_spectral(grid.u), 0.0) == 0)
         out = integrate_bounded(grid, params, forcing, t_end=0.1,
                                 dt=0.3 * grid.dx ** 2)
         assert np.all(out.u == 0)
@@ -390,9 +387,10 @@ class TestStepBounded:
                                 periodic=False)
         stepper = BoundedStepper(grid, params, WALLS[kind](0.02, 0.01, p=1),
                                  0.4 * grid.dx ** 2)
-        u = grid.u.copy()
-        out = stepper.step(u, 0.0)
-        assert np.array_equal(u, grid.u) and not np.shares_memory(out, u)
+        v = stepper.to_spectral(grid.u)
+        kept = v.copy()
+        out = stepper.step(v, 0.0)
+        assert np.array_equal(v, kept) and not np.shares_memory(out, v)
 
     def test_unstable_dt_rejected(self):
         params = params_for(n=4)
@@ -496,6 +494,11 @@ class TestBadInput:
         with pytest.raises(ValueError, match="eps0 must be finite and positive"):
             measure_growth_rate(params_for(), 1.0, eps0=eps0, T=1.0)
 
+    @pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf])
+    def test_growth_rate_rejects_nonfinite_k(self, k):
+        with pytest.raises(ValueError, match=rf"^wavenumber k must be finite, got {k}$"):
+            measure_growth_rate(params_for(), k, eps0=1e-6, T=1.0)
+
     @pytest.mark.parametrize("t_end", [0.0, -1.0])
     def test_nonpositive_span_rejected(self, t_end):
         params = params_for()
@@ -519,171 +522,6 @@ class TestBadInput:
             SpectralStepper(128, 8 * np.pi, 0.0, dt)
         with pytest.raises(ValueError, match="dt must be positive"):
             measure_growth_rate(params, 1.0, eps0=1e-6, T=1.0, dt=dt)
-
-
-def reference_step(stepper, u, t):
-    """One IMEX step assembled as in the solve_banded implementation: full
-    wall-data vectors and a fresh banded solve (factorise and solve) for
-    each of the two stages.  The explicit half u + dt/2 A u is formed as
-    the stepper forms it, 2u - M u by gbmv on its band M = I - dt/2 A
-    (TestOperatorAssembly checks it against a dense A)."""
-    n, dx, dt = stepper.n, stepper.dx, stepper.dt
-
-    def data(time):
-        g = np.zeros(n)
-        pinned = {}
-        parity = stepper.forcing.parity_factor
-        (al, bl), (ar, br) = stepper.forcing.signals(time)
-        al, bl, ar, br = parity * al, parity * bl, parity * ar, parity * br
-        if stepper.kind is ForcingKind.EVEN_GIVEN:
-            pinned = {0: al, n - 1: ar}
-            g[1] = -bl / dx ** 2
-            g[n - 2] = -br / dx ** 2
-        else:
-            g[0] = 4.0 * al / dx - 4.0 * al / dx ** 3 + 2.0 * bl / dx
-            g[1] = 2.0 * al / dx ** 3
-            g[n - 1] = 4.0 * ar / dx - 4.0 * ar / dx ** 3 + 2.0 * br / dx
-            g[n - 2] = 2.0 * ar / dx ** 3
-        return g, pinned
-
-    def cubic(v):
-        w = -v * v * v
-        for row in stepper.pinned:
-            w[row] = 0.0
-        return w
-
-    g0, _ = data(t)
-    g1, pinned = data(t + dt)
-    base = dgbmv(n, n, 2, 2, -1.0, stepper.ab_minus, u, beta=2.0, y=u) + (dt / 2.0) * (g0 + g1)
-    n0 = cubic(u)
-    rhs = base + dt * n0
-    for row, val in pinned.items():
-        rhs[row] = val
-    u_star = solve_banded((2, 2), stepper.ab_minus, rhs)
-    rhs = base + (dt / 2.0) * (n0 + cubic(u_star))
-    for row, val in pinned.items():
-        rhs[row] = val
-    return solve_banded((2, 2), stepper.ab_minus, rhs)
-
-
-WALLS = {"even": BoundaryForcing.even_given, "odd": BoundaryForcing.odd_given}
-EXACT = settings(max_examples=40, deadline=None, derandomize=True, database=None)
-
-
-class TestFactoredSolve:
-    """The stepper factorises I - dt/2 A once; its solves and trajectories
-    must equal those of a fresh solve_banded call bit for bit."""
-
-    @EXACT
-    @given(kind=st.sampled_from(["even", "odd"]), n=st.integers(7, 600),
-           periods=st.integers(1, 8), r=st.floats(-0.5, 0.5),
-           dt_frac=st.floats(0.01, 1.0), scale=st.sampled_from([1e-6, 1.0, 1e6]),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_solve_matches_solve_banded(self, kind, n, periods, r, dt_frac,
-                                        scale, seed):
-        # dt_frac of the stability bound dt <= dx^2/2
-        params = make_params(r=r, gamma=1.0, p=1, n_elements=2, m_samples=16)
-        grid = FieldGrid(0.0, 2.0 * np.pi * periods / (n - 1), np.zeros(n), False)
-        stepper = BoundedStepper(grid, params, WALLS[kind](0.0, 0.0, p=1),
-                                 dt=dt_frac * 0.5 * grid.dx ** 2)
-        rhs = scale * np.random.default_rng(seed).standard_normal(stepper.n)
-        expected = solve_banded((2, 2), stepper.ab_minus, rhs)
-        assert np.array_equal(stepper._solve(rhs.copy()), expected)
-
-    @pytest.mark.parametrize("kind", ["even", "odd"])
-    @pytest.mark.parametrize("n_elements, m", [(2, 16), (3, 16), (2, 64)])
-    def test_trajectory_matches_solve_banded_steps(self, kind, n_elements, m):
-        params = make_params(r=0.1, gamma=1.0, p=1, n_elements=n_elements,
-                             m_samples=m)
-        rng = np.random.default_rng(m + n_elements)
-        a0 = 0.1 * (rng.standard_normal(n_elements)
-                    + 1j * rng.standard_normal(n_elements))
-        grid = lattice_field(conjugate_state(0.0, a0), params, periodic=False)
-        forcing = WALLS[kind](lambda t: 0.03 * np.cos(0.7 * t), 0.02, p=1,
-                              right=(0.01, lambda t: -0.02 * np.sin(1.3 * t)))
-        t0, n_steps = 0.25, 150
-        t_end = t0 + n_steps * 0.45 * grid.dx ** 2
-        out = integrate_bounded(grid, params, forcing, t_end=t_end,
-                                dt=0.45 * grid.dx ** 2, t0=t0)
-        stepper = BoundedStepper(grid, params, forcing, (t_end - t0) / n_steps)
-        u, t = grid.u, t0
-        for i in range(n_steps):
-            u = reference_step(stepper, u, t)
-            t = t0 + (i + 1) * stepper.dt
-        assert np.array_equal(out.u, u)
-
-
-def reference_trajectory(stepper, u, t0, n_steps):
-    states = []
-    for i in range(n_steps):
-        u = reference_step(stepper, u, t0 + i * stepper.dt)
-        states.append(u)
-    return states
-
-
-def switching(t):
-    return 0.03 if t < 0.5 else -0.01
-
-
-class TestWallTermsMemo:
-    """A step derives its wall terms again only when the signal values at
-    t and t + dt change; the trajectories stay those of reference_step."""
-
-    @staticmethod
-    def stepper(kind, forcing, p=1):
-        params = make_params(r=0.1, gamma=1.0, p=p, n_elements=2, m_samples=32)
-        rng = np.random.default_rng(7)
-        a0 = 0.1 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        grid = lattice_field(conjugate_state(0.0, a0), params, periodic=False)
-        return BoundedStepper(grid, params, forcing, 0.4 * grid.dx ** 2), grid.u
-
-    @staticmethod
-    def count_data_calls(stepper):
-        calls = []
-        data = stepper._data
-
-        def counted(signals):
-            calls.append(signals)
-            return data(signals)
-
-        stepper._data = counted
-        return calls
-
-    @pytest.mark.parametrize("kind", ["even", "odd"])
-    def test_switching_signal_matches_reference_steps(self, kind):
-        stepper, u0 = self.stepper(kind, WALLS[kind](switching, 0.01, p=1))
-        calls = self.count_data_calls(stepper)
-        kept = []
-        n_steps = int(1.0 / stepper.dt)
-        stepper.run(u0, 0.0, n_steps, callback=lambda i, u: kept.append(u))
-        # the states are handed out uncopied: none was overwritten later
-        expected = reference_trajectory(stepper, u0, 0.0, n_steps)
-        assert all(np.array_equal(got, ref) for got, ref in zip(kept, expected))
-        # derived before the switch, across it (t < 0.5 <= t + dt) and after
-        assert len(calls) == 6
-
-    @pytest.mark.parametrize("kind", ["even", "odd"])
-    def test_constant_signals_are_derived_once(self, kind):
-        forcing = WALLS[kind](0.02, lambda t: 0.01, p=1, right=(-0.01, 0.0))
-        stepper, u0 = self.stepper(kind, forcing)
-        calls = self.count_data_calls(stepper)
-        out = stepper.run(u0, 0.0, 40)
-        assert len(calls) == 2   # g(t) and g(t + dt) of the first step
-        assert np.array_equal(out, reference_trajectory(stepper, u0, 0.0, 40)[-1])
-
-    def test_signed_zero_signal_reaches_the_pinned_samples(self):
-        # 0.0 == -0.0, but the pinned wall sample takes the sign of the zero
-        forcing = BoundaryForcing.even_given(lambda t: 0.0 if t < 0.5 else -0.0, p=2)
-        params = make_params(r=0.1, gamma=1.0, p=2, n_elements=2, m_samples=32)
-        grid = FieldGrid.zeros(params, periodic=False)
-        stepper = BoundedStepper(grid, params, forcing, 0.4 * grid.dx ** 2)
-        n_steps = int(1.0 / stepper.dt)
-        out = stepper.run(grid.u, 0.0, n_steps)
-        assert np.signbit(out[stepper.pinned]).all()
-        assert out.tobytes() == reference_trajectory(stepper, grid.u, 0.0, n_steps)[-1].tobytes()
-
-
-TAP_OFFSETS = (0, -1, -2, 1, 2)   # stencil row k weighs u_{i + TAP_OFFSETS[k]}
 
 
 def dense_operator(stepper, r, parity, t):
@@ -724,76 +562,230 @@ def dense_operator(stepper, r, parity, t):
     return A, g, pinned, walls
 
 
-def close(got, ref):
-    """Equal to within 1e-12 of the reference's largest entry."""
-    return np.abs(np.asarray(got) - ref).max() <= 1e-12 * np.abs(ref).max()
+def close(got, ref, rtol=1e-12):
+    """Equal to within rtol of the reference's largest entry."""
+    return np.abs(np.asarray(got) - ref).max() <= rtol * np.abs(ref).max()
+
+
+def reference_step(stepper, r, u, t):
+    """One Crank-Nicolson/Heun step assembled densely from dense_operator:
+    the explicit half u + dt/2 (A u + g(t) + g(t + dt)), then two
+    np.linalg.solve calls against I - dt/2 A, each right-hand side's
+    pinned rows set to the wall data at t + dt."""
+    dt, parity = stepper.dt, stepper.parity
+    A, g0, pinned, _ = dense_operator(stepper, r, parity, t)
+    _, g1, _, walls = dense_operator(stepper, r, parity, t + dt)
+    M = np.eye(stepper.n) - dt / 2.0 * A
+
+    def cubic(v):
+        w = -v * v * v
+        w[pinned] = 0.0
+        return w
+
+    base = u + dt / 2.0 * (A @ u + g0 + g1)
+    n0 = cubic(u)
+    rhs = base + dt * n0
+    rhs[pinned] = walls
+    u_star = np.linalg.solve(M, rhs)
+    rhs = base + dt / 2.0 * (n0 + cubic(u_star))
+    rhs[pinned] = walls
+    return np.linalg.solve(M, rhs)
+
+
+def reference_trajectory(stepper, r, u, t0, n_steps):
+    states = []
+    for i in range(n_steps):
+        u = reference_step(stepper, r, u, t0 + i * stepper.dt)
+        states.append(u)
+    return states
+
+
+def run_states(stepper, u, t0, n_steps):
+    """The field after each step of stepper.run."""
+    states = []
+    stepper.run(u, t0, n_steps, callback=lambda i, field: states.append(field))
+    return states
+
+
+WALLS = {"even": BoundaryForcing.even_given, "odd": BoundaryForcing.odd_given}
+EXACT = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def switching(t):
+    return 0.03 if t < 0.5 else -0.01
+
+
+class TestMirroredSolve:
+    """The solves of I - dt/2 A are diagonal on the mirrored transform;
+    they and the stepper's trajectories match dense solves to rounding."""
+
+    @EXACT
+    @given(kind=st.sampled_from(["even", "odd"]), n=st.integers(7, 600),
+           periods=st.integers(1, 8), r=st.floats(-0.5, 0.5),
+           dt_frac=st.floats(0.01, 1.0), scale=st.sampled_from([1e-6, 1.0, 1e6]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_solve_matches_dense_solve(self, kind, n, periods, r, dt_frac, scale, seed):
+        # dt_frac of the stability bound dt <= dx^2/2; the pinned rows of
+        # the right-hand side hold zero walls
+        params = make_params(r=r, gamma=1.0, p=1, n_elements=2, m_samples=16)
+        grid = FieldGrid(0.0, 2.0 * np.pi * periods / (n - 1), np.zeros(n), False)
+        stepper = BoundedStepper(grid, params, WALLS[kind](0.0, 0.0, p=1),
+                                 dt=dt_frac * 0.5 * grid.dx ** 2)
+        rhs = scale * np.random.default_rng(seed).standard_normal(n)
+        rhs[stepper.pinned] = 0.0
+        A, _, _, _ = dense_operator(stepper, r, 1.0, 0.0)
+        expected = np.linalg.solve(np.eye(n) - stepper.dt / 2.0 * A, rhs)
+        m = 1.0 - stepper.dt / 2.0 * stepper.symbol
+        got = stepper.to_physical(stepper.to_spectral(rhs) / m)
+        assert close(got, expected, 1e-12)
+
+    @pytest.mark.parametrize("kind", ["even", "odd"])
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("signals", ["forced", "switching"])
+    def test_trajectory_matches_dense_solve_steps(self, kind, p, signals):
+        params = make_params(r=0.1, gamma=1.0, p=p, n_elements=2, m_samples=32)
+        rng = np.random.default_rng(p)
+        a0 = 0.1 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        grid = lattice_field(conjugate_state(0.0, a0), params, periodic=False)
+        if signals == "forced":
+            forcing = WALLS[kind](lambda t: 0.03 * np.cos(0.7 * t), 0.02, p=p,
+                                  right=(0.01, lambda t: -0.02 * np.sin(1.3 * t)))
+        else:
+            forcing = WALLS[kind](switching, 0.01, p=p)
+        stepper = BoundedStepper(grid, params, forcing, 0.45 * grid.dx ** 2)
+        t0, n_steps = 0.25, 150
+        assert t0 + n_steps * stepper.dt > 0.5   # the switch is crossed
+        got = run_states(stepper, grid.u, t0, n_steps)
+        expected = reference_trajectory(stepper, params.r, grid.u, t0, n_steps)
+        for i, (u, ref) in enumerate(zip(got, expected)):
+            assert close(u, ref, 1e-11)
+            # the wall data hold exactly after every step
+            t = t0 + i * stepper.dt + stepper.dt
+            walls = [params.parity_factor * pair[0] for pair in forcing.signals(t)]
+            assert u[stepper.pinned].tolist() == (walls if kind == "even" else [])
+
+
+class TestWallTermsMemo:
+    """A step derives its wall terms again only when the signal values at
+    t and t + dt, or the pinned samples it starts from, change; the
+    trajectories stay those of reference_step."""
+
+    @staticmethod
+    def stepper(kind, forcing, p=1):
+        """A stepper and a start field whose pinned samples hold the data
+        at t = 0, as every run after the first segment starts."""
+        params = make_params(r=0.1, gamma=1.0, p=p, n_elements=2, m_samples=32)
+        rng = np.random.default_rng(7)
+        a0 = 0.1 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        grid = lattice_field(conjugate_state(0.0, a0), params, periodic=False)
+        u0 = grid.u.copy()
+        if kind == "even":
+            u0[[0, -1]] = [params.parity_factor * pair[0] for pair in forcing.signals(0.0)]
+        return BoundedStepper(grid, params, forcing, 0.4 * grid.dx ** 2), u0
+
+    @staticmethod
+    def count_data_calls(stepper):
+        calls = []
+        data = stepper._data
+
+        def counted(signals):
+            calls.append(signals)
+            return data(signals)
+
+        stepper._data = counted
+        return calls
+
+    @pytest.mark.parametrize("kind", ["even", "odd"])
+    def test_switching_signal_matches_reference_steps(self, kind):
+        stepper, u0 = self.stepper(kind, WALLS[kind](switching, 0.01, p=1))
+        calls = self.count_data_calls(stepper)
+        n_steps = int(1.0 / stepper.dt)
+        kept = run_states(stepper, u0, 0.0, n_steps)
+        expected = reference_trajectory(stepper, 0.1, u0, 0.0, n_steps)
+        assert all(close(got, ref, 1e-11) for got, ref in zip(kept, expected))
+        # derived before the switch, across it (t < 0.5 <= t + dt) and after
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("kind", ["even", "odd"])
+    def test_constant_signals_are_derived_once(self, kind):
+        forcing = WALLS[kind](0.02, lambda t: 0.01, p=1, right=(-0.01, 0.0))
+        stepper, u0 = self.stepper(kind, forcing)
+        calls = self.count_data_calls(stepper)
+        out = stepper.run(u0, 0.0, 40)
+        assert len(calls) == 2   # g(t) and g(t + dt) of the first step
+        assert close(out, reference_trajectory(stepper, 0.1, u0, 0.0, 40)[-1], 1e-11)
+        # pinned samples that start off their data make the first step's
+        # terms their own, so the second step derives them once more
+        u0[stepper.pinned] += 0.5
+        calls.clear()
+        stepper.run(u0, 0.0, 40)
+        assert len(calls) == (4 if kind == "even" else 2)
+
+    def test_signed_zero_signal_reaches_the_pinned_samples(self):
+        # 0.0 == -0.0, but the pinned wall sample takes the sign of the zero
+        forcing = BoundaryForcing.even_given(lambda t: 0.0 if t < 0.5 else -0.0, p=2)
+        params = make_params(r=0.1, gamma=1.0, p=2, n_elements=2, m_samples=32)
+        grid = FieldGrid.zeros(params, periodic=False)
+        stepper = BoundedStepper(grid, params, forcing, 0.4 * grid.dx ** 2)
+        n_steps = int(1.0 / stepper.dt)
+        out = stepper.run(grid.u, 0.0, n_steps)
+        assert np.signbit(out[stepper.pinned]).all()
+        assert not out.any()
 
 
 class TestOperatorAssembly:
-    """The stepper's stencil, band and wall data against a dense operator
+    """The stepper's symbol and wall sources against a dense operator
     assembled from the PDE stencil and the ghost rules alone."""
 
     @pytest.mark.parametrize("kind", ["even", "odd"])
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("n", [7, 8, 33, 129])
-    def test_matches_dense_ghost_elimination(self, kind, p, n, monkeypatch):
+    def test_matches_dense_ghost_elimination(self, kind, p, n):
         r = 0.3 if p == 1 else -0.2
         params = make_params(r=r, gamma=1.0, p=p, n_elements=2, m_samples=16)
         grid = FieldGrid(0.0, 2.0 * np.pi * 3 / (n - 1), np.zeros(n), False)
         forcing = WALLS[kind](lambda t: 0.03 * np.cos(0.7 * t), lambda t: 0.05 + t, p=p,
                               right=(lambda t: -0.01 * t, lambda t: 0.02 * np.sin(1.3 * t)))
         stepper = BoundedStepper(grid, params, forcing, 0.4 * grid.dx ** 2)
-        for t in (0.0, 0.7):
-            A, g, pinned, walls = dense_operator(stepper, r, params.parity_factor, t)
-            got, values = stepper._data(forcing.signals(t))
-            g_full = np.zeros(n)
-            g_full[stepper.g_rows] = got
-            assert close(g_full, g)
-            assert np.array_equal(stepper.pinned, pinned) and np.array_equal(values, walls)
-        # the stencil, on the rows that evolve; taps past an end are zero
-        rows = np.setdiff1d(np.arange(n), pinned)
-        for k, offset in enumerate(TAP_OFFSETS):
-            inside = (rows + offset >= 0) & (rows + offset < n)
-            assert close(stepper.stencil[k, rows[inside]], A[rows[inside], rows[inside] + offset])
-            assert not stepper.stencil[k, rows[~inside]].any()
-        # I - dt/2 A in solve_banded layout, a pinned sample's row the identity's
-        M = np.eye(n) - stepper.dt / 2.0 * A
-        i, j = np.indices((n, n))
-        assert not M[np.abs(i - j) > 2].any()
-        band = np.abs(i - j) <= 2
-        ab = np.zeros((5, n))
-        ab[2 + i[band] - j[band], j[band]] = M[band]
-        assert close(stepper.ab_minus, ab)
-        # the explicit half 2u - M u that a step forms is u + dt/2 A u
-        formed = []
-
-        def recorded(*args, **kwargs):
-            formed.append(dgbmv(*args, **kwargs).copy())
-            return formed[-1].copy()
-
-        monkeypatch.setattr(direct_solver, "dgbmv", recorded)
+        dt, length, parity = stepper.dt, 2 * (n - 1), params.parity_factor
+        m = 1.0 - dt / 2.0 * stepper.symbol
         u = np.random.default_rng(n).standard_normal(n)
-        stepper.step(u, 0.7)
-        (got,) = formed
-        assert close(got, u + stepper.dt / 2.0 * (A @ u))
-
-    @pytest.mark.parametrize("kind", ["even", "odd"])
-    def test_band_and_factors_are_fortran_ordered(self, kind):
-        params = params_for(n=2, m=16)
-        grid = FieldGrid.zeros(params, periodic=False)
-        stepper = BoundedStepper(grid, params, WALLS[kind](0.1, 0.2, p=1), 0.4 * grid.dx ** 2)
-        for name in ("ab_minus", "lu"):
-            assert getattr(stepper, name).flags.f_contiguous, (
-                f"stepper.{name} is not Fortran-ordered: BLAS/LAPACK would copy "
-                "the band on every call of a step")
+        A, _, pinned, _ = dense_operator(stepper, r, parity, 0.0)
+        assert stepper.pinned == pinned
+        rows = np.setdiff1d(np.arange(n), pinned)
+        # A on the rows that evolve, from the symbol on the mirrored grid
+        interior = u.copy()
+        interior[pinned] = 0.0
+        applied = np.fft.irfft(stepper.symbol * stepper.to_spectral(u), length)
+        assert close(applied[rows], (A @ interior)[rows])
+        for t in (0.0, 0.7):
+            # a step's wall source: g at t and t + dt, and A's coupling to
+            # the pinned samples it starts from and to their data at t + dt
+            _, g0, _, _ = dense_operator(stepper, r, parity, t)
+            _, g1, _, walls = dense_operator(stepper, r, parity, t + dt)
+            stepper.walls = tuple(u[pinned])
+            edges = np.zeros(n)
+            edges[pinned] = u[pinned] + np.array(walls)
+            source = np.fft.irfft(stepper._wall_terms(t) * m, length)
+            assert close(source[rows], (dt / 2.0 * (A @ edges + g0 + g1))[rows])
+            assert list(stepper.walls) == walls
 
     def test_pinned_samples_are_zero_rows(self):
         params = params_for(n=2, m=16)
         grid = FieldGrid.zeros(params, periodic=False)
         stepper = BoundedStepper(grid, params, BoundaryForcing.even_given(0.1, 0.2, p=1),
                                  0.4 * grid.dx ** 2)
-        assert list(stepper.pinned) == [0, len(grid.u) - 1]
-        assert not stepper.stencil[:, stepper.pinned].any()
+        n = len(grid.u)
+        assert stepper.pinned == [0, n - 1]
+        # the mirror holds zeros at the pinned samples, whatever the field
+        # has there, and A keeps them zero: the odd parity is preserved
+        u = np.random.default_rng(1).standard_normal(n)
+        moved = u.copy()
+        moved[stepper.pinned] += 1.0
+        v = stepper.to_spectral(u)
+        assert np.array_equal(stepper.to_spectral(moved), v)
+        applied = np.fft.irfft(stepper.symbol * v, 2 * (n - 1))
+        assert np.abs(applied[stepper.pinned]).max() <= 1e-12 * np.abs(applied).max()
 
     @pytest.mark.parametrize("kind", ["even", "odd"])
     def test_wall_parity_comes_from_params(self, kind):

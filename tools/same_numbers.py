@@ -1,0 +1,193 @@
+"""Compare the numbers of two source trees on one fixed catalogue.
+
+Each tree runs the catalogue in its own subprocess, with ``PYTHONPATH``
+set to its ``src``; the catalogue itself is this file's, so both trees
+answer the same questions through the public API.  For each entry the
+table says either ``equal`` (the arrays' bytes are identical) or the
+largest absolute difference and the largest relative one (against the
+largest magnitude of the other tree's entry).
+
+    python tools/same_numbers.py --against REV         # git archive REV vs this tree
+    python tools/same_numbers.py --against-tree DIR    # DIR's src vs this tree
+    python tools/same_numbers.py --against HEAD --tiny # small sizes, a few seconds
+
+The catalogue: ``integrate_bounded`` on criterion 5's inputs for both wall
+kinds, unforced, with constant and with time-varying forcing (the field
+and its extracted amplitudes); ``integrate_spectral`` at n = 512;
+``run_model`` with periodic, even and odd walls; the ladder slope of
+``compare_model_vs_direct``; and the CSVs of the six README commands
+other than ``compare``, with ``--seed 7``.  Exits 1 when any entry
+differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import csv
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (name, README arguments, tiny overrides)
+COMMANDS = [
+    ("dispersion", ["dispersion", "--r", "0.1", "--k-min", "0.5", "--k-max", "1.5",
+                    "--k-steps", "21"], ["--k-steps", "3"]),
+    ("boundary-select", ["boundary-select", "--sign", "upper", "--r", "0.05",
+                         "--n-elements", "2", "--with-oracle"], ["--m-samples", "16"]),
+    ("boundary-equilibrium", ["boundary-equilibrium", "--alpha", "0.1", "--beta", "0",
+                              "--t-end", "300"], ["--t-end", "5"]),
+    ("boundary-profiles", ["boundary-profiles", "--p", "1", "--sign", "upper"], []),
+    ("simulate-direct", ["simulate-direct", "--scheme", "spectral-etd", "--r", "0.3",
+                         "--t-end", "50"], ["--t-end", "1"]),
+    ("simulate-model", ["simulate-model", "--kind", "periodic", "--r", "0.05",
+                        "--t-end", "200"], ["--t-end", "2"]),
+]
+
+
+def catalogue(tiny: bool) -> dict[str, np.ndarray]:
+    """Every entry's array, computed with the shlattice on sys.path."""
+    import shlattice as sh
+    from shlattice import cli
+
+    out = {}
+    # criterion 5's inputs; m = 64 takes about 17,000 oracle steps
+    params = sh.make_params(r=0.05, gamma=1.0, p=1, n_elements=2,
+                            m_samples=16 if tiny else 64)
+    t_end = 2.0 if tiny else 10.0 / (8.0 / params.h ** 2 - params.r)
+    state = sh.conjugate_state(0.0, np.full(2, 0.05 * np.exp(1j * np.pi / 4)))
+    signals = {"unforced": (0.0, 0.0), "constant": (0.02, 0.01),
+               "varying": (lambda t: 0.02 * np.cos(0.3 * t), 0.01)}
+    for kind, make in (("even", sh.BoundaryForcing.even_given),
+                       ("odd", sh.BoundaryForcing.odd_given)):
+        for label, (alpha, beta) in signals.items():
+            grid = sh.lattice_field(state, params, periodic=False)
+            field = sh.integrate_bounded(grid, params, make(alpha, beta, p=1), t_end)
+            out[f"bounded.{kind}.{label}.u"] = field.u
+            out[f"bounded.{kind}.{label}.a"] = sh.extract_amplitudes(field, params).a
+
+    rng = np.random.default_rng(7)
+    n_el = 4 if tiny else 16
+    a0 = 0.1 * (rng.standard_normal(n_el) + 1j * rng.standard_normal(n_el))
+    periodic = sh.make_params(r=0.1, gamma=1.0, p=1, n_elements=n_el, m_samples=32)
+    grid = sh.lattice_field(sh.conjugate_state(0.0, a0), periodic, periodic=True)
+    out["spectral.u"] = sh.integrate_spectral(grid, periodic, 1.0 if tiny else 10.0).u
+
+    for kind, forcing in (("periodic", sh.BoundaryForcing.periodic()),
+                          ("even", sh.BoundaryForcing.even_given(0.02, 0.01, p=1)),
+                          ("odd", sh.BoundaryForcing.odd_given(
+                              lambda t: 0.02 * np.cos(0.3 * t), 0.01, p=1))):
+        traj = sh.run_model(sh.conjugate_state(0.0, a0), periodic, forcing,
+                            2.0 if tiny else 20.0, 0.05)
+        out[f"model.{kind}.a"] = traj.a
+
+    ladder = (0.4, 0.2, 0.1) if tiny else (0.04, 0.02, 0.01)
+    config = sh.CompareConfig(params=sh.make_params(r=0.02, gamma=1.0, p=1, n_elements=16,
+                                                    m_samples=32), r_ladder=ladder)
+    out["ladder.slope"] = np.array(sh.compare_model_vs_direct(config).convergence_slope)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv, small in COMMANDS:
+            run_dir = Path(tmp) / name
+            with contextlib.redirect_stdout(io.StringIO()):   # the CSV's path
+                code = cli.main(argv + (small if tiny else [])
+                                + ["--seed", "7", "--output-dir", str(run_dir)])
+            if code != 0:
+                raise SystemExit(f"{name} exited {code}")
+            (path,) = run_dir.glob("*.csv")
+            out[f"csv.{name}"] = np.frombuffer(path.read_bytes(), dtype=np.uint8)
+    return out
+
+
+def _csv_numbers(raw: np.ndarray) -> np.ndarray:
+    """The numeric cells of a CSV, NaN where a cell is not a number."""
+    rows = list(csv.reader(io.StringIO(raw.tobytes().decode())))[1:]
+
+    def number(cell):
+        try:
+            return float(cell)
+        except ValueError:
+            return np.nan
+    return np.array([[number(c) for c in row] for row in rows], dtype=float)
+
+
+def difference(ours: np.ndarray, theirs: np.ndarray, name: str) -> str:
+    if ours.dtype == theirs.dtype and ours.shape == theirs.shape \
+            and ours.tobytes() == theirs.tobytes():
+        return "equal"
+    if name.startswith("csv."):
+        ours, theirs = _csv_numbers(ours), _csv_numbers(theirs)
+    if ours.shape != theirs.shape:
+        return f"shape {theirs.shape} -> {ours.shape}"
+    delta = np.abs(ours - theirs)
+    if np.isnan(delta).any() and not (np.isnan(ours) == np.isnan(theirs)).all():
+        return "NaN pattern differs"
+    largest = np.nanmax(np.abs(theirs)) if theirs.size else 0.0
+    worst = np.nanmax(delta) if delta.size else 0.0
+    rel = worst / largest if largest else (0.0 if worst == 0 else np.inf)
+    return f"max|d| {worst:.3g}, rel {rel:.3g}"
+
+
+def _emit(tree: Path, tiny: bool, out: Path) -> None:
+    """Run the catalogue in a subprocess on tree's src, saved to out."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    argv = [sys.executable, str(Path(__file__).resolve()), "--emit", str(out)]
+    subprocess.run(argv + (["--tiny"] if tiny else []), env=env, cwd=out.parent, check=True)
+
+
+def _export(rev: str, dest: Path) -> Path:
+    """git archive REV of this repository, unpacked under dest."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        # the "data" filter exists from Python 3.11.4 and 3.10.12 on
+        tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+    return dest
+
+
+def compare(against: Path, tiny: bool) -> tuple[list[tuple[str, str]], bool]:
+    """(entry, result) rows of the working tree against the tree `against`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        theirs_path, ours_path = Path(tmp) / "theirs.npz", Path(tmp) / "ours.npz"
+        _emit(against, tiny, theirs_path)
+        _emit(ROOT, tiny, ours_path)
+        with np.load(theirs_path) as theirs, np.load(ours_path) as ours:
+            names = sorted(set(theirs.files) | set(ours.files))
+            rows = [(name, difference(ours[name], theirs[name], name)
+                     if name in ours.files and name in theirs.files else "missing")
+                    for name in names]
+    return rows, all(result == "equal" for _, result in rows)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    which = parser.add_mutually_exclusive_group(required=True)
+    which.add_argument("--against", metavar="REV", help="a git revision of this repository")
+    which.add_argument("--against-tree", metavar="DIR", type=Path,
+                       help="a source tree (a directory holding src/shlattice)")
+    which.add_argument("--emit", metavar="NPZ", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--tiny", action="store_true", help="small sizes, for the tests")
+    args = parser.parse_args(argv)
+    if args.emit:
+        np.savez(args.emit, **catalogue(args.tiny))
+        return 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = args.against_tree or _export(args.against, Path(tmp) / "rev")
+        rows, same = compare(tree.resolve(), args.tiny)
+    width = max(len(name) for name, _ in rows)
+    print(f"{'entry':<{width}}  result")
+    for name, result in rows:
+        print(f"{name:<{width}}  {result}")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
