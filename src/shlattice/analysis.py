@@ -8,7 +8,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import AmplitudeState, BoundaryForcing, FieldGrid, ModelParams, _step_count
+from .core import (AmplitudeState, BoundaryForcing, FieldGrid, ModelParams, _check_budget,
+                   _step_count)
 from .amplitude_model import run_model
 from .direct_solver import SpectralStepper, growth_symbol
 from .subgrid import extract_amplitudes, lattice_field
@@ -113,6 +114,7 @@ def _sample_counts(t_end: float, dt: float, n_samples: int) -> tuple[int, int]:
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     per = _step_count(t_end, dt * n_samples)
+    _check_budget(per * n_samples, t_end, dt)
     return per * n_samples, per
 
 

@@ -12,9 +12,10 @@ A real solution field corresponds to ``b_j = conj(a_j)`` for every j.
 The lattice model and both direct solvers step through one loop,
 `_integrate`, and take their step counts from one rule, `_step_count`:
 a span is covered by n = max(1, ceil(span/dt - 1e-12)) equal steps of
-span/n.  A non-finite start state is bad input (ValueError); a state that
-turns non-finite, or runs past a solver's bound, is a DivergenceError that
-names the solver, the step and the time.
+span/n, at most `_MAX_STEPS` of them.  A non-finite start state is bad
+input (ValueError); a state that turns non-finite, or runs past a
+solver's bound, is a DivergenceError that names the solver, the step and
+the time.
 """
 
 from __future__ import annotations
@@ -43,8 +44,23 @@ def _positive_dt(dt: float) -> float:
     return dt
 
 
+# The most steps one run may take.  The largest legitimate runs in the
+# repository are the bounded oracle's m = 256 walls references, about
+# 273,000 steps; ten million lattice steps already take minutes.  A run
+# past it is a mistaken span or dt, which would otherwise run for hours
+# or fail to allocate its step clock.
+_MAX_STEPS = 10_000_000
+
+
+def _check_budget(steps: float, span: float, dt: float) -> None:
+    if not steps <= _MAX_STEPS:
+        raise ValueError(f"a span of {span:g} at dt={dt:g} needs {steps:.4g} steps, "
+                         f"more than the budget of {_MAX_STEPS:,}")
+
+
 def _step_count(span: float, dt: float) -> int:
-    """Number of equal steps, each at most dt, that cover span exactly.
+    """Number of equal steps, each at most dt, that cover span exactly;
+    more than _MAX_STEPS is a ValueError.
 
     The 1e-12 slack keeps a span that is a whole number of dt up to
     rounding from taking one step more.
@@ -52,7 +68,9 @@ def _step_count(span: float, dt: float) -> int:
     if not 0 < span < math.inf:
         raise ValueError(
             f"t_end must exceed the start time and be finite, got a span of {span}")
-    return max(1, math.ceil(span / _positive_dt(dt) - 1e-12))
+    steps = span / _positive_dt(dt) - 1e-12
+    _check_budget(steps, span, dt)
+    return max(1, math.ceil(steps))
 
 
 def _within(x: np.ndarray, bound: float) -> bool:

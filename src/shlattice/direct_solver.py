@@ -341,6 +341,7 @@ class BoundedStepper:
         self.sources = self.to_spectral(unit) / m
         self.walls = (0.0,) * len(self.pinned)   # the pinned samples, see `run`
         self._wall_key = None   # what `_source` was derived from
+        self._end = (None, None)   # the last step's end time and its signals
         # the step's buffers: the mirrored field, two cubes and a spectrum;
         # the mirrored length 2(n - 1) is even, so rfft takes the even kernel
         self._inv_len, self._spec = 1 / (2 * (n - 1)), np.empty(n, dtype=complex)
@@ -378,8 +379,12 @@ class BoundedStepper:
         for even walls A's coupling to the pinned samples at t and their
         data at t + dt, transformed and divided by m.  Derived again only
         when those values change; the pinned samples move to their data at
-        t + dt every step, as a sample carries the sign of its zero."""
-        s0, s1 = self.forcing.signals(t), self.forcing.signals(t + self.dt)
+        t + dt every step, as a sample carries the sign of its zero.  A
+        step that starts at exactly the last one's end time reuses its
+        signals there."""
+        s0 = self._end[1] if t == self._end[0] else self.forcing.signals(t)
+        s1 = self.forcing.signals(t + self.dt)
+        self._end = (t + self.dt, s1)
         start = self.walls
         if self.pinned:
             self.walls = (self.parity * s1[0][0], self.parity * s1[1][0])
@@ -422,7 +427,7 @@ class BoundedStepper:
         samples start from u's own and end at their data."""
         if not np.isfinite(u).all():
             raise ValueError("bounded solve: start state contains NaN/Inf")
-        self.walls, self._wall_key = tuple(u[self.pinned].tolist()), None
+        self.walls, self._wall_key, self._end = tuple(u[self.pinned].tolist()), None, (None, None)
         v = _integrate("bounded solve", self.step, self.to_spectral(u),
                        (t0 + i * self.dt for i in range(n_steps + 1)),
                        None if callback is None

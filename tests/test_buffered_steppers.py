@@ -1,12 +1,16 @@
 """The lattice RK4 and the spectral ETDRK4 write their stages into held
 buffers.  These tests pin that they still compute, bit for bit, what the
 allocating expressions below compute, that no state they hand out is
-overwritten later, and how much one warm step allocates."""
+overwritten later, and how much one warm step allocates.  A `run_model`
+on a small lattice steps with stage matrices, whose sums are ordered
+differently: it is held to 1e-14 of max|a| instead."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shlattice import (
     AmplitudeState,
@@ -14,11 +18,12 @@ from shlattice import (
     SpectralStepper,
     conjugate_state,
     make_params,
+    max_stable_dt,
     model_rhs,
     rk4_step,
     run_model,
 )
-from shlattice.amplitude_model import _kernel
+from shlattice.amplitude_model import _STAGE_FLOATS, _LatticeKernel, _kernel
 
 FORCINGS = {
     "periodic": BoundaryForcing.periodic(),
@@ -100,10 +105,96 @@ def test_lattice_matches_allocating_reference(kind, sector, n):
     t_end = state.t + 12 * dt
     traj = run_model(state, params, forcing, t_end, dt)
     x = state.a if sector == "real" else pair
+    stencil = 2 * x.size > _STAGE_FLOATS
     for i, t in enumerate(traj.times[:-1]):
         x = ref.rk4(x, t, (t_end - state.t) / 12)
-        got = traj.a[i + 1] if sector == "real" else (traj.a[i + 1], traj.b[i + 1])
-        assert np.array_equal(got, x)
+        got = traj.a[i + 1] if sector == "real" else np.array((traj.a[i + 1], traj.b[i + 1]))
+        if stencil:
+            assert np.array_equal(got, x)
+        else:
+            assert np.max(np.abs(got - x)) <= 1e-14 * np.max(np.abs(x))
+
+
+@st.composite
+def stage_runs(draw):
+    """A lattice small enough for stage matrices, in either sector, with
+    periodic or walled forcing, constant or time-varying signals, a step
+    up to max_stable_dt and up to 16 steps."""
+    sector = draw(st.sampled_from(["real", "full"]))
+    n = draw(st.integers(2, _STAGE_FLOATS // (2 if sector == "real" else 4)))
+    p = draw(st.integers(1, 2))
+    params = make_params(r=draw(st.floats(-0.1, 0.2)), gamma=draw(st.floats(0.0, 1.0)),
+                         p=p, n_elements=n, m_samples=16)
+    kind = draw(st.sampled_from(["periodic", "even", "odd"]))
+    forcing = BoundaryForcing.periodic()
+    if kind != "periodic":
+        alpha, beta, omega = (draw(st.floats(-0.1, 0.1)), draw(st.floats(-0.1, 0.1)),
+                              draw(st.sampled_from([0.0, 0.3, 1.0])))
+        signal = (lambda t: alpha * math.cos(omega * t)) if omega else alpha
+        make = BoundaryForcing.even_given if kind == "even" else BoundaryForcing.odd_given
+        forcing = make(signal, beta, p=p, right=(beta, signal))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a, noise = rng.standard_normal((2, n, 2)) @ np.array([1.0, 1j])
+    # max|a| up to 0.4 keeps the cubic's rate times dt below 1 at p = 2;
+    # off the real sector, b = conj(a)(1 + 0.1 noise), as a b with a
+    # negative real part would make the cubic blow up in finite time
+    a *= draw(st.floats(0.01, 0.4)) / np.max(np.abs(a))
+    state = conjugate_state(draw(st.floats(-1.0, 1.0)), a) if sector == "real" \
+        else AmplitudeState(draw(st.floats(-1.0, 1.0)), a, np.conj(a) * (1.0 + 0.1 * noise))
+    dt = draw(st.floats(0.05, 1.0)) * max_stable_dt(params)
+    return state, params, forcing, dt, draw(st.integers(1, 16))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(stage_runs())
+def test_stage_matrices_match_the_stencil_and_the_reference(run):
+    # the stage path against rk4_step (the stencil) and the allocating
+    # expressions, within 1e-14 of max|a| at every step
+    state, params, forcing, dt, n_steps = run
+    t_end = state.t + n_steps * dt
+    traj = run_model(state, params, forcing, t_end, dt)
+    dt_eff = (t_end - state.t) / n_steps
+    assert len(traj.times) == n_steps + 1
+    ref = ReferenceLattice(params, forcing)
+    current, x = state, np.array((state.a, state.b))
+    for i, t in enumerate(traj.times[:-1], 1):
+        current = rk4_step(current, params, forcing, dt_eff)
+        x = ref.rk4(x, t, dt_eff)
+        got, scale = np.array((traj.a[i], traj.b[i])), np.max(np.abs(x))
+        assert np.max(np.abs(got - np.array((current.a, current.b)))) <= 1e-14 * scale
+        assert np.max(np.abs(got - x)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("sector, n, stencil", [("real", 32, False), ("real", 33, True),
+                                                ("full", 16, False), ("full", 17, True)])
+def test_the_cutoff_picks_the_path(monkeypatch, sector, n, stencil):
+    # stage matrices up to 64 floats of state: N <= 32 in the real sector,
+    # N <= 16 in the general one
+    calls, rk4 = [], _LatticeKernel.rk4
+
+    def counted(self, *args):
+        calls.append(args)
+        return rk4(self, *args)
+
+    monkeypatch.setattr(_LatticeKernel, "rk4", counted)
+    params = make_params(r=0.05, gamma=1.0, p=1, n_elements=n, m_samples=16)
+    run_model(state_for(n, sector), params, FORCINGS["even"], 0.8, 0.1)
+    assert len(calls) == (5 if stencil else 0)
+
+
+def test_stage_steps_reuse_the_end_drives():
+    # a step starting where the last ended reuses its drives: signals at
+    # the start once, then at the midpoint and end of each step
+    calls = []
+
+    def alpha(t):
+        calls.append(t)
+        return 0.02 * math.cos(0.3 * t)
+
+    params = make_params(r=0.05, gamma=1.0, p=1, n_elements=4, m_samples=16)
+    run_model(state_for(4, "real"), params, BoundaryForcing.even_given(alpha, 0.01, p=1),
+              0.3 + 40 * 0.05, 0.05)
+    assert len(calls) == 2 * 40 + 1
 
 
 def reference_etdrk4(stepper, v):

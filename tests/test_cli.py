@@ -530,6 +530,11 @@ class TestRejectedInput:
         (["dispersion", "--k-min", "nan", "--k-max", "1", "--k-steps", "1"],
          "k-min must be finite, got nan"),
         (["dispersion", "--k-max", "inf", "--k-steps", "2"], "k-max must be finite, got inf"),
+        # step budgets, rejected before any step is taken or allocated
+        (["simulate-direct", "--t-end", "1e9", "--n-elements", "2", "--m-samples", "16"],
+         "a span of 1e+09 at dt=0.05 needs 2e+10 steps, more than the budget of 10,000,000"),
+        (["simulate-model", "--t-end", "1e12", "--n-elements", "2"], "needs 2e+13 steps"),
+        (["boundary-equilibrium", "--t-end", "1e12"], "needs 2e+13 steps"),
     ])
     def test_bad_input_exits_one(self, tmp_path, capsys, args, message):
         assert message in self.rejected(args, tmp_path, capsys)

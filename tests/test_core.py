@@ -12,6 +12,7 @@ from shlattice import (
     make_params,
     model_rhs,
 )
+from shlattice.analysis import _sample_counts
 from shlattice.core import _integrate, _step_count
 from shlattice.subgrid import interior_envelopes
 
@@ -210,6 +211,25 @@ class TestStepRule:
     def test_nonpositive_dt_rejected(self, dt):
         with pytest.raises(ValueError, match="dt must be positive"):
             _step_count(1.0, dt)
+
+    def test_budget_is_ten_million_steps(self):
+        # counted, never allocated: the cap itself passes, one step more fails
+        assert _step_count(1e6, 0.1) == 10_000_000
+        with pytest.raises(ValueError, match=r"^a span of 1e\+09 at dt=0.05 needs 2e\+10 steps, "
+                                             r"more than the budget of 10,000,000$"):
+            _step_count(1e9, 0.05)
+        with pytest.raises(ValueError, match=r"needs 1e\+07 steps"):
+            _step_count(1e6 * (1 + 1e-9), 0.1)
+        # span/dt past the largest float is over budget, not an OverflowError
+        with pytest.raises(ValueError, match="needs inf steps"):
+            _step_count(1e300, 1e-10)
+
+    def test_sampled_runs_count_every_step(self):
+        # 1000 samples of 20,000 steps each: each sample is within budget,
+        # the run is not
+        assert _sample_counts(1e5, 0.05, 1000) == (2_000_000, 2000)
+        with pytest.raises(ValueError, match=r"needs 2e\+07 steps"):
+            _sample_counts(1e6, 0.05, 1000)
 
 
 class TestSteppingLoop:

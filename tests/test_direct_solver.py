@@ -721,6 +721,31 @@ class TestWallTermsMemo:
         stepper.run(u0, 0.0, 40)
         assert len(calls) == (4 if kind == "even" else 2)
 
+    @pytest.mark.parametrize("kind", ["even", "odd"])
+    def test_end_signals_are_reused_bit_for_bit(self, kind):
+        # with dt = 1/64 each step starts at exactly the last one's end
+        # time, so k steps read the signals k + 1 times, not 2k; the run
+        # is the same, byte for byte, as steps that read them afresh
+        times = []
+
+        def alpha(t):
+            times.append(t)
+            return 0.02 * np.cos(0.3 * t)
+
+        params = make_params(r=0.1, gamma=1.0, p=1, n_elements=2, m_samples=32)
+        grid = lattice_field(conjugate_state(0.0, np.full(2, 0.05 + 0.03j)), params,
+                             periodic=False)
+        stepper = BoundedStepper(grid, params, WALLS[kind](alpha, 0.01, p=1), 1 / 64)
+        out = stepper.run(grid.u, 0.0, 64)
+        assert len(times) == 65
+        stepper.walls, stepper._wall_key = tuple(grid.u[stepper.pinned].tolist()), None
+        v = stepper.to_spectral(grid.u)
+        for i in range(64):
+            stepper._end = (None, None)
+            v = stepper.step(v, i / 64)
+        assert len(times) == 65 + 128
+        assert stepper.to_physical(v).tobytes() == out.tobytes()
+
     def test_signed_zero_signal_reaches_the_pinned_samples(self):
         # 0.0 == -0.0, but the pinned wall sample takes the sign of the zero
         forcing = BoundaryForcing.even_given(lambda t: 0.0 if t < 0.5 else -0.0, p=2)

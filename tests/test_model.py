@@ -388,12 +388,11 @@ class TestRealSectorFastPath:
         assert np.array_equal(traj.times, times)
         assert traj.a.shape == a.shape and traj.b.shape == b.shape
         assert np.array_equal(traj.b, np.conj(traj.a))
-        if run["forcing"].kind.value == "periodic":
-            assert np.array_equal(traj.a, a) and np.array_equal(traj.b, b)
-        else:
-            scale = np.max(np.abs(a))
-            assert np.max(np.abs(traj.a - a)) <= 1e-14 * scale
-            assert np.max(np.abs(traj.b - b)) <= 1e-14 * scale
+        # N <= 9 steps with stage matrices, whose sums are ordered
+        # differently from the stencil's
+        scale = np.max(np.abs(a))
+        assert np.max(np.abs(traj.a - a)) <= 1e-14 * scale
+        assert np.max(np.abs(traj.b - b)) <= 1e-14 * scale
 
     def test_dt_guard(self):
         params = params_for(n=4)
@@ -455,6 +454,9 @@ def lyapunov(a, params, sign, signals=((0.0, 0.0), (0.0, 0.0))):
 
 
 class TestLyapunovDecrease:
+    """V never increases along a run; at N = 6 the runs step with stage
+    matrices, and the stencil's right-hand side is minus V's gradient."""
+
     @pytest.mark.parametrize("gamma", [0.5, 1.0])
     @pytest.mark.parametrize("kind", ["periodic", "even", "odd"])
     @settings(max_examples=15, deadline=None, derandomize=True, database=None)

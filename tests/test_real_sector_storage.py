@@ -20,7 +20,7 @@ from shlattice import (
     make_params,
     run_model,
 )
-from shlattice.amplitude_model import _kernel
+from shlattice.amplitude_model import _kernel, _stepper
 
 FORCINGS = {
     "periodic": BoundaryForcing.periodic(),
@@ -37,18 +37,18 @@ def state_for(n, sector, t=0.3):
 
 
 def stored_reference(state, params, forcing, t_end, dt, stride):
-    """times, a and b of a run with b stored as its own array: the kernel's
-    RK4 stepped by hand, on a alone in the real sector, with every sampled
+    """times, a and b of a run with b stored as its own array: run_model's
+    step stepped by hand, on a alone in the real sector, with every sampled
     b written out as conj(a)."""
     n_steps = int(np.ceil((t_end - state.t) / dt - 1e-12))
     dt_eff = (t_end - state.t) / n_steps
     times = np.cumsum(np.r_[state.t, np.full(n_steps, dt_eff)])
-    kernel = _kernel(state, params, forcing)
     real = np.array_equal(state.b, np.conj(state.a))
     x = state.a if real else np.array((state.a, state.b))
+    step = _stepper(_kernel(state, params, forcing), x, dt_eff)
     rows = [x]
     for i in range(1, n_steps + 1):
-        x = kernel.rk4(float(times[i - 1]), x, dt_eff)
+        x = step(x, float(times[i - 1]))
         if i % stride == 0 or i == n_steps:
             rows.append(x)
     if real:

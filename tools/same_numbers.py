@@ -14,7 +14,9 @@ largest magnitude of the other tree's entry).
 The catalogue: ``integrate_bounded`` on criterion 5's inputs for both wall
 kinds, unforced, with constant and with time-varying forcing (the field
 and its extracted amplitudes); ``integrate_spectral`` at n = 512;
-``run_model`` with periodic, even and odd walls; the ladder slope of
+``run_model`` with periodic, even and odd walls, and with time-varying
+walls at N = 2, either side of the stage-matrix cutoff in both sectors
+and N = 512; ``rk4_step`` and ``model_rhs``; the ladder slope of
 ``compare_model_vs_direct``; and the CSVs of the six README commands
 other than ``compare``, with ``--seed 7``.  Exits 1 when any entry
 differs.
@@ -81,6 +83,8 @@ def catalogue(tiny: bool) -> dict[str, np.ndarray]:
     grid = sh.lattice_field(sh.conjugate_state(0.0, a0), periodic, periodic=True)
     out["spectral.u"] = sh.integrate_spectral(grid, periodic, 1.0 if tiny else 10.0).u
 
+    varying = sh.BoundaryForcing.even_given(lambda t: 0.02 * np.cos(0.3 * t), 0.01, p=1,
+                                            right=(0.03, lambda t: 0.01 * np.sin(t)))
     for kind, forcing in (("periodic", sh.BoundaryForcing.periodic()),
                           ("even", sh.BoundaryForcing.even_given(0.02, 0.01, p=1)),
                           ("odd", sh.BoundaryForcing.odd_given(
@@ -88,6 +92,22 @@ def catalogue(tiny: bool) -> dict[str, np.ndarray]:
         traj = sh.run_model(sh.conjugate_state(0.0, a0), periodic, forcing,
                             2.0 if tiny else 20.0, 0.05)
         out[f"model.{kind}.a"] = traj.a
+    # either side of the stage-matrix cutoff (64 floats of state), in both
+    # sectors, and the stencil at N = 512, all with time-varying walls
+    for sector, n in (("real", 2), ("real", 32), ("real", 33), ("real", 512),
+                      ("full", 16), ("full", 17)):
+        a, b = 0.1 * (rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n)))
+        state = (sh.conjugate_state(0.0, a) if sector == "real"
+                 else sh.AmplitudeState(0.0, a, np.conj(a) + 0.1 * b))
+        params = sh.make_params(r=0.1, gamma=1.0, p=1, n_elements=n, m_samples=16)
+        traj = sh.run_model(state, params, varying, 2.0 if tiny else 20.0, 0.05)
+        out[f"model.{sector}.n{n}.a"] = traj.a
+        if sector == "full":
+            out[f"model.{sector}.n{n}.b"] = traj.b
+    # the last state, general at N = 17
+    stepped = sh.rk4_step(state, params, varying, 0.05)
+    out["rk4_step.a"], out["rk4_step.b"] = stepped.a, stepped.b
+    out["model_rhs.da"], out["model_rhs.db"] = sh.model_rhs(state, params, varying)
 
     ladder = (0.4, 0.2, 0.1) if tiny else (0.04, 0.02, 0.01)
     config = sh.CompareConfig(params=sh.make_params(r=0.02, gamma=1.0, p=1, n_elements=16,
