@@ -45,6 +45,7 @@ from .analysis import (
     lattice_dispersion,
     longwave_quadratic_coefficient,
     modulated_profile,
+    oracle_amplitudes,
     she_growth_rate,
 )
 

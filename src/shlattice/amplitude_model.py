@@ -383,8 +383,8 @@ def run_model(state: AmplitudeState, params: ModelParams,
     The step is shrunk uniformly so the run lands exactly on t_end, and
     the time advances by accumulation (t += dt).  The trajectory is
     recorded every sample_stride steps (the final state is always
-    included).  Raises DivergenceError on NaN or once |a| or |b| passes
-    1e6.
+    included; a stride past the run samples its two ends).  Raises
+    DivergenceError on NaN or once |a| or |b| passes 1e6.
 
     A state exactly in the real sector (b == conj(a)) stays there, so only
     a is integrated and stored, and the trajectory reads b as conj(a).
@@ -397,6 +397,7 @@ def run_model(state: AmplitudeState, params: ModelParams,
     n_steps = _step_count(span, dt)
     if sample_stride < 1:
         raise ValueError(f"sample_stride must be at least 1, got {sample_stride}")
+    sample_stride = min(sample_stride, n_steps)   # a longer stride keeps the ends alone
     dt_eff = span / n_steps
     _check_dt(dt_eff, params)
     kernel = _kernel(state, params, forcing)

@@ -1,4 +1,5 @@
-"""Closed-form predictions and the model-vs-oracle comparison harness."""
+"""Closed-form predictions, the oracle in amplitude space and the
+model-vs-oracle comparison harness."""
 
 from __future__ import annotations
 
@@ -8,10 +9,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (AmplitudeState, BoundaryForcing, FieldGrid, ModelParams, _check_budget,
-                   _step_count)
+from .core import (AmplitudeState, BoundaryForcing, FieldGrid, ForcingKind, ModelParams,
+                   _check_budget, _step_count)
 from .amplitude_model import run_model
-from .direct_solver import SpectralStepper, growth_symbol
+from .direct_solver import BoundedStepper, SpectralStepper, _default_dt, growth_symbol
 from .subgrid import extract_amplitudes, lattice_field
 
 
@@ -118,48 +119,53 @@ def _sample_counts(t_end: float, dt: float, n_samples: int) -> tuple[int, int]:
     return per * n_samples, per
 
 
-def _run_pair(params: ModelParams, a0: np.ndarray, t_end: float,
-              n_samples: int, dt_model: float, dt_oracle: float) -> ComparisonReport:
-    N = params.n_elements
-    state0 = AmplitudeState(0.0, np.asarray(a0, complex), np.conj(a0))
-    n_steps, per = _sample_counts(t_end, dt_oracle, n_samples)
-    m_steps, m_per = _sample_counts(t_end, dt_model, n_samples)
+def oracle_amplitudes(state: AmplitudeState, params: ModelParams, forcing: BoundaryForcing,
+                      t_end: float, n_samples: int = 1, dt: Optional[float] = None) -> np.ndarray:
+    """(n_samples + 1, N) amplitudes of the oracle that forcing.kind picks,
+    the spectral one on a periodic domain and the bounded one for walls,
+    at n_samples + 1 equal times from state.t to t_end, in whole steps of
+    at most dt (the oracle's own when None) per sample.
 
-    # oracle seeded with the full reconstruction so it starts on the slow
-    # manifold rather than merely near it
-    grid = lattice_field(state0, params, periodic=True)
-    stepper = SpectralStepper(len(grid.u), grid.length, params.r, t_end / n_steps)
-    times = np.linspace(0.0, t_end, n_samples + 1)
-    oracle = np.empty((n_samples + 1, N), dtype=complex)
-    oracle[0] = extract_amplitudes(grid, params).a
+    The oracle is seeded with the full reconstruction `lattice_field`, so
+    it starts on the slow manifold rather than merely near it.  Fields are
+    formed only at the kept samples, the last one from the run's result.
+    """
+    periodic = forcing.kind is ForcingKind.PERIODIC
+    grid = lattice_field(state, params, periodic=periodic)
+    span = t_end - state.t
+    n_steps, per = _sample_counts(span, _default_dt(grid) if dt is None else dt, n_samples)
+    out = np.empty((n_samples + 1, params.n_elements), dtype=complex)
+    out[0] = extract_amplitudes(grid, params).a
+
+    def amplitudes(u):
+        return extract_amplitudes(FieldGrid(grid.x0, grid.dx, u, periodic), params).a
 
     def record(i, v):
-        if i % per == 0:
-            g = FieldGrid(grid.x0, grid.dx, stepper.to_physical(v), True)
-            oracle[i // per] = extract_amplitudes(g, params).a
+        if i % per == 0 and i < n_steps:
+            out[i // per] = amplitudes(stepper.to_physical(v))
 
-    stepper.run(stepper.to_spectral(grid.u), n_steps, callback=record)
+    callback = record if n_samples > 1 else None
+    if periodic:
+        stepper = SpectralStepper(len(grid.u), grid.length, params.r, span / n_steps)
+        v = stepper.run(stepper.to_spectral(grid.u), n_steps, callback=callback)
+        out[-1] = amplitudes(stepper.to_physical(v))
+    else:
+        stepper = BoundedStepper(grid, params, forcing, span / n_steps)
+        out[-1] = amplitudes(stepper.run(grid.u, state.t, n_steps, callback=callback))
+    return out
 
-    traj = run_model(state0, params, BoundaryForcing.periodic(), t_end,
-                     t_end / m_steps, sample_stride=m_per)
-    model = traj.a
-    if model.shape[0] != n_samples + 1:
-        raise RuntimeError("model sampling misaligned")
 
+def _run_pair(params: ModelParams, a0: np.ndarray, t_end: float,
+              n_samples: int, dt_model: float, dt_oracle: float) -> ComparisonReport:
+    state0 = AmplitudeState(0.0, np.asarray(a0, complex), np.conj(a0))
+    periodic = BoundaryForcing.periodic()
+    m_steps, m_per = _sample_counts(t_end, dt_model, n_samples)
+    oracle = oracle_amplitudes(state0, params, periodic, t_end, n_samples, dt_oracle)
+    model = run_model(state0, params, periodic, t_end, t_end / m_steps, sample_stride=m_per).a
     sup_error = np.max(np.abs(model - oracle), axis=1)
-    amp_bound = _VALIDITY_FACTOR * math.sqrt(max(params.r, 1e-12))
-    meta = {
-        "r": params.r,
-        "n_elements": N,
-        "p": params.p,
-        "m_samples": params.m_samples,
-        "t_end": t_end,
-        "dt_model": t_end / m_steps,
-        "dt_oracle": t_end / n_steps,
-        "validity_flag": bool(np.max(np.abs(oracle)) > amp_bound),
-        "validity_bound": amp_bound,
-    }
-    return ComparisonReport(times, model, oracle, sup_error, metadata=meta)
+    bound = _VALIDITY_FACTOR * math.sqrt(max(params.r, 1e-12))
+    return ComparisonReport(np.linspace(0.0, t_end, n_samples + 1), model, oracle, sup_error,
+                            metadata={"validity_flag": bool(np.max(np.abs(oracle)) > bound)})
 
 
 def compare_model_vs_direct(config: CompareConfig) -> ComparisonReport:

@@ -34,6 +34,7 @@ from .core import (
     BoundaryForcing,
     DivergenceError,
     FieldGrid,
+    _MAX_STEPS,
     _step_count,
     conjugate_state,
     make_params,
@@ -44,10 +45,11 @@ from .analysis import (
     boundary_equilibrium,
     boundary_mode_rates,
     compare_model_vs_direct,
+    oracle_amplitudes,
     she_growth_rate,
 )
 from .direct_solver import integrate_bounded, integrate_spectral, measure_growth_rate
-from .subgrid import boundary_profiles, extract_amplitudes, lattice_field
+from .subgrid import boundary_profiles
 
 _FMT = "%.12g"
 
@@ -64,6 +66,12 @@ SHARED_KEYS = {
 # keys whose default None means "derived from other keys", each with a
 # value of the type a given value takes
 _UNSET_TYPES = {"t-end": 0.0, "dt": 0.0, "r-ladder": (), "kind": ""}
+
+# integer keys that count rolls, elements, samples, rows or steps; none may
+# pass the step budget, since each costs at least a step's work, and a
+# count near 2**63 would fail inside numpy rather than here
+_COUNT_KEYS = ("p", "n-elements", "m-samples", "k-steps", "n-samples",
+               "profile-samples", "sample-stride")
 
 EXPERIMENT_KEYS = {
     "dispersion": {"k-min": 0.5, "k-max": 1.5, "k-steps": 21,
@@ -165,6 +173,8 @@ def resolve_config(experiment: str, file_cfg: dict, flag_cfg: dict) -> dict:
     # normalise types against the defaults (config/flag values may be strings)
     for key, default in allowed.items():
         resolved[key] = _coerce(key, resolved[key], default)
+        if key in _COUNT_KEYS and resolved[key] > _MAX_STEPS:
+            raise ValueError(f"{key} must be at most {_MAX_STEPS:,}, got {resolved[key]}")
     return resolved
 
 
@@ -301,9 +311,7 @@ def run_boundary_select(cfg: dict, params) -> tuple:
         rows.append((float(t), abs(a1.real) / mag, abs(a1.imag) / mag))
     meta: dict = {"t_end": t_end}
     if cfg["with-oracle"]:
-        grid = lattice_field(state, params, periodic=False)
-        out = integrate_bounded(grid, params, forcing, t_end)
-        a1 = extract_amplitudes(out, params).a[0]
+        a1 = oracle_amplitudes(state, params, forcing, t_end)[-1, 0]
         meta["oracle_phase_deg"] = math.degrees(np.angle(a1))
     return ["t", "re_fraction", "im_fraction"], rows, meta
 

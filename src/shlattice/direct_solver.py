@@ -50,8 +50,11 @@ Two schemes:
   from the field's own, and the field `run` returns holds the data at
   its end time.
 
-Each oracle has its own default step: `integrate_spectral` takes 0.05 and
-`integrate_bounded` 0.4 dx^2 when no dt is given.
+Each oracle has its own default step, `_default_dt`: 0.05 on a periodic
+grid and 0.4 dx^2 on a bounded one, which `integrate_spectral`,
+`integrate_bounded` and `analysis.oracle_amplitudes` take when no dt is
+given.  Both steppers' `run` hand a callback the state they hold, the
+spectrum, which their `to_physical` turns into the field.
 
 Both steppers reject dt <= 0 and run through the loop `core._integrate`
 that the lattice model shares: a non-finite initial field is rejected
@@ -69,6 +72,7 @@ derivatives flip sign under reflection) to its own signals.
 
 from __future__ import annotations
 
+from itertools import accumulate, repeat
 from math import factorial
 from typing import Callable, Optional
 
@@ -202,13 +206,18 @@ class SpectralStepper:
             self.held = None
 
 
+def _default_dt(grid: FieldGrid) -> float:
+    """The oracle's own step on grid: 0.05 periodic, 0.4 dx^2 bounded."""
+    return 0.05 if grid.periodic else 0.4 * grid.dx ** 2
+
+
 def integrate_spectral(grid: FieldGrid, params: ModelParams, t_end: float,
                        dt: Optional[float] = None) -> FieldGrid:
     """Advance a periodic grid to t_end (step shrunk to land exactly), in
-    steps of at most dt, 0.05 when not given."""
+    steps of at most dt, `_default_dt` when not given."""
     if not grid.periodic:
         raise ValueError("spectral stepping needs a periodic grid")
-    n_steps = _step_count(t_end, 0.05 if dt is None else dt)
+    n_steps = _step_count(t_end, _default_dt(grid) if dt is None else dt)
     stepper = SpectralStepper(len(grid.u), grid.length, params.r, t_end / n_steps)
     with np.errstate(invalid="ignore"):   # an Inf field fails the loop's start check
         v = stepper.to_spectral(grid.u)
@@ -422,16 +431,17 @@ class BoundedStepper:
 
     def run(self, u: np.ndarray, t0: float, n_steps: int,
             callback: Optional[Callable[[int, np.ndarray], None]] = None) -> np.ndarray:
-        """Take n_steps steps from the field u at time t0, step i starting
-        at t0 + (i - 1) dt; callback(i, field) after step i.  The pinned
-        samples start from u's own and end at their data."""
+        """Take n_steps steps from the field u at time t0, the clock
+        advancing by accumulation (t += dt), so each step starts at exactly
+        the last one's end time; callback(i, v) after step i, v the
+        mirrored spectrum (`to_physical` gives its field).  The pinned
+        samples start from u's own and end at their data; the field at the
+        end is returned."""
         if not np.isfinite(u).all():
             raise ValueError("bounded solve: start state contains NaN/Inf")
         self.walls, self._wall_key, self._end = tuple(u[self.pinned].tolist()), None, (None, None)
         v = _integrate("bounded solve", self.step, self.to_spectral(u),
-                       (t0 + i * self.dt for i in range(n_steps + 1)),
-                       None if callback is None
-                       else lambda i, v: callback(i, self.to_physical(v)))
+                       accumulate(repeat(self.dt, n_steps), initial=t0), callback)
         return self.to_physical(v)
 
 
@@ -439,9 +449,9 @@ def integrate_bounded(grid: FieldGrid, params: ModelParams,
                       forcing: BoundaryForcing, t_end: float,
                       dt: Optional[float] = None, t0: float = 0.0) -> FieldGrid:
     """Advance a bounded grid from t0 to t_end (step shrunk to land exactly),
-    in steps of at most dt, 0.4 dx^2 when not given."""
+    in steps of at most dt, `_default_dt` when not given."""
     span = t_end - t0
-    n_steps = _step_count(span, 0.4 * grid.dx ** 2 if dt is None else dt)
+    n_steps = _step_count(span, _default_dt(grid) if dt is None else dt)
     stepper = BoundedStepper(grid, params, forcing, span / n_steps)
     u = stepper.run(grid.u, t0, n_steps)
     return FieldGrid(grid.x0, grid.dx, u, False)

@@ -3,14 +3,20 @@ import pytest
 
 from shlattice import (
     BoundaryForcing,
+    BoundedStepper,
     CompareConfig,
+    FieldGrid,
     SignChoice,
+    SpectralStepper,
     analysis,
     boundary_equilibrium,
     boundary_mode_rates,
     compare_model_vs_direct,
     conjugate_state,
+    extract_amplitudes,
+    integrate_bounded,
     lattice_dispersion,
+    lattice_field,
     longwave_quadratic_coefficient,
     make_params,
     model_rhs,
@@ -223,3 +229,77 @@ class TestCompare:
                             r_ladder=(0.2, 0.1))
         with pytest.raises(ValueError, match="takes no a0"):
             compare_model_vs_direct(cfg)
+
+
+class TestOracleAmplitudes:
+    """One entry seeds, steps and samples either oracle; each row is the
+    amplitude sequence a hand-built lattice_field -> stepper -> extract
+    run gives, byte for byte."""
+
+    @staticmethod
+    def state(n, t=0.0):
+        rng = np.random.default_rng(n)
+        return conjugate_state(t, 0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+
+    def test_periodic_rows_are_the_spectral_run(self):
+        params = params_for(r=0.1, n=4, m=16)
+        state = self.state(4)
+        got = analysis.oracle_amplitudes(state, params, BoundaryForcing.periodic(), 1.0,
+                                         n_samples=4, dt=0.05)
+        grid = lattice_field(state, params, periodic=True)
+        stepper = SpectralStepper(len(grid.u), grid.length, params.r, 1.0 / 20)
+        fields = [grid.u]
+        stepper.run(stepper.to_spectral(grid.u), 20,
+                    callback=lambda i, v: fields.append(stepper.to_physical(v)))
+        rows = [extract_amplitudes(FieldGrid(grid.x0, grid.dx, u, True), params).a
+                for u in fields[::5]]
+        assert got.shape == (5, 4) and got.tobytes() == np.array(rows).tobytes()
+        # the oracle's own step is 0.05 on a periodic domain
+        assert analysis.oracle_amplitudes(state, params, BoundaryForcing.periodic(), 1.0,
+                                          n_samples=4).tobytes() == got.tobytes()
+
+    def test_compare_reads_its_oracle_from_the_entry(self):
+        params = params_for(r=0.1, n=4, m=16)
+        a0 = self.state(4).a
+        report = compare_model_vs_direct(CompareConfig(params=params, a0=a0, t_end=2.0,
+                                                       n_samples=4, dt_oracle=0.1))
+        got = analysis.oracle_amplitudes(conjugate_state(0.0, a0), params,
+                                         BoundaryForcing.periodic(), 2.0, 4, 0.1)
+        assert report.oracle_amplitudes.tobytes() == got.tobytes()
+        assert set(report.metadata) == {"validity_flag"}
+
+    @pytest.mark.parametrize("make", [BoundaryForcing.even_given, BoundaryForcing.odd_given])
+    def test_bounded_rows_are_the_bounded_run(self, make):
+        # from t = 0.25 with a time-varying wall: 3 samples of 100 steps of
+        # 0.001, whose last row is integrate_bounded's field over the same span
+        params = params_for(r=0.1, n=2, m=16)
+        state = self.state(2, t=0.25)
+        forcing = make(lambda t: 0.02 * np.cos(3.0 * t), 0.01, p=1)
+        got = analysis.oracle_amplitudes(state, params, forcing, 0.55, n_samples=3, dt=0.001)
+        grid = lattice_field(state, params, periodic=False)
+        stepper = BoundedStepper(grid, params, forcing, (0.55 - 0.25) / 300)
+        fields = [grid.u]
+        stepper.run(grid.u, 0.25, 300,
+                    callback=lambda i, v: fields.append(stepper.to_physical(v)))
+        rows = [extract_amplitudes(FieldGrid(grid.x0, grid.dx, u, False), params).a
+                for u in fields[::100]]
+        assert got.tobytes() == np.array(rows).tobytes()
+        end = integrate_bounded(grid, params, forcing, 0.55, 0.001, t0=0.25)
+        assert got[-1].tobytes() == extract_amplitudes(end, params).a.tobytes()
+
+    def test_one_sample_is_the_bounded_oracle_at_its_own_step(self):
+        params = params_for(r=0.05, n=2, m=16)
+        state = self.state(2)
+        forcing = BoundaryForcing.even_given(0.0, 0.0, p=1)
+        got = analysis.oracle_amplitudes(state, params, forcing, 1.0)
+        grid = lattice_field(state, params, periodic=False)
+        end = integrate_bounded(grid, params, forcing, 1.0, 0.4 * grid.dx ** 2)
+        assert got.shape == (2, 2)
+        assert got[0].tobytes() == extract_amplitudes(grid, params).a.tobytes()
+        assert got[1].tobytes() == extract_amplitudes(end, params).a.tobytes()
+
+    def test_needs_a_sample(self):
+        params = params_for(r=0.1, n=2, m=16)
+        with pytest.raises(ValueError, match="n_samples must be at least 1"):
+            analysis.oracle_amplitudes(self.state(2), params, BoundaryForcing.periodic(),
+                                       1.0, n_samples=0)

@@ -1,6 +1,7 @@
 import functools
 import warnings
 from decimal import Decimal, localcontext
+from itertools import accumulate, repeat
 
 import numpy as np
 import pytest
@@ -14,15 +15,15 @@ from shlattice import (
     ForcingKind,
     SpectralStepper,
     conjugate_state,
-    extract_amplitudes,
     integrate_bounded,
     integrate_spectral,
     lattice_field,
     make_params,
     measure_growth_rate,
+    oracle_amplitudes,
     run_model,
 )
-from shlattice.direct_solver import _etd_coefficients, growth_symbol
+from shlattice.direct_solver import _default_dt, _etd_coefficients, growth_symbol
 
 
 def params_for(r=0.0, gamma=1.0, p=1, n=4, m=64):
@@ -423,10 +424,8 @@ class TestStepBounded:
         # even-data walls lock the extracted roll phase onto +-90 degrees
         params = params_for(r=0.05, n=2, m=64)
         st = conjugate_state(0.0, np.full(2, 0.05 * np.exp(1j * np.pi / 4)))
-        grid = lattice_field(st, params, periodic=False)
         forcing = BoundaryForcing.even_given(0.0, 0.0, p=1)
-        out = integrate_bounded(grid, params, forcing, t_end=40.0)
-        a1 = extract_amplitudes(out, params).a[0]
+        a1 = oracle_amplitudes(st, params, forcing, 40.0)[-1, 0]
         phase = np.degrees(np.angle(a1))
         assert min(abs(phase - 90), abs(phase + 90)) < 10
 
@@ -603,12 +602,31 @@ def reference_trajectory(stepper, r, u, t0, n_steps):
 def run_states(stepper, u, t0, n_steps):
     """The field after each step of stepper.run."""
     states = []
-    stepper.run(u, t0, n_steps, callback=lambda i, field: states.append(field))
+    stepper.run(u, t0, n_steps, callback=lambda i, v: states.append(stepper.to_physical(v)))
     return states
 
 
 WALLS = {"even": BoundaryForcing.even_given, "odd": BoundaryForcing.odd_given}
 EXACT = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@pytest.mark.parametrize("kind", ["periodic", "even", "odd"])
+def test_run_hands_the_callback_its_spectrum(kind):
+    # both steppers pass the state they hold; to_physical makes the field
+    params = make_params(r=0.1, gamma=1.0, p=1, n_elements=2, m_samples=32)
+    grid = lattice_field(conjugate_state(0.0, np.full(2, 0.05 + 0.03j)), params,
+                         periodic=kind == "periodic")
+    seen = []
+    if kind == "periodic":
+        stepper = SpectralStepper(len(grid.u), grid.length, params.r, 0.05)
+        out = stepper.to_physical(stepper.run(stepper.to_spectral(grid.u), 5,
+                                              callback=lambda i, v: seen.append(v)))
+    else:
+        stepper = BoundedStepper(grid, params, WALLS[kind](0.02, 0.01, p=1),
+                                 0.4 * grid.dx ** 2)
+        out = stepper.run(grid.u, 0.0, 5, callback=lambda i, v: seen.append(v))
+    assert len(seen) == 5 and all(np.iscomplexobj(v) for v in seen)
+    assert stepper.to_physical(seen[-1]).tobytes() == out.tobytes()
 
 
 def switching(t):
@@ -657,10 +675,12 @@ class TestMirroredSolve:
         assert t0 + n_steps * stepper.dt > 0.5   # the switch is crossed
         got = run_states(stepper, grid.u, t0, n_steps)
         expected = reference_trajectory(stepper, params.r, grid.u, t0, n_steps)
-        for i, (u, ref) in enumerate(zip(got, expected)):
+        t = t0
+        for u, ref in zip(got, expected):
             assert close(u, ref, 1e-11)
-            # the wall data hold exactly after every step
-            t = t0 + i * stepper.dt + stepper.dt
+            # the wall data hold exactly after every step, at its end time
+            # on the run's clock, which accumulates t += dt
+            t += stepper.dt
             walls = [params.parity_factor * pair[0] for pair in forcing.signals(t)]
             assert u[stepper.pinned].tolist() == (walls if kind == "even" else [])
 
@@ -745,6 +765,26 @@ class TestWallTermsMemo:
             v = stepper.step(v, i / 64)
         assert len(times) == 65 + 128
         assert stepper.to_physical(v).tobytes() == out.tobytes()
+
+    @pytest.mark.parametrize("kind", ["even", "odd"])
+    @pytest.mark.parametrize("m, t0", [(16, 0.0), (64, 0.3)])
+    def test_end_signals_are_reused_at_the_default_step(self, kind, m, t0):
+        # the run's clock accumulates t += dt, so each step starts at
+        # exactly the last one's end time at any dt: 1000 steps read the
+        # signals 1001 times (a clock of t0 + i dt read them 1306-1329 times)
+        times = []
+
+        def alpha(t):
+            times.append(t)
+            return 0.02 * np.cos(0.3 * t)
+
+        params = make_params(r=0.1, gamma=1.0, p=1, n_elements=2, m_samples=m)
+        grid = lattice_field(conjugate_state(0.0, np.full(2, 0.05 + 0.03j)), params,
+                             periodic=False)
+        stepper = BoundedStepper(grid, params, WALLS[kind](alpha, 0.01, p=1),
+                                 _default_dt(grid))
+        stepper.run(grid.u, t0, 1000)
+        assert times == list(accumulate(repeat(stepper.dt, 1000), initial=t0))
 
     def test_signed_zero_signal_reaches_the_pinned_samples(self):
         # 0.0 == -0.0, but the pinned wall sample takes the sign of the zero
@@ -837,9 +877,7 @@ def forced_wall_a1(kind):
     forcing = WALLS[kind](0.003, 0.0, p=1)
     zero = conjugate_state(0.0, np.zeros(8, complex))
     model = run_model(zero, params, forcing, 300.0, 0.05).final.a[0]
-    grid = lattice_field(zero, params, periodic=False)
-    out = integrate_bounded(grid, params, forcing, 300.0)
-    return complex(model), complex(extract_amplitudes(out, params).a[0])
+    return complex(model), complex(oracle_amplitudes(zero, params, forcing, 300.0)[-1, 0])
 
 
 # The closed form, the model and the oracle at r = 0, N = 8, t = 300, from

@@ -308,6 +308,19 @@ class TestIntegration:
         assert traj.a.shape[1] == 4
 
 
+    @pytest.mark.parametrize("conjugate", [True, False])
+    def test_stride_past_the_run_samples_its_ends(self, conjugate):
+        # any stride from n_steps up, 2**63 included, keeps the start and
+        # the final state, the rows that a stride of n_steps keeps
+        params = params_for(r=0.01, n=4)
+        st = random_state(4, scale=0.01, seed=1, conjugate=conjugate)
+        runs = [run_model(st, params, BoundaryForcing.periodic(), 1.0, 0.1, sample_stride=s)
+                for s in (10, 11, 2 ** 63 - 1, 2 ** 63, 10 ** 300)]
+        for traj in runs:
+            assert traj.times.tolist() == runs[0].times.tolist() and len(traj.times) == 2
+            assert traj.a.tobytes() == runs[0].a.tobytes()
+            assert traj.b.tobytes() == runs[0].b.tobytes()
+
 class TestRealityCheck:
     def test_exact_conjugate_is_zero(self):
         st = conjugate_state(0.0, np.array([0.3 + 0.2j, -0.1j]))

@@ -11,15 +11,18 @@ largest magnitude of the other tree's entry).
     python tools/same_numbers.py --against-tree DIR    # DIR's src vs this tree
     python tools/same_numbers.py --against HEAD --tiny # small sizes, a few seconds
 
-The catalogue: ``integrate_bounded`` on criterion 5's inputs for both wall
-kinds, unforced, with constant and with time-varying forcing (the field
-and its extracted amplitudes); ``integrate_spectral`` at n = 512;
-``run_model`` with periodic, even and odd walls, and with time-varying
-walls at N = 2, either side of the stage-matrix cutoff in both sectors
-and N = 512; ``rk4_step`` and ``model_rhs``; the ladder slope of
+The catalogue, 42 entries: ``integrate_bounded`` on criterion 5's inputs
+for both wall kinds, unforced, with constant and with time-varying
+forcing (the field and its extracted amplitudes), and criterion 5's two
+oracle phases from the unforced runs; ``integrate_spectral`` at n = 512
+and n = 4096; ``run_model`` with periodic, even and odd walls, and with
+time-varying walls at N = 2, either side of the stage-matrix cutoff in
+both sectors and N = 512; ``rk4_step`` and ``model_rhs``;
+``lattice_field`` and ``extract_amplitudes`` on their own, periodic and
+bounded; ``measure_growth_rate`` at four k; the ladder slope of
 ``compare_model_vs_direct``; and the CSVs of the six README commands
-other than ``compare``, with ``--seed 7``.  Exits 1 when any entry
-differs.
+other than ``compare``, with ``--seed 7``.  It calls only API that older
+revisions have too.  Exits 1 when any entry differs.
 """
 
 from __future__ import annotations
@@ -108,6 +111,31 @@ def catalogue(tiny: bool) -> dict[str, np.ndarray]:
     stepped = sh.rk4_step(state, params, varying, 0.05)
     out["rk4_step.a"], out["rk4_step.b"] = stepped.a, stepped.b
     out["model_rhs.da"], out["model_rhs.db"] = sh.model_rhs(state, params, varying)
+
+    # the reconstruction and the extraction on their own, periodic and
+    # bounded: a general state at N = 16, and a sampled field that no
+    # lattice reconstructs (a detuned roll and a third harmonic)
+    rng = np.random.default_rng(11)
+    a, b = 0.1 * (rng.standard_normal((2, 16)) + 1j * rng.standard_normal((2, 16)))
+    general = sh.AmplitudeState(0.0, a, np.conj(a) + 0.1 * b)
+    params = sh.make_params(r=0.1, gamma=1.0, p=1, n_elements=16, m_samples=32)
+    for label, on_ring in (("periodic", True), ("bounded", False)):
+        out[f"lattice_field.{label}.u"] = sh.lattice_field(general, params, periodic=on_ring).u
+        field = sh.FieldGrid.sample(lambda x: 0.1 * np.cos(1.05 * x) + 0.02 * np.sin(3.0 * x),
+                                    params, periodic=on_ring)
+        out[f"extract_amplitudes.{label}.a"] = sh.extract_amplitudes(field, params).a
+
+    # the spectral oracle at n = 4096 (128 elements of 32 samples)
+    wide = sh.make_params(r=0.1, gamma=1.0, p=1, n_elements=16 if tiny else 128, m_samples=32)
+    a = 0.1 * (rng.standard_normal(wide.n_elements) + 1j * rng.standard_normal(wide.n_elements))
+    grid = sh.lattice_field(sh.conjugate_state(0.0, a), wide, periodic=True)
+    out["spectral.n4096.u"] = sh.integrate_spectral(grid, wide, 0.5 if tiny else 5.0).u
+
+    out["growth_rate"] = np.array([sh.measure_growth_rate(periodic, k, 1e-6, 1.0 if tiny else 5.0)
+                                   for k in (0.5, 0.9, 1.0, 1.25)])
+    # criterion 5's oracle phases, in degrees, of the unforced runs above
+    out["criterion5.phases"] = np.degrees(np.angle(
+        [out[f"bounded.{kind}.unforced.a"][0] for kind in ("even", "odd")]))
 
     ladder = (0.4, 0.2, 0.1) if tiny else (0.04, 0.02, 0.01)
     config = sh.CompareConfig(params=sh.make_params(r=0.02, gamma=1.0, p=1, n_elements=16,
