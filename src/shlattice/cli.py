@@ -2,10 +2,10 @@
 
 Each experiment is one runner in `RUNNERS`, called as
 ``run_<x>(cfg, params) -> (header, rows, extra_meta)``: it gets the
-resolved configuration (every key typed like its default) and the
-`ModelParams` built from it, and returns the CSV header, the rows and the
-keys it adds to the manifest.  `main` is the one place that reads the
-``--config`` file, resolves the configuration, builds the parameters,
+resolved configuration (every key read and checked by its row of `KEYS`)
+and the `ModelParams` built from it, and returns the CSV header, the rows
+and the keys it adds to the manifest.  `main` is the one place that reads
+the ``--config`` file, resolves the configuration, builds the parameters,
 calls the runner and writes its outputs.
 
 Every experiment writes one CSV of plot-ready data plus a manifest echoing
@@ -26,6 +26,7 @@ import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,45 +54,88 @@ from .subgrid import boundary_profiles
 
 _FMT = "%.12g"
 
-SHARED_KEYS = {
-    "r": 0.0,
-    "gamma": 1.0,
-    "p": 1,
-    "n-elements": 8,
-    "m-samples": 32,
-    "seed": 0,
-    "output-dir": "runs",
+
+class Check(NamedTuple):
+    """What a key's values are: the type each value reads as (bool, int,
+    float, str, or tuple for a list of numbers) and the (test, wording)
+    pairs the read value must pass.  Its --help line names both."""
+
+    kind: type
+    tests: tuple = ()
+
+
+def _range(lo, hi, kind=float):
+    return Check(kind, FINITE.tests + ((lambda v: v >= lo, f"at least {lo:,}"),
+                                       (lambda v: v <= hi, f"at most {hi:,}")))
+
+
+def _choice(*values):
+    return Check(str, ((values.__contains__, "one of " + ", ".join(values)),))
+
+
+# the vocabulary; a count costs at least a step's work, so none may pass the
+# step budget, and a count near 2**63 would fail inside numpy
+SWITCH, WHOLE, NUMBER, TEXT = Check(bool), Check(int), Check(float), Check(str)
+FINITE = Check(float, ((math.isfinite, "finite"),))
+NON_NEGATIVE = Check(float, ((lambda v: v >= 0, "a non-negative number"),))
+COUNT = Check(int, _range(1, _MAX_STEPS).tests[1:])   # an int is finite: no FINITE test
+# |r| <= 10: the amplitude model expands in small r, and every experiment runs
+# without a numpy warning there; dispersion's fit takes log(0) from r = -150
+_R_BOUNDS = (-10, 10)
+
+# key -> (default, check); a default given as {experiment: default} names the
+# experiments that take the key, any other default is shared by all of them.
+# A default None is derived from other keys until the key is given.
+KEYS = {
+    "r": (0.0, _range(*_R_BOUNDS)),
+    "gamma": (1.0, NUMBER),
+    "p": (1, COUNT),
+    "n-elements": (8, COUNT),
+    "m-samples": (32, COUNT),
+    "seed": (0, WHOLE),
+    "output-dir": ("runs", TEXT),
+    # the wavenumbers measure_growth_rate resolves: mode 1 on its 64 periods
+    # up to mode 512 // 3 on one period
+    "k-min": ({"dispersion": 0.5}, _range(1 / 64, 170)),
+    "k-max": ({"dispersion": 1.5}, _range(1 / 64, 170)),
+    "k-steps": ({"dispersion": 21}, COUNT),
+    "eps0": ({"dispersion": 1e-6}, NUMBER),
+    "t-fit": ({"dispersion": 5.0}, NUMBER),
+    "r-ladder": ({"compare": None}, _range(*_R_BOUNDS, kind=tuple)),
+    "t-end": ({"compare": None, "boundary-select": None, "boundary-equilibrium": 300.0,
+               "simulate-direct": 10.0, "simulate-model": 100.0}, NUMBER),
+    "dt": ({"dispersion": 0.02, "boundary-select": 0.05, "boundary-equilibrium": 0.05,
+            "simulate-direct": None, "simulate-model": 0.05}, NUMBER),
+    "n-samples": ({"compare": 40}, COUNT),
+    "dt-model": ({"compare": 0.1}, NUMBER),
+    "dt-oracle": ({"compare": 0.05}, NUMBER),
+    # a start within [0, 2] sqrt(r/3), the near-equilibrium profile
+    "modulation": ({"compare": 0.2}, _range(-1, 1)),
+    "sign": ({"boundary-select": "upper", "boundary-profiles": "upper"},
+             _choice(*(s.value for s in SignChoice))),
+    "amp0": ({"boundary-select": 0.05}, NUMBER),
+    "phase-deg": ({"boundary-select": 45.0}, _range(-360, 360)),
+    "with-oracle": ({"boundary-select": False}, SWITCH),
+    "alpha": ({"boundary-equilibrium": 0.1, "simulate-direct": 0.0, "simulate-model": 0.0}, NUMBER),
+    "beta": ({"boundary-equilibrium": 0.0, "simulate-direct": 0.0, "simulate-model": 0.0}, NUMBER),
+    "right-forcing": ({"boundary-equilibrium": "same"}, _choice("same", "zero")),
+    "profile-samples": ({"boundary-profiles": 161}, COUNT),
+    "scheme": ({"simulate-direct": "spectral-etd"}, _choice("spectral-etd", "bounded-imex")),
+    "kind": ({"simulate-direct": None, "simulate-model": "periodic"},
+             _choice("periodic", "even", "odd")),
+    "alpha-omega": ({"simulate-direct": 0.0, "simulate-model": 0.0}, FINITE),
+    "init-amp": ({"simulate-direct": 0.01, "simulate-model": 0.05}, NUMBER),
+    "accel-warn": ({"simulate-direct": 1.0, "simulate-model": 1.0}, NON_NEGATIVE),
+    "random-init": ({"simulate-model": False}, SWITCH),
+    "sample-stride": ({"simulate-model": 10}, COUNT),
 }
 
-# keys whose default None means "derived from other keys", each with a
-# value of the type a given value takes
-_UNSET_TYPES = {"t-end": 0.0, "dt": 0.0, "r-ladder": (), "kind": ""}
 
-# integer keys that count rolls, elements, samples, rows or steps; none may
-# pass the step budget, since each costs at least a step's work, and a
-# count near 2**63 would fail inside numpy rather than here
-_COUNT_KEYS = ("p", "n-elements", "m-samples", "k-steps", "n-samples",
-               "profile-samples", "sample-stride")
-
-EXPERIMENT_KEYS = {
-    "dispersion": {"k-min": 0.5, "k-max": 1.5, "k-steps": 21,
-                   "eps0": 1e-6, "t-fit": 5.0, "dt": 0.02},
-    "compare": {"r-ladder": None, "t-end": None, "n-samples": 40,
-                "dt-model": 0.1, "dt-oracle": 0.05, "modulation": 0.2},
-    "boundary-select": {"sign": "upper", "t-end": None, "dt": 0.05,
-                        "amp0": 0.05, "phase-deg": 45.0, "with-oracle": False},
-    "boundary-equilibrium": {"alpha": 0.1, "beta": 0.0, "t-end": 300.0,
-                             "dt": 0.05, "right-forcing": "same"},
-    "boundary-profiles": {"sign": "upper", "profile-samples": 161},
-    "simulate-direct": {"scheme": "spectral-etd", "kind": None,
-                        "alpha": 0.0, "beta": 0.0, "alpha-omega": 0.0,
-                        "t-end": 10.0, "dt": None, "init-amp": 0.01,
-                        "accel-warn": 1.0},
-    "simulate-model": {"kind": "periodic", "alpha": 0.0, "beta": 0.0,
-                       "alpha-omega": 0.0, "t-end": 100.0, "dt": 0.05,
-                       "init-amp": 0.05, "random-init": False,
-                       "sample-stride": 10, "accel-warn": 1.0},
-}
+def experiment_keys(experiment: str) -> dict:
+    """key -> (default, check) of each key the experiment takes."""
+    return {key: (default[experiment] if isinstance(default, dict) else default, check)
+            for key, (default, check) in KEYS.items()
+            if not isinstance(default, dict) or experiment in default}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,80 +151,73 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="shlattice",
                      description="Swift-Hohenberg amplitude-lattice experiments")
     subs = parser.add_subparsers(dest="experiment", required=True)
-    for name, keys in EXPERIMENT_KEYS.items():
+    for name in RUNNERS:
         sub = subs.add_parser(name, prog=f"shlattice {name}")
         sub.add_argument("--config", help="JSON config file (flags override it)")
-        for key, default in {**SHARED_KEYS, **keys}.items():
-            switch = {"action": "store_true"} if isinstance(default, bool) else {}
-            sub.add_argument("--" + key, dest=key, default=None,
-                             help=f"(default: {default})", **switch)
+        for key, (default, check) in experiment_keys(name).items():
+            words = ", ".join([_READ[check.kind][1]] + [must for _, must in check.tests])
+            sub.add_argument("--" + key, dest=key, help=f"{words} (default: {default})",
+                             default=None, action="store_true" if check is SWITCH else "store")
     return parser
 
 
-def _coerce(key: str, value, default):
-    """Interpret a flag/config value against the type of its default, or of
-    _UNSET_TYPES[key] when the default is None.  Only a switch takes
-    true/false, an integer key takes only whole numbers, a list key (the
-    r-ladder) takes a comma string or a list of numbers, and every other key
-    takes one value."""
-    if value is None:
+_WORDS = {"true": True, "yes": True, "on": True, "1": True,
+          "false": False, "no": False, "off": False, "0": False}
+
+
+def _whole(value) -> int:
+    # an int or a string of digits reads exactly, where a float would round
+    exact = isinstance(value, int) or str(value).strip().lstrip("+-").isdigit()
+    if not (exact or float(value).is_integer()):
+        raise ValueError(value)
+    return int(value) if exact else int(float(value))
+
+
+# kind -> (parser, what its values are); a tuple's items read as floats
+_READ = {bool: (lambda v: _WORDS[str(v).lower()], "true or false"), int: (_whole, "a whole number"),
+         float: (float, "a number"), str: (str, "text"),
+         tuple: (None, "a comma string or a list of numbers")}
+
+
+def _read_value(key: str, value, default, check: Check):
+    """A flag string or config value of key, read as its check's type and
+    passed through its tests; None, or "" for a single value, is the
+    default.  ValueError names the key and what it takes."""
+    if value is None or value == "" and check.kind is not tuple:
         return default
-    like = _UNSET_TYPES[key] if default is None else default
-    if isinstance(like, tuple):
+    if check.kind is tuple:
         items = value.split(",") if isinstance(value, str) else value
-        if not isinstance(items, list):
-            raise ValueError(f"{key} must be a comma string or a list of numbers, got {value!r}")
-        return tuple(_coerce(key, v, 0.0) for v in items if v != "")
-    if value == "":
-        return default
+        if not isinstance(items, list) or None in items:
+            raise ValueError(f"{key} must be {_READ[tuple][1]}, got {value!r}")
+        return tuple(_read_value(key, v, None, Check(float, check.tests)) for v in items if v != "")
     if isinstance(value, (list, dict)):
         raise ValueError(f"{key} takes one value, got {value!r}")
-    if isinstance(like, bool):
-        if isinstance(value, bool):
-            return value
-        return str(value).lower() in ("1", "true", "yes", "on")
-    if isinstance(value, bool):
+    if isinstance(value, bool) and check.kind is not bool:
         raise ValueError(f"{key} is not a switch, got {value!r}")
-    if isinstance(like, int):
-        if isinstance(value, float) and not value.is_integer():
-            raise ValueError(f"{key} must be a whole number, got {value!r}")
-        return int(value)
-    if isinstance(like, float):
-        return float(value)
-    return str(value)
+    parse, words = _READ[check.kind]
+    try:
+        got = parse(value)
+    except (KeyError, ValueError, OverflowError):
+        raise ValueError(f"{key} must be {words}, got {value!r}") from None
+    for test, must in check.tests:
+        if not test(got):
+            raise ValueError(f"{key} must be {must}, got {got!r}")
+    return got
 
 
 def resolve_config(experiment: str, file_cfg: dict, flag_cfg: dict) -> dict:
-    """Layer defaults < config file < flags, rejecting unknown keys.
-
-    Every value comes back with its default's type; a key whose default is
-    None stays None until given, and then takes its _UNSET_TYPES type.
-    """
-    allowed = {**SHARED_KEYS, **EXPERIMENT_KEYS[experiment]}
-    for key in file_cfg:
-        if key == "experiment":
-            if file_cfg[key] != experiment:
-                raise ValueError(
-                    f"config file experiment '{file_cfg[key]}' does not match '{experiment}'")
-            continue
-        if key not in allowed:
-            raise ValueError(f"unknown config key: '{key}'")
-    resolved = dict(allowed)
-    resolved.update({k: v for k, v in file_cfg.items() if k != "experiment"})
-    for key, value in flag_cfg.items():
-        if value is not None:
-            resolved[key] = value
-    # normalise types against the defaults (config/flag values may be strings)
-    for key, default in allowed.items():
-        resolved[key] = _coerce(key, resolved[key], default)
-        if key in _COUNT_KEYS and resolved[key] > _MAX_STEPS:
-            raise ValueError(f"{key} must be at most {_MAX_STEPS:,}, got {resolved[key]}")
-    return resolved
-
-
-def _params_from(cfg: dict):
-    return make_params(r=cfg["r"], gamma=cfg["gamma"], p=cfg["p"],
-                       n_elements=cfg["n-elements"], m_samples=cfg["m-samples"])
+    """Layer defaults < config file < flags, rejecting unknown keys and
+    reading each value through its key's check."""
+    keys = experiment_keys(experiment)
+    if file_cfg.get("experiment", experiment) != experiment:
+        raise ValueError(
+            f"config file experiment '{file_cfg['experiment']}' does not match '{experiment}'")
+    unknown = [key for key in file_cfg if key not in keys and key != "experiment"]
+    if unknown:
+        raise ValueError(f"unknown config key: '{unknown[0]}'")
+    flags = {k: v for k, v in flag_cfg.items() if v is not None}
+    return {key: _read_value(key, flags.get(key, file_cfg.get(key)), default, check)
+            for key, (default, check) in keys.items()}
 
 
 def _forcing_from(cfg: dict, params, kind: str, t_end: float,
@@ -192,17 +229,11 @@ def _forcing_from(cfg: dict, params, kind: str, t_end: float,
     signal exceeds accel-warn, once the step rule has accepted the run over
     [0, t_end] in steps of at most dt (None: the solver's own step)."""
     amp, beta, omega = cfg["alpha"], cfg["beta"], cfg["alpha-omega"]
-    if not math.isfinite(omega):
-        raise ValueError(f"alpha-omega must be finite, got {omega}")
-    if not cfg["accel-warn"] >= 0.0:   # NaN would never warn
-        raise ValueError(f"accel-warn must be a non-negative number, got {cfg['accel-warn']}")
     if kind == "periodic":
         if amp or beta or omega:
             raise ValueError("a periodic domain has no walls: alpha, beta and alpha-omega "
                              f"must be 0, got {amp:g}, {beta:g} and {omega:g}")
         return BoundaryForcing.periodic()
-    if kind not in ("even", "odd"):
-        raise ValueError(f"unknown boundary kind '{kind}'")
     alpha = (lambda t: amp * math.cos(omega * t)) if omega else amp
     if omega:
         # a bad t_end or dt fails before the warning prints; a None dt is
@@ -266,11 +297,6 @@ def _write_outputs(cfg: dict, experiment: str, header: list[str],
 # -- experiment runners: (cfg, params) -> (header, rows, extra manifest keys) --
 
 def run_dispersion(cfg: dict, params) -> tuple:
-    if cfg["k-steps"] < 1:
-        raise ValueError(f"k-steps must be at least 1, got {cfg['k-steps']}")
-    for key in ("k-min", "k-max"):
-        if not math.isfinite(cfg[key]):
-            raise ValueError(f"{key} must be finite, got {cfg[key]}")
     rows = [(k, she_growth_rate(k, params.r),
              measure_growth_rate(params, k, eps0=cfg["eps0"], T=cfg["t-fit"],
                                  dt=cfg["dt"]))
@@ -318,8 +344,6 @@ def run_boundary_select(cfg: dict, params) -> tuple:
 
 def run_boundary_equilibrium(cfg: dict, params) -> tuple:
     alpha, beta, t_end, dt = cfg["alpha"], cfg["beta"], cfg["t-end"], cfg["dt"]
-    if cfg["right-forcing"] not in ("same", "zero"):
-        raise ValueError("right-forcing must be 'same' or 'zero'")
     right = (0.0, 0.0) if cfg["right-forcing"] == "zero" else None
     forcing = BoundaryForcing.even_given(alpha, beta, p=params.p, right=right)
     state = conjugate_state(0.0, np.zeros(params.n_elements, complex))
@@ -334,8 +358,6 @@ def run_boundary_equilibrium(cfg: dict, params) -> tuple:
 
 
 def run_boundary_profiles(cfg: dict, params) -> tuple:
-    if cfg["profile-samples"] < 1:
-        raise ValueError(f"profile-samples must be at least 1, got {cfg['profile-samples']}")
     sign = SignChoice(cfg["sign"])
     xs = np.linspace(-params.h / 2, params.h / 2, cfg["profile-samples"])
     table = boundary_profiles(params, sign, xs)
@@ -347,9 +369,6 @@ def run_boundary_profiles(cfg: dict, params) -> tuple:
 def run_simulate_direct(cfg: dict, params) -> tuple:
     rng = np.random.default_rng(cfg["seed"])
     amp, t_end, dt = cfg["init-amp"], cfg["t-end"], cfg["dt"]
-    if cfg["scheme"] not in ("spectral-etd", "bounded-imex"):
-        raise ValueError(f"unknown scheme '{cfg['scheme']}': "
-                         "expected 'spectral-etd' or 'bounded-imex'")
     spectral = cfg["scheme"] == "spectral-etd"
     # the spectral scheme runs a periodic domain, the bounded one has walls
     kind = cfg["kind"] or ("periodic" if spectral else "even")
@@ -399,17 +418,14 @@ RUNNERS = {
 def main(argv=None) -> int:
     started = time.time()
     args = build_parser().parse_args(argv)
-    flag_cfg = {k: v for k, v in vars(args).items()
-                if k not in ("experiment", "config")}
     try:
-        file_cfg = {}
-        if args.config:
-            with open(args.config) as fh:
-                file_cfg = json.load(fh)
-            if not isinstance(file_cfg, dict):
-                raise ValueError("config file must hold a JSON object")
-        cfg = resolve_config(args.experiment, file_cfg, flag_cfg)
-        header, rows, extra_meta = RUNNERS[args.experiment](cfg, _params_from(cfg))
+        file_cfg = json.loads(Path(args.config).read_text()) if args.config else {}
+        if not isinstance(file_cfg, dict):
+            raise ValueError("config file must hold a JSON object")
+        cfg = resolve_config(args.experiment, file_cfg, vars(args))
+        params = make_params(r=cfg["r"], gamma=cfg["gamma"], p=cfg["p"],
+                             n_elements=cfg["n-elements"], m_samples=cfg["m-samples"])
+        header, rows, extra_meta = RUNNERS[args.experiment](cfg, params)
         _write_outputs(cfg, args.experiment, header, rows, extra_meta, started)
     except DivergenceError as exc:
         print(f"error: numerical divergence: {exc}", file=sys.stderr)

@@ -112,6 +112,13 @@ class TestConfigHandling:
         ({"experiment": "compare", "r-ladder": 5},
          "r-ladder must be a comma string or a list of numbers, got 5"),
         ({"experiment": "simulate-model", "t-end": [1]}, "t-end takes one value, got [1]"),
+        # a switch takes true/false or their words, never another value
+        ({"experiment": "boundary-select", "with-oracle": "maybe"},
+         "with-oracle must be true or false, got 'maybe'"),
+        ({"experiment": "boundary-select", "with-oracle": 2},
+         "with-oracle must be true or false, got 2"),
+        # an integer too large for a float
+        ({"r": 10 ** 400}, f"r must be a number, got {10 ** 400}"),
     ])
     def test_config_value_of_wrong_type_exits_one(self, tmp_path, capsys, cfg, message):
         # dispersion unless the config names another experiment
@@ -134,6 +141,9 @@ class TestConfigHandling:
         flags = resolve_config("compare", {}, {"r-ladder": "0.04,0.02,", "t-end": "7"})
         assert flags["r-ladder"] == (0.04, 0.02) and flags["t-end"] == 7.0
         assert resolve_config("compare", {}, {"r-ladder": ""})["r-ladder"] == ()
+        # a switch reads true/false and yes/no, on/off, 1/0 in any case
+        assert resolve_config("boundary-select", {"with-oracle": "Yes"}, {})["with-oracle"] is True
+        assert resolve_config("boundary-select", {"with-oracle": "off"}, {})["with-oracle"] is False
 
     def test_whole_float_config_value_is_an_integer(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -142,6 +152,9 @@ class TestConfigHandling:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config"]["k-steps"] == 3 and manifest["config"]["seed"] == 4
         assert isinstance(manifest["config"]["seed"], int)
+        # a whole number reads the same from a flag
+        flags = resolve_config("dispersion", {}, {"k-steps": "2.0"})
+        assert flags["k-steps"] == 2 and isinstance(flags["k-steps"], int)
 
     def test_bad_value_exits_one(self, tmp_path):
         code = main(["dispersion", "--r", "not-a-number",
@@ -217,7 +230,7 @@ class TestOtherExperiments:
         code = main(["boundary-equilibrium", "--right-forcing", "bogus",
                      "--output-dir", str(tmp_path)])
         assert code == 1 and not list(tmp_path.iterdir())
-        assert "right-forcing must be 'same' or 'zero'" in capsys.readouterr().err
+        assert "right-forcing must be one of same, zero, got 'bogus'" in capsys.readouterr().err
 
     def test_simulate_direct_spectral(self, tmp_path):
         code = main(["simulate-direct", "--scheme", "spectral-etd",
@@ -369,7 +382,7 @@ class TestOtherExperiments:
         (["boundary-equilibrium", "--dt", "0"], "dt must be positive"),
         (["compare", "--r", "0.1", "--t-end", "0"], "t_end must exceed the start time"),
         (["compare", "--r", "0.1", "--dt-model", "0"], "dt must be positive"),
-        (["compare", "--r", "0.1", "--n-samples", "0"], "n_samples must be at least 1"),
+        (["compare", "--r", "0.1", "--n-samples", "0"], "n-samples must be at least 1"),
         (["compare"], "the horizon 10/r needs r > 0, got r = 0.0"),
         (["compare", "--r", "-0.1"], "the horizon 10/r needs r > 0, got r = -0.1"),
         (["compare", "--r-ladder", "0.1,0", "--n-elements", "4"],
@@ -472,7 +485,7 @@ class TestForcingKind:
         (["simulate-direct", "--kind", "even", "--t-end", "1"],
          "the spectral-etd scheme runs a periodic domain, got kind 'even'"),
         (["simulate-model", "--kind", "wavy", "--alpha", "0.1", "--alpha-omega", "25"],
-         "unknown boundary kind 'wavy'"),
+         "kind must be one of periodic, even, odd, got 'wavy'"),
     ])
     def test_signals_a_kind_cannot_carry_exit_one(self, tmp_path, capsys, args, message):
         # one error line, before any warning, and no output
@@ -519,7 +532,8 @@ class TestRejectedInput:
         (["dispersion", "--k-steps", "0"], "k-steps must be at least 1, got 0"),
         (["boundary-profiles", "--profile-samples", "0"],
          "profile-samples must be at least 1, got 0"),
-        (["simulate-direct", "--scheme", "crank", "--t-end", "1"], "unknown scheme 'crank'"),
+        (["simulate-direct", "--scheme", "crank", "--t-end", "1"],
+         "scheme must be one of spectral-etd, bounded-imex, got 'crank'"),
         # a NaN threshold never warned, whatever the acceleration (62.5 here)
         (["simulate-model", "--kind", "even", "--alpha", "0.1", "--alpha-omega", "25",
           "--accel-warn", "nan", "--t-end", "1", "--n-elements", "4"],
@@ -535,6 +549,19 @@ class TestRejectedInput:
          "a span of 1e+09 at dt=0.05 needs 2e+10 steps, more than the budget of 10,000,000"),
         (["simulate-model", "--t-end", "1e12", "--n-elements", "2"], "needs 2e+13 steps"),
         (["boundary-equilibrium", "--t-end", "1e12"], "needs 2e+13 steps"),
+        # each message names its key and what the key takes
+        (["dispersion", "--k-steps", "x"], "k-steps must be a whole number, got 'x'"),
+        (["simulate-model", "--r", "x"], "r must be a number, got 'x'"),
+        (["boundary-select", "--sign", "x"], "sign must be one of upper, lower, got 'x'"),
+        (["boundary-profiles", "--sign", "x"], "sign must be one of upper, lower, got 'x'"),
+        # ranges, checked before any work, so no numpy overflow warning prints
+        (["compare", "--r", "1e300"], "r must be at most 10, got 1e+300"),
+        (["compare", "--r-ladder", "0.04,-20"], "r-ladder must be at least -10, got -20.0"),
+        (["compare", "--r", "0.1", "--modulation", "inf"], "modulation must be finite, got inf"),
+        (["boundary-select", "--phase-deg", "400"], "phase-deg must be at most 360, got 400.0"),
+        (["dispersion", "--k-min", "0.01", "--k-steps", "1"],
+         "k-min must be at least 0.015625, got 0.01"),
+        (["dispersion", "--k-max", "171"], "k-max must be at most 170, got 171.0"),
     ])
     def test_bad_input_exits_one(self, tmp_path, capsys, args, message):
         assert message in self.rejected(args, tmp_path, capsys)

@@ -11,7 +11,7 @@ largest magnitude of the other tree's entry).
     python tools/same_numbers.py --against-tree DIR    # DIR's src vs this tree
     python tools/same_numbers.py --against HEAD --tiny # small sizes, a few seconds
 
-The catalogue, 42 entries: ``integrate_bounded`` on criterion 5's inputs
+The catalogue, 48 entries: ``integrate_bounded`` on criterion 5's inputs
 for both wall kinds, unforced, with constant and with time-varying
 forcing (the field and its extracted amplitudes), and criterion 5's two
 oracle phases from the unforced runs; ``integrate_spectral`` at n = 512
@@ -21,8 +21,10 @@ both sectors and N = 512; ``rk4_step`` and ``model_rhs``;
 ``lattice_field`` and ``extract_amplitudes`` on their own, periodic and
 bounded; ``measure_growth_rate`` at four k; the ladder slope of
 ``compare_model_vs_direct``; and the CSVs of the six README commands
-other than ``compare``, with ``--seed 7``.  It calls only API that older
-revisions have too.  Exits 1 when any entry differs.
+other than ``compare``, with ``--seed 7``, and the configuration each of
+their manifests echoes (as ``json.dumps(..., sort_keys=True)``, so the
+values and their JSON types).  It calls only API that older revisions
+have too.  Exits 1 when any entry differs.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import argparse
 import contextlib
 import csv
 import io
+import json
 import os
 import subprocess
 import sys
@@ -142,16 +145,23 @@ def catalogue(tiny: bool) -> dict[str, np.ndarray]:
                                                     m_samples=32), r_ladder=ladder)
     out["ladder.slope"] = np.array(sh.compare_model_vs_direct(config).convergence_slope)
 
+    home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        for name, argv, small in COMMANDS:
-            run_dir = Path(tmp) / name
-            with contextlib.redirect_stdout(io.StringIO()):   # the CSV's path
-                code = cli.main(argv + (small if tiny else [])
-                                + ["--seed", "7", "--output-dir", str(run_dir)])
-            if code != 0:
-                raise SystemExit(f"{name} exited {code}")
-            (path,) = run_dir.glob("*.csv")
-            out[f"csv.{name}"] = np.frombuffer(path.read_bytes(), dtype=np.uint8)
+        os.chdir(tmp)   # a relative output-dir, so both trees echo the same one
+        try:
+            for name, argv, small in COMMANDS:
+                with contextlib.redirect_stdout(io.StringIO()):   # the CSV's path
+                    code = cli.main(argv + (small if tiny else [])
+                                    + ["--seed", "7", "--output-dir", name])
+                if code != 0:
+                    raise SystemExit(f"{name} exited {code}")
+                (path,) = Path(name).glob("*.csv")
+                out[f"csv.{name}"] = np.frombuffer(path.read_bytes(), dtype=np.uint8)
+                config = json.loads((Path(name) / "manifest.json").read_text())["config"]
+                out[f"manifest.{name}.config"] = np.frombuffer(
+                    json.dumps(config, sort_keys=True).encode(), dtype=np.uint8)
+        finally:
+            os.chdir(home)
     return out
 
 
