@@ -75,8 +75,10 @@ def _choice(*values):
 
 # the vocabulary; a count costs at least a step's work, so none may pass the
 # step budget, and a count near 2**63 would fail inside numpy
-SWITCH, WHOLE, NUMBER, TEXT = Check(bool), Check(int), Check(float), Check(str)
+SWITCH, NUMBER, TEXT = Check(bool), Check(float), Check(str)
+WHOLE = Check(int, ((lambda v: v >= 0, "at least 0"),))   # an rng seed
 FINITE = Check(float, ((math.isfinite, "finite"),))
+POSITIVE = Check(float, FINITE.tests + ((lambda v: v > 0, "positive"),))
 NON_NEGATIVE = Check(float, ((lambda v: v >= 0, "a non-negative number"),))
 COUNT = Check(int, _range(1, _MAX_STEPS).tests[1:])   # an int is finite: no FINITE test
 # |r| <= 10: the amplitude model expands in small r, and every experiment runs
@@ -107,8 +109,8 @@ KEYS = {
     "dt": ({"dispersion": 0.02, "boundary-select": 0.05, "boundary-equilibrium": 0.05,
             "simulate-direct": None, "simulate-model": 0.05}, NUMBER),
     "n-samples": ({"compare": 40}, COUNT),
-    "dt-model": ({"compare": 0.1}, NUMBER),
-    "dt-oracle": ({"compare": 0.05}, NUMBER),
+    "dt-model": ({"compare": 0.1}, POSITIVE),
+    "dt-oracle": ({"compare": 1.0}, POSITIVE),
     # a start within [0, 2] sqrt(r/3), the near-equilibrium profile
     "modulation": ({"compare": 0.2}, _range(-1, 1)),
     "sign": ({"boundary-select": "upper", "boundary-profiles": "upper"},

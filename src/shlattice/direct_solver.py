@@ -253,7 +253,8 @@ def measure_growth_rate(params: ModelParams, k: float, eps0: float, T: float,
     linear regime, else DivergenceError: no linear mode outgrows exp(r t),
     so the run stops once |u_hat_k| passes 100 |u_hat_k(0)| exp(max(r, 0) t),
     and the fit is rejected when log|u_hat_k| departs from its line by more
-    than _LINEAR_TOL.
+    than _LINEAR_TOL.  A mode that decays to 0 within T is DivergenceError
+    too: its log has no line.
     """
     if not 0.0 < eps0 < np.inf:
         raise ValueError(f"eps0 must be finite and positive, got {eps0}")
@@ -284,10 +285,13 @@ def measure_growth_rate(params: ModelParams, k: float, eps0: float, T: float,
                 "reached the nonlinear regime (|u_k| > 100 |u_k(0)| exp(max(r, 0) t))")
 
     stepper.run(v, n_steps, callback=record)
+    if not amps.all():   # log(0) has no line to fit; argmin is the first 0
+        raise DivergenceError(f"growth-rate fit of mode {k} failed: |u_k| underflowed to 0 "
+                              f"at t={times[np.argmin(amps)]:.6g}")
     logs = np.log(amps)
     fit = np.polyfit(times, logs, 1)
     misfit = float(np.max(np.abs(logs - np.polyval(fit, times))))
-    if misfit > _LINEAR_TOL:
+    if not misfit <= _LINEAR_TOL:   # a NaN misfit fails too
         raise DivergenceError(
             f"growth-rate fit of mode {k} failed: log|u_k| departs from its line by "
             f"{misfit:.3g} > {_LINEAR_TOL:g} (the seed eps0={eps0:g} is not linear)")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,20 @@ class TestCompare:
         cfg = CompareConfig(params=params, a0=a0, t_end=0.5, n_samples=4)
         report = compare_model_vs_direct(cfg)
         assert report.metadata["validity_flag"] is True
+
+    def test_default_oracle_step_is_accurate_enough(self):
+        # a strongly modulated run to 10/r: the oracle at CompareConfig's
+        # default step stays within 1e-3 sqrt(r/3) of the same run at a
+        # quarter of that step, so the reference stays finer than the model
+        # error it measures; the model's trajectory does not depend on it
+        r = 0.1
+        params = params_for(r=r, n=8, m=32)
+        cfg = CompareConfig(params=params, modulation=1.0)
+        coarse = compare_model_vs_direct(cfg)
+        fine = compare_model_vs_direct(replace(cfg, dt_oracle=cfg.dt_oracle / 4))
+        gap = np.max(np.abs(coarse.oracle_amplitudes - fine.oracle_amplitudes), axis=1)
+        assert np.all(gap <= 1e-3 * np.sqrt(r / 3))
+        assert np.array_equal(coarse.model_amplitudes, fine.model_amplitudes)
 
     @pytest.mark.parametrize("ladder", [(), (0.1,), (0.1, 0.1), [0.05, 0.05, 0.05]])
     def test_ladder_needs_two_distinct_rungs(self, monkeypatch, ladder):

@@ -320,6 +320,17 @@ class TestOtherExperiments:
             "error: numerical divergence: spectral solve diverged at step 1, "
             "t=0.05: NaN/Inf"]
 
+    def test_dispersion_mode_that_underflows_exits_two(self, tmp_path, capsys):
+        # every value in range; the mode reaches 0 at t = 41.98, where the
+        # fit used to take log(0) and write a NaN rate with exit 0
+        code = main(["dispersion", "--k-min", "170", "--k-max", "170", "--k-steps", "1",
+                     "--t-fit", "100", "--output-dir", str(tmp_path)])
+        assert code == 2
+        assert err_lines(capsys.readouterr().err) == [
+            "error: numerical divergence: growth-rate fit of mode 170.0 failed: |u_k| "
+            "underflowed to 0 at t=41.98"]
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_nonlinear_dispersion_seed_exits_two(self, tmp_path, capsys):
         # eps0 = 1 is far from linear at r = 0.1; the fit used to report
         # -0.1375 for the linear rate 0.1 and exit 0
@@ -381,7 +392,7 @@ class TestOtherExperiments:
         (["boundary-select", "--t-end", "-1"], "t_end must exceed the start time"),
         (["boundary-equilibrium", "--dt", "0"], "dt must be positive"),
         (["compare", "--r", "0.1", "--t-end", "0"], "t_end must exceed the start time"),
-        (["compare", "--r", "0.1", "--dt-model", "0"], "dt must be positive"),
+        (["compare", "--r", "0.1", "--dt-model", "0"], "dt-model must be positive, got 0.0"),
         (["compare", "--r", "0.1", "--n-samples", "0"], "n-samples must be at least 1"),
         (["compare"], "the horizon 10/r needs r > 0, got r = 0.0"),
         (["compare", "--r", "-0.1"], "the horizon 10/r needs r > 0, got r = -0.1"),
@@ -562,6 +573,14 @@ class TestRejectedInput:
         (["dispersion", "--k-min", "0.01", "--k-steps", "1"],
          "k-min must be at least 0.015625, got 0.01"),
         (["dispersion", "--k-max", "171"], "k-max must be at most 170, got 171.0"),
+        # a seed is a whole number from 0, whether the experiment draws from it or not
+        (["simulate-model", "--seed", "-1"], "seed must be at least 0, got -1"),
+        (["simulate-direct", "--seed", "-1"], "seed must be at least 0, got -1"),
+        (["boundary-profiles", "--seed", "-1"], "seed must be at least 0, got -1"),
+        # both compare steps are finite and positive
+        (["compare", "--r", "0.1", "--dt-oracle", "-1"], "dt-oracle must be positive, got -1.0"),
+        (["compare", "--r", "0.1", "--dt-oracle", "inf"], "dt-oracle must be finite, got inf"),
+        (["compare", "--r", "0.1", "--dt-model", "nan"], "dt-model must be finite, got nan"),
     ])
     def test_bad_input_exits_one(self, tmp_path, capsys, args, message):
         assert message in self.rejected(args, tmp_path, capsys)

@@ -237,6 +237,17 @@ class TestMeasureGrowthRate:
                 rf"line by {misfit} > 1e-05 \(the seed eps0={eps0:g} is not linear\)$")):
             measure_growth_rate(params_for(r=0.1, n=8, m=32), 1.0, eps0=eps0, T=5.0)
 
+    def test_mode_that_underflows_is_divergence(self):
+        # mode 170 on one period decays at -8.4e8 and reaches 0 within the
+        # fit: log(0) used to warn and the NaN misfit passed, so the rate
+        # came back NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match=(
+                    r"^growth-rate fit of mode 170.0 failed: \|u_k\| underflowed to 0 at "
+                    r"t=41.98$")):
+                measure_growth_rate(params_for(r=0.0), 170.0, eps0=1e-6, T=100.0)
+
     def test_ceiling_past_the_float_range_is_quiet(self):
         # exp(r t) overflows for t > 142 at r = 5: that ceiling bounds
         # nothing, and no overflow warning escapes while it is formed

@@ -11,7 +11,7 @@ largest magnitude of the other tree's entry).
     python tools/same_numbers.py --against-tree DIR    # DIR's src vs this tree
     python tools/same_numbers.py --against HEAD --tiny # small sizes, a few seconds
 
-The catalogue, 48 entries: ``integrate_bounded`` on criterion 5's inputs
+The catalogue, 50 entries: ``integrate_bounded`` on criterion 5's inputs
 for both wall kinds, unforced, with constant and with time-varying
 forcing (the field and its extracted amplitudes), and criterion 5's two
 oracle phases from the unforced runs; ``integrate_spectral`` at n = 512
@@ -19,7 +19,8 @@ and n = 4096; ``run_model`` with periodic, even and odd walls, and with
 time-varying walls at N = 2, either side of the stage-matrix cutoff in
 both sectors and N = 512; ``rk4_step`` and ``model_rhs``;
 ``lattice_field`` and ``extract_amplitudes`` on their own, periodic and
-bounded; ``measure_growth_rate`` at four k; the ladder slope of
+bounded; ``measure_growth_rate`` at four k; the ladder slope, the three
+terminal errors and the last rung's model amplitudes of
 ``compare_model_vs_direct``; and the CSVs of the six README commands
 other than ``compare``, with ``--seed 7``, and the configuration each of
 their manifests echoes (as ``json.dumps(..., sort_keys=True)``, so the
@@ -143,7 +144,11 @@ def catalogue(tiny: bool) -> dict[str, np.ndarray]:
     ladder = (0.4, 0.2, 0.1) if tiny else (0.04, 0.02, 0.01)
     config = sh.CompareConfig(params=sh.make_params(r=0.02, gamma=1.0, p=1, n_elements=16,
                                                     m_samples=32), r_ladder=ladder)
-    out["ladder.slope"] = np.array(sh.compare_model_vs_direct(config).convergence_slope)
+    report = sh.compare_model_vs_direct(config)
+    out["ladder.slope"] = np.array(report.convergence_slope)
+    out["ladder.errors"] = np.array([row["terminal_sup_error"]
+                                     for row in report.metadata["ladder"]])
+    out["ladder.model"] = report.model_amplitudes
 
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
