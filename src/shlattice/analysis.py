@@ -11,7 +11,7 @@ import numpy as np
 
 from .core import (AmplitudeState, BoundaryForcing, FieldGrid, ForcingKind, ModelParams,
                    _check_budget, _step_count)
-from .amplitude_model import run_model
+from .amplitude_model import max_stable_dt, run_model
 from .direct_solver import BoundedStepper, SpectralStepper, _default_dt, growth_symbol
 from .subgrid import extract_amplitudes, lattice_field
 
@@ -81,14 +81,30 @@ class CompareConfig:
     The oracle steps at 1.0, twenty times the spectral oracle's own 0.05:
     its amplitudes then stay within 1e-3 sqrt(r/3) of a converged run, and
     criterion 4's terminal errors within 0.02%, far below the model errors
-    (1e-6 to 1e-5) it measures.  The model keeps its step of 0.1.
+    (1e-6 to 1e-5) it measures.
+
+    dt_model None is the largest step each run allows, capped at
+    max_stable_dt: S 2.785 / rho, with 2.785 RK4's limit on the negative
+    real axis, the safety factor S = 0.5 and, with c = 4 g^2/h^2,
+
+        rho = |r - 2c| + 2c + max(9 g^2 max|a0|^2, 3 max(r, 0)),
+
+    the cap alone when rho is 0.  |r - 2c| + 2c is the Gershgorin bound of
+    the linear stencil and 9 g^2 |a|^2 the norm of the cubic's Jacobian.
+    |a| cannot pass max(max|a0|, sqrt(r / 3 g^2)): at the element of
+    largest |a_j| the coupling cannot raise |a_j|, so d|a_j|^2/dt <=
+    2 |a_j|^2 (r - 3 g^2 |a_j|^2).  This maximum principle holds for the
+    periodic, unforced, real-sector runs compare makes, not for walls or
+    forcing.  Criterion 4's rungs step at the cap, and their terminal
+    errors sit within 2e-9 (relative) of those at a step of 0.1.  The
+    step taken is metadata["dt_model"] (per row of a ladder).
     """
 
     params: ModelParams
     a0: Optional[np.ndarray] = None
     t_end: Optional[float] = None
     n_samples: int = 40
-    dt_model: float = 0.1
+    dt_model: Optional[float] = None
     dt_oracle: float = 1.0
     r_ladder: Optional[Sequence[float]] = None
     modulation: float = 0.2
@@ -160,17 +176,35 @@ def oracle_amplitudes(state: AmplitudeState, params: ModelParams, forcing: Bound
     return out
 
 
-def _run_pair(params: ModelParams, a0: np.ndarray, t_end: float,
-              n_samples: int, dt_model: float, dt_oracle: float) -> ComparisonReport:
+# RK4's stability limit on the negative real axis, and the share of it the
+# model's derived step in compare takes (CompareConfig)
+_RK4_REAL_LIMIT, _STEP_SAFETY = 2.785, 0.5
+
+
+def _largest_model_dt(params: ModelParams, a0: np.ndarray) -> float:
+    """The model step a periodic, unforced, real-sector run from a0 allows
+    (CompareConfig): S 2.785 / rho, capped at max_stable_dt."""
+    g2, cap = params.gamma ** 2, max_stable_dt(params)
+    c = 4.0 * g2 / params.h ** 2
+    rho = (abs(params.r - 2.0 * c) + 2.0 * c
+           + max(9.0 * g2 * float(np.max(np.abs(a0))) ** 2, 3.0 * max(params.r, 0.0)))
+    return min(cap, _STEP_SAFETY * _RK4_REAL_LIMIT / rho) if rho > 0 else cap
+
+
+def _run_pair(params: ModelParams, a0: np.ndarray, t_end: float, n_samples: int,
+              dt_model: Optional[float], dt_oracle: float) -> ComparisonReport:
     state0 = AmplitudeState(0.0, np.asarray(a0, complex), np.conj(a0))
     periodic = BoundaryForcing.periodic()
+    if dt_model is None:
+        dt_model = _largest_model_dt(params, state0.a)
     m_steps, m_per = _sample_counts(t_end, dt_model, n_samples)
     oracle = oracle_amplitudes(state0, params, periodic, t_end, n_samples, dt_oracle)
     model = run_model(state0, params, periodic, t_end, t_end / m_steps, sample_stride=m_per).a
     sup_error = np.max(np.abs(model - oracle), axis=1)
     bound = _VALIDITY_FACTOR * math.sqrt(max(params.r, 1e-12))
     return ComparisonReport(np.linspace(0.0, t_end, n_samples + 1), model, oracle, sup_error,
-                            metadata={"validity_flag": bool(np.max(np.abs(oracle)) > bound)})
+                            metadata={"validity_flag": bool(np.max(np.abs(oracle)) > bound),
+                                      "dt_model": t_end / m_steps})
 
 
 def compare_model_vs_direct(config: CompareConfig) -> ComparisonReport:
@@ -202,12 +236,10 @@ def compare_model_vs_direct(config: CompareConfig) -> ComparisonReport:
     report = reports[-1]
     if ladder is None:
         return report
-    rows = [(float(r), float(rep.sup_error[-1]), float(rep.sup_error[-1] / math.sqrt(r / 3.0)))
-            for r, rep in zip(ladder, reports)]
-    rs = np.array([row[0] for row in rows])
-    errs = np.array([row[2] for row in rows])
+    rows = [{"r": float(r), "terminal_sup_error": float(rep.sup_error[-1]),
+             "normalised": float(rep.sup_error[-1] / math.sqrt(r / 3.0)),
+             "dt_model": rep.metadata["dt_model"]} for r, rep in zip(ladder, reports)]
+    rs, errs = (np.array([row[key] for row in rows]) for key in ("r", "normalised"))
     report.convergence_slope = float(np.polyfit(np.log(rs), np.log(errs), 1)[0])
-    report.metadata["ladder"] = [
-        {"r": r, "terminal_sup_error": e, "normalised": en}
-        for r, e, en in rows]
+    report.metadata["ladder"] = rows
     return report

@@ -109,7 +109,8 @@ KEYS = {
     "dt": ({"dispersion": 0.02, "boundary-select": 0.05, "boundary-equilibrium": 0.05,
             "simulate-direct": None, "simulate-model": 0.05}, NUMBER),
     "n-samples": ({"compare": 40}, COUNT),
-    "dt-model": ({"compare": 0.1}, POSITIVE),
+    # None: the largest step each run allows (analysis.CompareConfig)
+    "dt-model": ({"compare": None}, POSITIVE),
     "dt-oracle": ({"compare": 1.0}, POSITIVE),
     # a start within [0, 2] sqrt(r/3), the near-equilibrium profile
     "modulation": ({"compare": 0.2}, _range(-1, 1)),
@@ -309,16 +310,16 @@ def run_dispersion(cfg: dict, params) -> tuple:
 def run_compare(cfg: dict, params) -> tuple:
     ladder = cfg["r-ladder"]
     report = compare_model_vs_direct(CompareConfig(
-        params=params, t_end=cfg["t-end"], n_samples=cfg["n-samples"],
-        dt_model=cfg["dt-model"], dt_oracle=cfg["dt-oracle"],
-        r_ladder=ladder, modulation=cfg["modulation"]))
+        params=params, t_end=cfg["t-end"], n_samples=cfg["n-samples"], dt_model=cfg["dt-model"],
+        dt_oracle=cfg["dt-oracle"], r_ladder=ladder, modulation=cfg["modulation"]))
+    meta = report.metadata   # the manifest names the model step each run took
     if ladder:
-        rows = [(row["r"], row["terminal_sup_error"], row["normalised"])
-                for row in report.metadata["ladder"]]
+        rows = [(row["r"], row["terminal_sup_error"], row["normalised"]) for row in meta["ladder"]]
         return (["r", "terminal_sup_error", "normalised_error"], rows,
-                {"convergence_slope": report.convergence_slope})
+                {"convergence_slope": report.convergence_slope,
+                 "dt_model": [row["dt_model"] for row in meta["ladder"]]})
     rows = [(float(t), float(e)) for t, e in zip(report.times, report.sup_error)]
-    return ["t", "sup_error"], rows, {"validity_flag": report.metadata["validity_flag"]}
+    return ["t", "sup_error"], rows, {key: meta[key] for key in ("validity_flag", "dt_model")}
 
 
 def run_boundary_select(cfg: dict, params) -> tuple:

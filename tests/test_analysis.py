@@ -202,6 +202,22 @@ class TestCompare:
         assert np.all(gap <= 1e-3 * np.sqrt(r / 3))
         assert np.array_equal(coarse.model_amplitudes, fine.model_amplitudes)
 
+    def test_default_model_step_is_accurate_enough(self):
+        # the same run: the model at CompareConfig's derived step, here
+        # max_stable_dt's cap in whole steps per sample, stays within
+        # 1e-3 sqrt(r/3) of the model at a step of 0.1; the oracle's
+        # trajectory does not depend on it
+        r = 0.1
+        params = params_for(r=r, n=8, m=32)
+        cfg = CompareConfig(params=params, modulation=1.0)
+        derived = compare_model_vs_direct(cfg)
+        fixed = compare_model_vs_direct(replace(cfg, dt_model=0.1))
+        assert derived.metadata["dt_model"] == 100.0 / 240
+        assert fixed.metadata["dt_model"] == 0.1
+        gap = np.max(np.abs(derived.model_amplitudes - fixed.model_amplitudes), axis=1)
+        assert np.all(gap <= 1e-3 * np.sqrt(r / 3))
+        assert np.array_equal(derived.oracle_amplitudes, fixed.oracle_amplitudes)
+
     @pytest.mark.parametrize("ladder", [(), (0.1,), (0.1, 0.1), [0.05, 0.05, 0.05]])
     def test_ladder_needs_two_distinct_rungs(self, monkeypatch, ladder):
         def no_run(*args, **kwargs):
@@ -218,7 +234,8 @@ class TestCompare:
 
         def stub(params, a0, t_end, *args):
             horizons.append(t_end)
-            return analysis.ComparisonReport(np.zeros(1), None, None, np.array([1e-3]))
+            return analysis.ComparisonReport(np.zeros(1), None, None, np.array([1e-3]),
+                                             metadata={"dt_model": 0.1})
         monkeypatch.setattr(analysis, "_run_pair", stub)
         compare_model_vs_direct(CompareConfig(params=params_for(r=0.1, n=4), **kwargs))
         return horizons
@@ -282,7 +299,7 @@ class TestOracleAmplitudes:
         got = analysis.oracle_amplitudes(conjugate_state(0.0, a0), params,
                                          BoundaryForcing.periodic(), 2.0, 4, 0.1)
         assert report.oracle_amplitudes.tobytes() == got.tobytes()
-        assert set(report.metadata) == {"validity_flag"}
+        assert set(report.metadata) == {"validity_flag", "dt_model"}
 
     @pytest.mark.parametrize("make", [BoundaryForcing.even_given, BoundaryForcing.odd_given])
     def test_bounded_rows_are_the_bounded_run(self, make):

@@ -284,6 +284,19 @@ class TestOtherExperiments:
         assert len(rows) == 2
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert "convergence_slope" in manifest
+        # each rung to 10/r in 10 samples, at the largest step each allows
+        assert manifest["dt_model"] == pytest.approx([12.5 / 26, 25.0 / 51])
+
+    @pytest.mark.parametrize("given, taken", [([], 20.0 / 45), (["--dt-model", "0.1"], 0.1)])
+    def test_compare_manifest_names_the_model_step(self, tmp_path, given, taken):
+        # by default the run steps at most max_stable_dt (0.49 here), in
+        # whole steps per sample; an explicit --dt-model keeps its meaning
+        code = main(["compare", "--r", "0.02", "--n-elements", "8", "--t-end", "20",
+                     "--n-samples", "5", "--output-dir", str(tmp_path), *given])
+        assert code == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["dt_model"] == pytest.approx(taken, rel=1e-12)
+        assert manifest["config"]["dt-model"] == (float(given[1]) if given else None)
 
     def test_divergence_exits_two(self, tmp_path, capsys):
         # an explicit step at this amplitude is wildly unstable for the cubic

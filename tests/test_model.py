@@ -3,12 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shlattice import (
     AmplitudeState,
     BoundaryForcing,
+    CompareConfig,
     DivergenceError,
+    compare_model_vs_direct,
     conjugate_state,
     gle_rhs,
     make_params,
@@ -503,6 +505,31 @@ class TestLyapunovDecrease:
         traj = run_model(conjugate_state(0.0, a0), params, forcing, 40.0, 0.1)
         v = lyapunov(traj.a, params, forcing.kind.wall_sign, forcing.signals(0.0))
         assert np.all(np.diff(v) <= 1e-13 * np.max(np.abs(v)))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(r=st.floats(-10.0, 10.0), gamma=st.floats(0.0, 1.0), p=st.integers(1, 3),
+           n=st.integers(2, 16), modulation=st.floats(-1.0, 1.0), t_end=st.floats(1.0, 50.0))
+    @example(r=0.0, gamma=0.0, p=1, n=4, modulation=0.5, t_end=5.0)
+    def test_compare_default_step_is_stable(self, r, gamma, p, n, modulation, t_end):
+        # compare's model step is derived from the run (CompareConfig): from
+        # compare's own start, sqrt(r/3)(1 + m cos) (zero for r <= 0), it
+        # finishes, stays within 1e-3 of its peak |a| of a quarter-step run,
+        # and keeps V from increasing.  The horizon is 10/r for r >= 0.1 and
+        # the drawn t_end, below 10/r, otherwise, so no start grows past e^10
+        params = make_params(r=r, gamma=gamma, p=p, n_elements=n, m_samples=32)
+        cfg = CompareConfig(params=params, modulation=modulation,
+                            t_end=None if r >= 0.1 else t_end)
+        report = compare_model_vs_direct(cfg)
+        quarter = compare_model_vs_direct(replace(cfg, dt_model=report.metadata["dt_model"] / 4))
+        a, fine = report.model_amplitudes, quarter.model_amplitudes
+        assert report.metadata["dt_model"] <= max_stable_dt(params)
+        assert np.max(np.abs(a - fine)) <= 1e-3 * np.max(np.abs(fine))
+        if gamma > 0:
+            # rounding scales with V's terms, not with V, in which they can
+            # cancel (a uniform start at r near 0)
+            mag2, c = np.max(np.abs(a)) ** 2, 4.0 * gamma ** 2 / params.h ** 2
+            scale = n * mag2 * (abs(r) + 4.0 * c + 1.5 * gamma ** 2 * mag2)
+            assert np.all(np.diff(lyapunov(a, params, 0.0)) <= 1e-13 * scale)
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0])
     @pytest.mark.parametrize("kind", ["periodic", "even", "odd"])
