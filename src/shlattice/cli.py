@@ -49,7 +49,7 @@ from .analysis import (
     oracle_amplitudes,
     she_growth_rate,
 )
-from .direct_solver import integrate_bounded, integrate_spectral, measure_growth_rate
+from .direct_solver import _fit_steps, integrate_bounded, integrate_spectral, measure_growth_rate
 from .subgrid import boundary_profiles
 
 _FMT = "%.12g"
@@ -106,7 +106,8 @@ KEYS = {
     "r-ladder": ({"compare": None}, _range(*_R_BOUNDS, kind=tuple)),
     "t-end": ({"compare": None, "boundary-select": None, "boundary-equilibrium": 300.0,
                "simulate-direct": 10.0, "simulate-model": 100.0}, NUMBER),
-    "dt": ({"dispersion": 0.02, "boundary-select": 0.05, "boundary-equilibrium": 0.05,
+    # None: dispersion fits each k at the step its answer needs (measure_growth_rate)
+    "dt": ({"dispersion": None, "boundary-select": 0.05, "boundary-equilibrium": 0.05,
             "simulate-direct": None, "simulate-model": 0.05}, NUMBER),
     "n-samples": ({"compare": 40}, COUNT),
     # None: the largest step each run allows (analysis.CompareConfig)
@@ -300,11 +301,13 @@ def _write_outputs(cfg: dict, experiment: str, header: list[str],
 # -- experiment runners: (cfg, params) -> (header, rows, extra manifest keys) --
 
 def run_dispersion(cfg: dict, params) -> tuple:
+    T = cfg["t-fit"]
+    ks = list(map(float, np.linspace(cfg["k-min"], cfg["k-max"], cfg["k-steps"])))
     rows = [(k, she_growth_rate(k, params.r),
-             measure_growth_rate(params, k, eps0=cfg["eps0"], T=cfg["t-fit"],
-                                 dt=cfg["dt"]))
-            for k in map(float, np.linspace(cfg["k-min"], cfg["k-max"], cfg["k-steps"]))]
-    return ["k", "lambda_theory", "lambda_measured"], rows, {}
+             measure_growth_rate(params, k, eps0=cfg["eps0"], T=T, dt=cfg["dt"])) for k in ks]
+    # the manifest names the step each fit took
+    return (["k", "lambda_theory", "lambda_measured"], rows,
+            {"dt_fit": [T / _fit_steps(params.r, k, T, cfg["dt"]) for k in ks]})
 
 
 def run_compare(cfg: dict, params) -> tuple:

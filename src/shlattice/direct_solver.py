@@ -218,8 +218,10 @@ def integrate_spectral(grid: FieldGrid, params: ModelParams, t_end: float,
     if not grid.periodic:
         raise ValueError("spectral stepping needs a periodic grid")
     n_steps = _step_count(t_end, _default_dt(grid) if dt is None else dt)
-    stepper = SpectralStepper(len(grid.u), grid.length, params.r, t_end / n_steps)
-    with np.errstate(invalid="ignore"):   # an Inf field fails the loop's start check
+    # a step so large that the coefficients overflow, or an Inf field, fails
+    # the loop's own NaN/Inf checks, which report it once
+    with np.errstate(over="ignore", invalid="ignore"):
+        stepper = SpectralStepper(len(grid.u), grid.length, params.r, t_end / n_steps)
         v = stepper.to_spectral(grid.u)
     v = stepper.run(v, n_steps)
     return FieldGrid(grid.x0, grid.dx, stepper.to_physical(v), True)
@@ -227,8 +229,9 @@ def integrate_spectral(grid: FieldGrid, params: ModelParams, t_end: float,
 
 _MAX_PERIODS = 64   # longest domain, in periods 2*pi, a growth-rate run may take
 # Largest departure of log|u_k| from its fitted line.  At r = 0.1, k = 1,
-# T = 5 it measured 5.7e-13 for eps0 = 1e-6, 5.8e-7 for 1e-3 (rate off by
-# 1.3e-6) and 7.6e-3 for 0.3 (rate off by 0.077).
+# T = 5, dt = 0.02 it measured 5.7e-13 for eps0 = 1e-6, 5.8e-7 for 1e-3
+# (rate off by 1.3e-6) and 7.6e-3 for 0.3 (rate off by 0.077; 7.5e-3 at
+# the derived step 0.1, the rate as far off).
 _LINEAR_TOL = 1e-5
 
 
@@ -243,18 +246,40 @@ def _commensurate_periods(k: float) -> tuple[int, int]:
         f"wavenumber {k} is not commensurate with any domain up to {_MAX_PERIODS} periods")
 
 
+def _fit_steps(r: float, k: float, T: float, dt: Optional[float] = None) -> int:
+    """Steps of a growth-rate fit of mode k over T, each at most dt, or when
+    dt is None at most the step `measure_growth_rate` derives from T and
+    lambda_k."""
+    if dt is None:
+        lam = abs(float(growth_symbol(k, r)))
+        dt = max(0.02, min(T / 50, 2 / lam if lam else 1.0, 1.0))
+    return max(2, _step_count(T, dt))
+
+
 def measure_growth_rate(params: ModelParams, k: float, eps0: float, T: float,
-                        dt: float = 0.02) -> float:
+                        dt: Optional[float] = None) -> float:
     """Fitted growth rate of mode k from a small-amplitude spectral run.
 
     Seeds u = eps0*cos(kx) on the smallest commensurate periodic domain,
     sampled at 512 points, and returns the least-squares slope of
-    log|u_hat_k|(t) over at least two steps.  The seed must stay in the
-    linear regime, else DivergenceError: no linear mode outgrows exp(r t),
-    so the run stops once |u_hat_k| passes 100 |u_hat_k(0)| exp(max(r, 0) t),
-    and the fit is rejected when log|u_hat_k| departs from its line by more
-    than _LINEAR_TOL.  A mode that decays to 0 within T is DivergenceError
-    too: its log has no line.
+    log|u_hat_k|(t) over at least two steps of at most dt.
+
+    ETDRK4 propagates the linear symbol lambda_k = r - (1 - k^2)^2 exactly,
+    so for a linear seed the rate does not depend on the step, and a dt of
+    None takes max(0.02, min(T/50, 2/|lambda_k|, 1)), the 2/|lambda_k| term
+    dropped where lambda_k = 0.  T/50 keeps 50 samples for the misfit
+    check.  2/|lambda_k| keeps a fast-decaying mode out of the stiff
+    regime, where the cubic, held over a step much longer than the mode
+    lives, fails the check (at dt = 0.5 a mode with lambda_k = -74 does,
+    which passes at 0.02, 0.1 and 0.25).  The cap 1 keeps an absurd T a
+    step-budget error.  The floor 0.02 means no mode takes more steps than
+    at a dt of 0.02, and every mode with |lambda_k| > 100 exactly as many.
+
+    The seed must stay in the linear regime, else DivergenceError: no
+    linear mode outgrows exp(r t), so the run stops once |u_hat_k| passes
+    100 |u_hat_k(0)| exp(max(r, 0) t), and the fit is rejected when
+    log|u_hat_k| departs from its line by more than _LINEAR_TOL.  A mode
+    that decays to 0 within T is DivergenceError too: its log has no line.
     """
     if not 0.0 < eps0 < np.inf:
         raise ValueError(f"eps0 must be finite and positive, got {eps0}")
@@ -267,7 +292,7 @@ def measure_growth_rate(params: ModelParams, k: float, eps0: float, T: float,
     length = 2.0 * np.pi * q
     x = length * np.arange(n) / n
     u0 = eps0 * np.cos(k * x)
-    n_steps = max(2, _step_count(T, dt))
+    n_steps = _fit_steps(params.r, k, T, dt)
     stepper = SpectralStepper(n, length, params.r, T / n_steps)
     v = stepper.to_spectral(u0)
     amp0 = abs(v[mode])

@@ -40,6 +40,17 @@ class TestDispersionExperiment:
         assert float(mid[1]) == pytest.approx(0.1, abs=1e-12)
         assert float(mid[2]) == pytest.approx(0.1, abs=1e-5)
 
+    @pytest.mark.parametrize("given, step", [([], 0.1), (["--dt", "0.02"], 0.02)])
+    def test_manifest_names_the_step_of_each_fit(self, tmp_path, given, step):
+        # the README command: |lambda_k| <= 1.46, so T/50 = 0.1 binds at
+        # every k; an explicit --dt keeps the old fixed step
+        code = main(["dispersion", "--r", "0.1", "--k-min", "0.5", "--k-max", "1.5",
+                     "--k-steps", "21", "--output-dir", str(tmp_path), *given])
+        assert code == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["dt_fit"] == [step] * 21
+        assert manifest["config"]["dt"] == (step if given else None)
+
     def test_manifest_written(self, tmp_path):
         main(["dispersion", "--k-steps", "3", "--output-dir", str(tmp_path)])
         manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -333,6 +344,19 @@ class TestOtherExperiments:
             "error: numerical divergence: spectral solve diverged at step 1, "
             "t=0.05: NaN/Inf"]
 
+    def test_huge_spectral_step_exits_two_without_warnings(self, tmp_path, capsys):
+        # the ETDRK4 coefficients overflow at dt = 1e200; the loop's NaN/Inf
+        # check is the one report, where eleven RuntimeWarnings came first
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["simulate-direct", "--scheme", "spectral-etd", "--r", "0.3",
+                         "--t-end", "1e200", "--dt", "1e200", "--output-dir", str(tmp_path)])
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        assert err_lines(capsys.readouterr().err) == [
+            "error: numerical divergence: spectral solve diverged at step 1, "
+            "t=1e+200: NaN/Inf"]
+
     def test_dispersion_mode_that_underflows_exits_two(self, tmp_path, capsys):
         # every value in range; the mode reaches 0 at t = 41.98, where the
         # fit used to take log(0) and write a NaN rate with exit 0
@@ -344,16 +368,23 @@ class TestOtherExperiments:
             "underflowed to 0 at t=41.98"]
         assert not list(tmp_path.glob("*.csv"))
 
-    def test_nonlinear_dispersion_seed_exits_two(self, tmp_path, capsys):
+    @staticmethod
+    def nonlinear_dispersion_seed(tmp_path, capsys, given, misfit):
         # eps0 = 1 is far from linear at r = 0.1; the fit used to report
         # -0.1375 for the linear rate 0.1 and exit 0
         code = main(["dispersion", "--r", "0.1", "--k-min", "1", "--k-max", "1",
-                     "--k-steps", "1", "--eps0", "1", "--output-dir", str(tmp_path)])
+                     "--k-steps", "1", "--eps0", "1", "--output-dir", str(tmp_path), *given])
         assert code == 2
         assert err_lines(capsys.readouterr().err) == [
             "error: numerical divergence: growth-rate fit of mode 1.0 failed: log|u_k| "
-            "departs from its line by 0.227 > 1e-05 (the seed eps0=1 is not linear)"]
+            f"departs from its line by {misfit} > 1e-05 (the seed eps0=1 is not linear)"]
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_nonlinear_dispersion_seed_exits_two(self, tmp_path, capsys):
+        self.nonlinear_dispersion_seed(tmp_path, capsys, ["--dt", "0.02"], "0.227")
+
+    def test_nonlinear_dispersion_seed_exits_two_at_the_default_step(self, tmp_path, capsys):
+        self.nonlinear_dispersion_seed(tmp_path, capsys, [], "0.222")   # T/50 = 0.1
 
     @pytest.mark.parametrize("args, solver", [
         (["simulate-direct", "--scheme", "spectral-etd", "--init-amp", "nan"],

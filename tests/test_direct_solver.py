@@ -23,7 +23,7 @@ from shlattice import (
     oracle_amplitudes,
     run_model,
 )
-from shlattice.direct_solver import _default_dt, _etd_coefficients, growth_symbol
+from shlattice.direct_solver import _default_dt, _etd_coefficients, _fit_steps, growth_symbol
 
 
 def params_for(r=0.0, gamma=1.0, p=1, n=4, m=64):
@@ -228,14 +228,22 @@ class TestMeasureGrowthRate:
                            match=r"^spectral solve diverged at step 1, t=0.5: NaN/Inf$"):
             measure_growth_rate(params_for(r=0.1), 1.0, eps0=1e200, T=5.0, dt=0.5)
 
-    @pytest.mark.parametrize("eps0, misfit", [(1.0, "0.227"), (0.3, "0.00764")])
-    def test_curved_log_amplitude_is_rejected(self, eps0, misfit):
+    @staticmethod
+    def assert_curved(eps0, misfit, **step):
         # below the ceiling but nonlinear: log|u_k| bends away from a line
         # (eps0 = 1 used to return -0.1375 against the linear rate 0.1)
         with pytest.raises(DivergenceError, match=(
                 rf"^growth-rate fit of mode 1.0 failed: log\|u_k\| departs from its "
                 rf"line by {misfit} > 1e-05 \(the seed eps0={eps0:g} is not linear\)$")):
-            measure_growth_rate(params_for(r=0.1, n=8, m=32), 1.0, eps0=eps0, T=5.0)
+            measure_growth_rate(params_for(r=0.1, n=8, m=32), 1.0, eps0=eps0, T=5.0, **step)
+
+    @pytest.mark.parametrize("eps0, misfit", [(1.0, "0.227"), (0.3, "0.00764")])
+    def test_curved_log_amplitude_is_rejected(self, eps0, misfit):
+        self.assert_curved(eps0, misfit, dt=0.02)
+
+    @pytest.mark.parametrize("eps0, misfit", [(1.0, "0.222"), (0.3, "0.0075")])
+    def test_curved_log_amplitude_is_rejected_at_the_default_step(self, eps0, misfit):
+        self.assert_curved(eps0, misfit)   # T/50 = 0.1
 
     def test_mode_that_underflows_is_divergence(self):
         # mode 170 on one period decays at -8.4e8 and reaches 0 within the
@@ -267,6 +275,28 @@ class TestMeasureGrowthRate:
     def test_symbol_helper(self):
         assert growth_symbol(0.0, 0.0) == pytest.approx(-1.0)
         assert growth_symbol(1.0, 0.1) == pytest.approx(0.1)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(r=st.floats(-10, 10),
+           k=st.sampled_from([1, 2, 4]).flatmap(lambda q: st.integers(1, 6 * q).map(
+               lambda mode: mode / q)),
+           log_eps0=st.floats(-8, -3), span=st.floats(0.25, 1))
+    def test_derived_step_keeps_the_fine_step_verdict(self, r, k, log_eps0, span):
+        # the CLI's ranges of r, k and eps0; T at most 20, so a fit at 0.02
+        # takes at most 1000 steps, over which the mode changes by at most
+        # e^500: far enough for the 2/|lambda_k| term to bind (|lambda_k| T
+        # > 100), near enough that most fast modes stay above the rounding
+        # of the cubic.  A fit that passes at 0.02 passes at the derived
+        # step, on a rate within 1e-7 of its own, in no more steps
+        lam = abs(float(growth_symbol(k, r)))
+        T = span * min(20.0, 500.0 / lam if lam else 20.0)
+        params, eps0 = params_for(r=r), 10.0 ** log_eps0
+        assert _fit_steps(r, k, T) <= _fit_steps(r, k, T, 0.02)
+        try:
+            fine = measure_growth_rate(params, k, eps0, T, dt=0.02)
+        except DivergenceError:
+            return   # a fit that fails at 0.02 bounds nothing at the default
+        assert measure_growth_rate(params, k, eps0, T) == pytest.approx(fine, abs=1e-7, rel=0)
 
 
 def etd_reference(z: float) -> list[float]:

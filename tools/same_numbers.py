@@ -11,7 +11,7 @@ largest magnitude of the other tree's entry).
     python tools/same_numbers.py --against-tree DIR    # DIR's src vs this tree
     python tools/same_numbers.py --against HEAD --tiny # small sizes, a few seconds
 
-The catalogue, 51 entries: ``integrate_bounded`` on criterion 5's inputs
+The catalogue, 52 entries: ``integrate_bounded`` on criterion 5's inputs
 for both wall kinds, unforced, with constant and with time-varying
 forcing (the field and its extracted amplitudes), and criterion 5's two
 oracle phases from the unforced runs; ``integrate_spectral`` at n = 512
@@ -19,14 +19,15 @@ and n = 4096; ``run_model`` with periodic, even and odd walls, and with
 time-varying walls at N = 2, either side of the stage-matrix cutoff in
 both sectors and N = 512; ``rk4_step`` and ``model_rhs``;
 ``lattice_field`` and ``extract_amplitudes`` on their own, periodic and
-bounded; ``measure_growth_rate`` at four k; the ladder slope, the three
-terminal errors and the last rung's model amplitudes of
-``compare_model_vs_direct``, and the model amplitudes of its default
-single run (N = 8, r = 0.1, modulation 1); and the CSVs of the six
-README commands other than ``compare``, with ``--seed 7``, and the
-configuration each of their manifests echoes (as ``json.dumps(...,
-sort_keys=True)``, so the values and their JSON types).  It calls only
-API that older revisions have too.  Exits 1 when any entry differs.
+bounded; ``measure_growth_rate`` at four k, at its default step and at
+0.02; the ladder slope, the three terminal errors and the last rung's
+model amplitudes of ``compare_model_vs_direct``, and the model
+amplitudes of its default single run (N = 8, r = 0.1, modulation 1);
+and the CSVs of the six README commands other than ``compare``, with
+``--seed 7``, and the configuration each of their manifests echoes (as
+``json.dumps(..., sort_keys=True)``, so the values and their JSON
+types).  It calls only API that older revisions have too.  Exits 1 when
+any entry differs.
 """
 
 from __future__ import annotations
@@ -136,8 +137,10 @@ def catalogue(tiny: bool) -> dict[str, np.ndarray]:
     grid = sh.lattice_field(sh.conjugate_state(0.0, a), wide, periodic=True)
     out["spectral.n4096.u"] = sh.integrate_spectral(grid, wide, 0.5 if tiny else 5.0).u
 
-    out["growth_rate"] = np.array([sh.measure_growth_rate(periodic, k, 1e-6, 1.0 if tiny else 5.0)
-                                   for k in (0.5, 0.9, 1.0, 1.25)])
+    # at each revision's default step, and at the fixed step 0.02
+    for name, step in (("growth_rate", {}), ("growth_rate_fine", {"dt": 0.02})):
+        out[name] = np.array([sh.measure_growth_rate(periodic, k, 1e-6, 1.0 if tiny else 5.0,
+                                                     **step) for k in (0.5, 0.9, 1.0, 1.25)])
     # criterion 5's oracle phases, in degrees, of the unforced runs above
     out["criterion5.phases"] = np.degrees(np.angle(
         [out[f"bounded.{kind}.unforced.a"][0] for kind in ("even", "odd")]))
