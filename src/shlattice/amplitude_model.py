@@ -57,6 +57,7 @@ square of the float count, and from 96 floats the stencil costs less;
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from typing import Optional
 
@@ -80,6 +81,9 @@ _BLOWUP = 1e6
 # real sector, N <= 16 in the general one); their matmuls grow as the
 # square of it, and from 96 floats the stencil's calls cost less.
 _STAGE_FLOATS = 64
+# RK4's stability limit on the negative real axis, and the share of it a
+# derived step takes (_derived_dt)
+_RK4_REAL_LIMIT, _STEP_SAFETY = 2.785, 0.5
 
 
 class SignChoice(Enum):
@@ -330,9 +334,35 @@ def reality_check(state: AmplitudeState) -> float:
     return float(np.max(np.abs(state.b - np.conj(state.a)))) if state.n else 0.0
 
 
+def _stencil_bound(params: ModelParams) -> float:
+    """Gershgorin bound |r - 2c| + 2c, c = 4 g^2/h^2, of the linear stencil's
+    rates; a wall row's ghost -s b_1 takes its neighbour's place in it."""
+    c = 4.0 * params.gamma ** 2 / params.h ** 2
+    return abs(params.r - 2.0 * c) + 2.0 * c
+
+
 def max_stable_dt(params: ModelParams) -> float:
-    """Explicit-stepping bound 0.1 h^2/8, a 10x margin on the fast wall mode."""
-    return 0.1 * params.h ** 2 / 8.0
+    """The largest step at which RK4 keeps the linear stencil stable:
+    2.785, RK4's limit on the negative real axis, over the stencil's
+    Gershgorin bound |r - 2c| + 2c with c = 4 g^2/h^2; inf when that bound
+    is 0.  Walls add nothing to the bound, and the cubic is not counted: a
+    step the cubic makes unstable runs and diverges (DivergenceError)."""
+    bound = _stencil_bound(params)
+    return _RK4_REAL_LIMIT / bound if bound else math.inf
+
+
+def _derived_dt(params: ModelParams, a0: np.ndarray) -> float:
+    """The step a periodic, unforced, real-sector run from a0 allows: S 2.785
+    / rho with the safety factor S = 0.5 and rho the stencil's bound plus
+    9 g^2 A^2, the norm of the cubic's Jacobian at the amplitude bound
+    A = max(max|a0|, sqrt(r / 3 g^2)) (9 g^2 A^2 = max(9 g^2 max|a0|^2,
+    3 max(r, 0))).  No |a_j| passes A: at the element of largest |a_j| the
+    coupling cannot raise it, so d|a_j|^2/dt <= 2 |a_j|^2 (r - 3 g^2
+    |a_j|^2).  inf when rho is 0, where the right-hand side is zero."""
+    cubic = max(9.0 * params.gamma ** 2 * float(np.max(np.abs(a0))) ** 2,
+                3.0 * max(params.r, 0.0))
+    rho = _stencil_bound(params) + cubic
+    return _STEP_SAFETY * _RK4_REAL_LIMIT / rho if rho else math.inf
 
 
 def _check_dt(dt: float, params: ModelParams) -> None:

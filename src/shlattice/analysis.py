@@ -11,7 +11,7 @@ import numpy as np
 
 from .core import (AmplitudeState, BoundaryForcing, FieldGrid, ForcingKind, ModelParams,
                    _check_budget, _step_count)
-from .amplitude_model import max_stable_dt, run_model
+from .amplitude_model import _derived_dt, run_model
 from .direct_solver import BoundedStepper, SpectralStepper, _default_dt, growth_symbol
 from .subgrid import extract_amplitudes, lattice_field
 
@@ -78,26 +78,27 @@ class CompareConfig:
     slope of the normalised terminal error is fitted.  t_end is the horizon
     of every run; None means 10/r for each, which needs r > 0.
 
-    The oracle steps at 1.0, twenty times the spectral oracle's own 0.05:
-    its amplitudes then stay within 1e-3 sqrt(r/3) of a converged run, and
-    criterion 4's terminal errors within 0.02%, far below the model errors
-    (1e-6 to 1e-5) it measures.
+    Each solver steps, unless given a step, at the largest one the run
+    allows, in whole steps per sample; the steps taken are
+    metadata["dt_model"] and metadata["dt_oracle"] (per row of a ladder).
+    Both count r and the cubic at the amplitude bound A = max(max|a0|,
+    sqrt(r/3)) of these periodic, unforced, real-sector runs (a maximum
+    principle of the lattice; see `amplitude_model._derived_dt`).
 
-    dt_model None is the largest step each run allows, capped at
-    max_stable_dt: S 2.785 / rho, with 2.785 RK4's limit on the negative
-    real axis, the safety factor S = 0.5 and, with c = 4 g^2/h^2,
+    The model's step is `amplitude_model._derived_dt`, 0.5 * 2.785 / rho.
+    Criterion 4's rungs step at 2.08, 2.5 and 3.125, and their terminal
+    errors sit within 3e-10 (relative) of those at the old fixed cap
+    0.1 h^2/8 = 0.49348, which `dt_model=0.4935` reproduces bit for bit.
 
-        rho = |r - 2c| + 2c + max(9 g^2 max|a0|^2, 3 max(r, 0)),
-
-    the cap alone when rho is 0.  |r - 2c| + 2c is the Gershgorin bound of
-    the linear stencil and 9 g^2 |a|^2 the norm of the cubic's Jacobian.
-    |a| cannot pass max(max|a0|, sqrt(r / 3 g^2)): at the element of
-    largest |a_j| the coupling cannot raise |a_j|, so d|a_j|^2/dt <=
-    2 |a_j|^2 (r - 3 g^2 |a_j|^2).  This maximum principle holds for the
-    periodic, unforced, real-sector runs compare makes, not for walls or
-    forcing.  Criterion 4's rungs step at the cap, and their terminal
-    errors sit within 2e-9 (relative) of those at a step of 0.1.  The
-    step taken is metadata["dt_model"] (per row of a ladder).
+    The oracle's step is min(1, S L / 3 U^2), with U = 2 A the bound on the
+    seeded field, L = 4.9 the limit on 3 U^2 dt within which ETDRK4 stays
+    stable (measured: 4.97 at least, over r in [0.1, 10], N = 4 and 8,
+    modulation 0, 0.2 and +-1) and S = 0.5.  The cap 1.0, twenty times the
+    oracle's own 0.05, is the step wherever 3 U^2 <= 2.45, criterion 4's
+    rungs among them: the amplitudes there stay within 1e-3 sqrt(r/3) of a
+    converged run, and criterion 4's terminal errors within 0.02%, far
+    below the model errors (1e-6 to 1e-5) they measure.  At r = 10, where
+    a step of 1.0 diverges, it is about 0.04.
     """
 
     params: ModelParams
@@ -105,7 +106,7 @@ class CompareConfig:
     t_end: Optional[float] = None
     n_samples: int = 40
     dt_model: Optional[float] = None
-    dt_oracle: float = 1.0
+    dt_oracle: Optional[float] = None
     r_ladder: Optional[Sequence[float]] = None
     modulation: float = 0.2
 
@@ -176,35 +177,33 @@ def oracle_amplitudes(state: AmplitudeState, params: ModelParams, forcing: Bound
     return out
 
 
-# RK4's stability limit on the negative real axis, and the share of it the
-# model's derived step in compare takes (CompareConfig)
-_RK4_REAL_LIMIT, _STEP_SAFETY = 2.785, 0.5
+# The oracle's derived step takes the share S = 0.5 of ETDRK4's limit L = 4.9
+# on 3 max|u|^2 dt, measured at 4.97 from compare's seeded fields (CompareConfig)
+_ORACLE_SHARE = 0.5 * 4.9
 
 
-def _largest_model_dt(params: ModelParams, a0: np.ndarray) -> float:
-    """The model step a periodic, unforced, real-sector run from a0 allows
-    (CompareConfig): S 2.785 / rho, capped at max_stable_dt."""
-    g2, cap = params.gamma ** 2, max_stable_dt(params)
-    c = 4.0 * g2 / params.h ** 2
-    rho = (abs(params.r - 2.0 * c) + 2.0 * c
-           + max(9.0 * g2 * float(np.max(np.abs(a0))) ** 2, 3.0 * max(params.r, 0.0)))
-    return min(cap, _STEP_SAFETY * _RK4_REAL_LIMIT / rho) if rho > 0 else cap
+def _oracle_dt(params: ModelParams, a0: np.ndarray) -> float:
+    """The oracle step a run from a0 allows: min(1, S L / 3 U^2), with U =
+    2 max(max|a0|, sqrt(r/3)) the bound on the seeded field (CompareConfig)."""
+    cubic = 12.0 * max(float(np.max(np.abs(a0))) ** 2, max(params.r, 0.0) / 3.0)
+    return 1.0 if cubic <= _ORACLE_SHARE else _ORACLE_SHARE / cubic
 
 
 def _run_pair(params: ModelParams, a0: np.ndarray, t_end: float, n_samples: int,
-              dt_model: Optional[float], dt_oracle: float) -> ComparisonReport:
+              dt_model: Optional[float], dt_oracle: Optional[float]) -> ComparisonReport:
     state0 = AmplitudeState(0.0, np.asarray(a0, complex), np.conj(a0))
     periodic = BoundaryForcing.periodic()
-    if dt_model is None:
-        dt_model = _largest_model_dt(params, state0.a)
+    dt_model = _derived_dt(params, state0.a) if dt_model is None else dt_model
+    dt_oracle = _oracle_dt(params, state0.a) if dt_oracle is None else dt_oracle
     m_steps, m_per = _sample_counts(t_end, dt_model, n_samples)
+    o_steps, _ = _sample_counts(t_end, dt_oracle, n_samples)
     oracle = oracle_amplitudes(state0, params, periodic, t_end, n_samples, dt_oracle)
     model = run_model(state0, params, periodic, t_end, t_end / m_steps, sample_stride=m_per).a
     sup_error = np.max(np.abs(model - oracle), axis=1)
     bound = _VALIDITY_FACTOR * math.sqrt(max(params.r, 1e-12))
     return ComparisonReport(np.linspace(0.0, t_end, n_samples + 1), model, oracle, sup_error,
                             metadata={"validity_flag": bool(np.max(np.abs(oracle)) > bound),
-                                      "dt_model": t_end / m_steps})
+                                      "dt_model": t_end / m_steps, "dt_oracle": t_end / o_steps})
 
 
 def compare_model_vs_direct(config: CompareConfig) -> ComparisonReport:
@@ -238,7 +237,8 @@ def compare_model_vs_direct(config: CompareConfig) -> ComparisonReport:
         return report
     rows = [{"r": float(r), "terminal_sup_error": float(rep.sup_error[-1]),
              "normalised": float(rep.sup_error[-1] / math.sqrt(r / 3.0)),
-             "dt_model": rep.metadata["dt_model"]} for r, rep in zip(ladder, reports)]
+             "dt_model": rep.metadata["dt_model"], "dt_oracle": rep.metadata["dt_oracle"]}
+            for r, rep in zip(ladder, reports)]
     rs, errs = (np.array([row[key] for row in rows]) for key in ("r", "normalised"))
     report.convergence_slope = float(np.polyfit(np.log(rs), np.log(errs), 1)[0])
     report.metadata["ladder"] = rows

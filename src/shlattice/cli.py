@@ -110,9 +110,9 @@ KEYS = {
     "dt": ({"dispersion": None, "boundary-select": 0.05, "boundary-equilibrium": 0.05,
             "simulate-direct": None, "simulate-model": 0.05}, NUMBER),
     "n-samples": ({"compare": 40}, COUNT),
-    # None: the largest step each run allows (analysis.CompareConfig)
+    # None: the largest step each run allows, model and oracle (analysis.CompareConfig)
     "dt-model": ({"compare": None}, POSITIVE),
-    "dt-oracle": ({"compare": 1.0}, POSITIVE),
+    "dt-oracle": ({"compare": None}, POSITIVE),
     # a start within [0, 2] sqrt(r/3), the near-equilibrium profile
     "modulation": ({"compare": 0.2}, _range(-1, 1)),
     "sign": ({"boundary-select": "upper", "boundary-profiles": "upper"},
@@ -315,14 +315,14 @@ def run_compare(cfg: dict, params) -> tuple:
     report = compare_model_vs_direct(CompareConfig(
         params=params, t_end=cfg["t-end"], n_samples=cfg["n-samples"], dt_model=cfg["dt-model"],
         dt_oracle=cfg["dt-oracle"], r_ladder=ladder, modulation=cfg["modulation"]))
-    meta = report.metadata   # the manifest names the model step each run took
+    meta, steps = report.metadata, ("dt_model", "dt_oracle")   # the steps each run took
     if ladder:
         rows = [(row["r"], row["terminal_sup_error"], row["normalised"]) for row in meta["ladder"]]
         return (["r", "terminal_sup_error", "normalised_error"], rows,
                 {"convergence_slope": report.convergence_slope,
-                 "dt_model": [row["dt_model"] for row in meta["ladder"]]})
+                 **{key: [row[key] for row in meta["ladder"]] for key in steps}})
     rows = [(float(t), float(e)) for t, e in zip(report.times, report.sup_error)]
-    return ["t", "sup_error"], rows, {key: meta[key] for key in ("validity_flag", "dt_model")}
+    return ["t", "sup_error"], rows, {key: meta[key] for key in ("validity_flag", *steps)}
 
 
 def run_boundary_select(cfg: dict, params) -> tuple:

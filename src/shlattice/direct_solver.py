@@ -279,7 +279,8 @@ def measure_growth_rate(params: ModelParams, k: float, eps0: float, T: float,
     linear mode outgrows exp(r t), so the run stops once |u_hat_k| passes
     100 |u_hat_k(0)| exp(max(r, 0) t), and the fit is rejected when
     log|u_hat_k| departs from its line by more than _LINEAR_TOL.  A mode
-    that decays to 0 within T is DivergenceError too: its log has no line.
+    that decays to 0 within T is DivergenceError too, at its first zero
+    sample: its log has no line.
     """
     if not 0.0 < eps0 < np.inf:
         raise ValueError(f"eps0 must be finite and positive, got {eps0}")
@@ -295,12 +296,10 @@ def measure_growth_rate(params: ModelParams, k: float, eps0: float, T: float,
     n_steps = _fit_steps(params.r, k, T, dt)
     stepper = SpectralStepper(n, length, params.r, T / n_steps)
     v = stepper.to_spectral(u0)
-    amp0 = abs(v[mode])
     amps = np.empty(n_steps + 1)
-    amps[0] = amp0
     times = np.linspace(0.0, T, n_steps + 1)
     with np.errstate(over="ignore"):   # an infinite ceiling bounds nothing
-        ceiling = 100.0 * amp0 * np.exp(max(params.r, 0.0) * times)
+        ceiling = 100.0 * abs(v[mode]) * np.exp(max(params.r, 0.0) * times)
 
     def record(i, vv):
         amps[i] = abs(vv[mode])
@@ -308,11 +307,12 @@ def measure_growth_rate(params: ModelParams, k: float, eps0: float, T: float,
             raise DivergenceError(
                 f"spectral solve diverged at step {i}, t={times[i]:.6g}: mode {k} "
                 "reached the nonlinear regime (|u_k| > 100 |u_k(0)| exp(max(r, 0) t))")
+        if not amps[i]:   # log(0) has no line to fit, so the run stops here
+            raise DivergenceError(f"growth-rate fit of mode {k} failed: |u_k| underflowed "
+                                  f"to 0 at t={times[i]:.6g}")
 
+    record(0, v)
     stepper.run(v, n_steps, callback=record)
-    if not amps.all():   # log(0) has no line to fit; argmin is the first 0
-        raise DivergenceError(f"growth-rate fit of mode {k} failed: |u_k| underflowed to 0 "
-                              f"at t={times[np.argmin(amps)]:.6g}")
     logs = np.log(amps)
     fit = np.polyfit(times, logs, 1)
     misfit = float(np.max(np.abs(logs - np.polyval(fit, times))))

@@ -18,7 +18,6 @@ from shlattice import (
     SpectralStepper,
     conjugate_state,
     make_params,
-    max_stable_dt,
     model_rhs,
     rk4_step,
     run_model,
@@ -119,7 +118,7 @@ def test_lattice_matches_allocating_reference(kind, sector, n):
 def stage_runs(draw):
     """A lattice small enough for stage matrices, in either sector, with
     periodic or walled forcing, constant or time-varying signals, a step
-    up to max_stable_dt and up to 16 steps."""
+    up to 0.1 h^2/8 and up to 16 steps."""
     sector = draw(st.sampled_from(["real", "full"]))
     n = draw(st.integers(2, _STAGE_FLOATS // (2 if sector == "real" else 4)))
     p = draw(st.integers(1, 2))
@@ -141,7 +140,9 @@ def stage_runs(draw):
     a *= draw(st.floats(0.01, 0.4)) / np.max(np.abs(a))
     state = conjugate_state(draw(st.floats(-1.0, 1.0)), a) if sector == "real" \
         else AmplitudeState(draw(st.floats(-1.0, 1.0)), a, np.conj(a) * (1.0 + 0.1 * noise))
-    dt = draw(st.floats(0.05, 1.0)) * max_stable_dt(params)
+    # 0.1 h^2/8 stays inside max_stable_dt, at least 5.5 here, and inf at
+    # gamma = r = 0
+    dt = draw(st.floats(0.05, 1.0)) * 0.1 * params.h ** 2 / 8
     return state, params, forcing, dt, draw(st.integers(1, 16))
 
 

@@ -295,13 +295,16 @@ class TestOtherExperiments:
         assert len(rows) == 2
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert "convergence_slope" in manifest
-        # each rung to 10/r in 10 samples, at the largest step each allows
-        assert manifest["dt_model"] == pytest.approx([12.5 / 26, 25.0 / 51])
+        # each rung to 10/r in 10 samples, at the largest step each allows:
+        # the model's derived 2.08 and 2.59, the oracle's cap 1.0
+        assert manifest["dt_model"] == pytest.approx([12.5 / 7, 25.0 / 10])
+        assert manifest["dt_oracle"] == pytest.approx([12.5 / 13, 25.0 / 25])
 
-    @pytest.mark.parametrize("given, taken", [([], 20.0 / 45), (["--dt-model", "0.1"], 0.1)])
+    @pytest.mark.parametrize("given, taken", [([], 20.0 / 10), (["--dt-model", "0.1"], 0.1)])
     def test_compare_manifest_names_the_model_step(self, tmp_path, given, taken):
-        # by default the run steps at most max_stable_dt (0.49 here), in
-        # whole steps per sample; an explicit --dt-model keeps its meaning
+        # by default the run steps at the largest step it allows (2.95
+        # here), in whole steps per sample; an explicit --dt-model keeps
+        # its meaning
         code = main(["compare", "--r", "0.02", "--n-elements", "8", "--t-end", "20",
                      "--n-samples", "5", "--output-dir", str(tmp_path), *given])
         assert code == 0
@@ -320,6 +323,17 @@ class TestOtherExperiments:
         assert err_lines(err) == [
             "error: numerical divergence: lattice model diverged at step 1, "
             "t=0.05: NaN/Inf"]
+
+    def test_model_step_gate_counts_r(self, tmp_path, capsys):
+        # the gate is 2.785 / (|r - 2c| + 2c), not a fixed 0.49: a step of
+        # 1.0 runs at r = 0.05 (gate 7.8), and 0.45 is refused at r = -6
+        # (gate 0.43), where RK4 would amplify the alternating mode
+        # about 1.14 times per step
+        args = ["simulate-model", "--t-end", "100", "--output-dir", str(tmp_path)]
+        assert main(args + ["--r", "0.05", "--dt", "1.0"]) == 0
+        assert main(args + ["--r", "-6", "--dt", "0.45"]) == 1
+        assert err_lines(capsys.readouterr().err) == [
+            "error: dt=0.4484304932735426 exceeds the stability margin 0.4348"]
 
     def test_bounded_divergence_exits_two(self, tmp_path, capsys):
         code = main(["simulate-direct", "--scheme", "bounded-imex",

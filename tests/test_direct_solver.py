@@ -256,6 +256,16 @@ class TestMeasureGrowthRate:
                     r"t=41.98$")):
                 measure_growth_rate(params_for(r=0.0), 170.0, eps0=1e-6, T=100.0)
 
+    def test_underflow_stops_the_run_at_its_first_zero(self, monkeypatch):
+        # mode 170 reaches 0 at step 2099 of 5000 (t = 41.98 at dt 0.02):
+        # the fit raises there instead of stepping on to T
+        steps, step = [], SpectralStepper.step
+        monkeypatch.setattr(SpectralStepper, "step",
+                            lambda self, v: steps.append(1) or step(self, v))
+        with pytest.raises(DivergenceError, match=r"underflowed to 0 at t=41.98$"):
+            measure_growth_rate(params_for(r=0.0), 170.0, eps0=1e-6, T=100.0)
+        assert len(steps) == 2099
+
     def test_ceiling_past_the_float_range_is_quiet(self):
         # exp(r t) overflows for t > 142 at r = 5: that ceiling bounds
         # nothing, and no overflow warning escapes while it is formed

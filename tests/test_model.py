@@ -20,6 +20,8 @@ from shlattice import (
     rk4_step,
     run_model,
 )
+from shlattice.amplitude_model import _derived_dt
+from shlattice.analysis import modulated_profile
 
 
 def params_for(r=0.0, gamma=1.0, p=1, n=8):
@@ -283,6 +285,52 @@ class TestIntegration:
         with pytest.raises(ValueError):
             rk4_step(st, params, BoundaryForcing.periodic(),
                      1.01 * max_stable_dt(params))
+
+    def test_gate_counts_r_and_admits_compares_step(self):
+        # the gate is 2.785 over |r - 2c| + 2c, c = 4 g^2/h^2: compare's
+        # derived step, past the old fixed gate 0.1 h^2/8 = 0.49, runs, and
+        # 1.01 times the gate does not
+        params, periodic = params_for(r=0.02, n=16), BoundaryForcing.periodic()
+        c = 4.0 / params.h ** 2
+        gate = max_stable_dt(params)
+        assert gate == 2.785 / (abs(0.02 - 2.0 * c) + 2.0 * c)
+        a0 = modulated_profile(params, 0.2)
+        dt = _derived_dt(params, a0)
+        assert 0.1 * params.h ** 2 / 8 < dt < gate
+        traj = run_model(conjugate_state(0.0, a0), params, periodic, 20 * dt, dt)
+        assert np.max(np.abs(traj.a[-1] - traj.a[-1].mean())) < np.max(np.abs(a0 - a0.mean()))
+        for run in (lambda dt: rk4_step(conjugate_state(0.0, a0), params, periodic, dt),
+                    lambda dt: run_model(conjugate_state(0.0, a0), params, periodic, dt, dt)):
+            with pytest.raises(ValueError, match="stability margin"):
+                run(1.01 * gate)
+        # nothing to bound at gamma = r = 0, where the right-hand side is zero
+        assert max_stable_dt(params_for(r=0.0, gamma=0.0)) == math.inf
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(r=st.floats(-10.0, 10.0), gamma=st.floats(0.0, 1.0), p=st.integers(1, 3),
+           n=st.integers(2, 8), kind=st.sampled_from(["periodic", "even", "odd"]))
+    def test_gate_bounds_the_linear_stencil(self, r, gamma, p, n, kind):
+        # the stencil's rates, probed from model_rhs on the unit vectors of
+        # (a, b) (where the cubic a^2 b vanishes), are real and within
+        # |r - 2c| + 2c, walls included; at max_stable_dt RK4 damps every
+        # decaying one
+        params = make_params(r=r, gamma=gamma, p=p, n_elements=n, m_samples=16)
+        forcing = BoundaryForcing.periodic() if kind == "periodic" else WALLS[kind](0.0, 0.0, p=p)
+        columns = []
+        for e in np.eye(4 * n):
+            a, b = e.view(complex).reshape(2, n)
+            columns.append(np.concatenate(model_rhs(AmplitudeState(0.0, a, b), params,
+                                                    forcing)).view(float))
+        rates = np.linalg.eigvals(np.array(columns).T)
+        c = 4.0 * gamma ** 2 / params.h ** 2
+        bound, gate = abs(r - 2.0 * c) + 2.0 * c, max_stable_dt(params)
+        assert np.max(np.abs(rates.imag)) <= 1e-12 * max(bound, 1.0)
+        assert np.max(np.abs(rates.real)) <= bound * (1.0 + 1e-12) + 1e-15
+        if bound:
+            z = rates.real[rates.real < 0] * gate
+            assert np.all(np.abs(1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24) <= 1.0)
+        else:
+            assert gate == math.inf
 
     def test_rejects_bad_dt_and_stride(self):
         params = params_for(n=4)

@@ -11,7 +11,7 @@ largest magnitude of the other tree's entry).
     python tools/same_numbers.py --against-tree DIR    # DIR's src vs this tree
     python tools/same_numbers.py --against HEAD --tiny # small sizes, a few seconds
 
-The catalogue, 52 entries: ``integrate_bounded`` on criterion 5's inputs
+The catalogue, 53 entries: ``integrate_bounded`` on criterion 5's inputs
 for both wall kinds, unforced, with constant and with time-varying
 forcing (the field and its extracted amplitudes), and criterion 5's two
 oracle phases from the unforced runs; ``integrate_spectral`` at n = 512
@@ -21,7 +21,7 @@ both sectors and N = 512; ``rk4_step`` and ``model_rhs``;
 ``lattice_field`` and ``extract_amplitudes`` on their own, periodic and
 bounded; ``measure_growth_rate`` at four k, at its default step and at
 0.02; the ladder slope, the three terminal errors and the last rung's
-model amplitudes of ``compare_model_vs_direct``, and the model
+model and oracle amplitudes of ``compare_model_vs_direct``, and the model
 amplitudes of its default single run (N = 8, r = 0.1, modulation 1);
 and the CSVs of the six README commands other than ``compare``, with
 ``--seed 7``, and the configuration each of their manifests echoes (as
@@ -153,6 +153,7 @@ def catalogue(tiny: bool) -> dict[str, np.ndarray]:
     out["ladder.errors"] = np.array([row["terminal_sup_error"]
                                      for row in report.metadata["ladder"]])
     out["ladder.model"] = report.model_amplitudes
+    out["ladder.oracle"] = report.oracle_amplitudes
     # compare's single run, at its default steps
     config = sh.CompareConfig(params=sh.make_params(r=0.1, gamma=1.0, p=1, n_elements=8,
                                                     m_samples=32), modulation=1.0)
