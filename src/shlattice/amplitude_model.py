@@ -434,18 +434,17 @@ def run_model(state: AmplitudeState, params: ModelParams,
     real = bool(np.array_equal(state.b, np.conj(state.a)))
     x = state.a if real else np.array((state.a, state.b))
 
-    clock = np.full(n_steps + 1, dt_eff)
-    clock[0] = state.t
-    np.cumsum(clock, out=clock)      # t += dt, step by step
-    sampled = np.r_[0:n_steps:sample_stride, n_steps]
-    samples = np.empty((1 if real else 2, len(sampled), state.n), dtype=complex)
+    count = -(-n_steps // sample_stride) + 1   # steps 0, stride, 2 stride, ..., and the last
+    times = np.full(count, state.t, dtype=float)   # record writes the loop's times after 0
+    samples = np.empty((1 if real else 2, count, state.n), dtype=complex)
     samples[:, 0] = x
 
-    def record(i, xi):
+    def record(i, xi, t):
         # sample k holds step k * sample_stride, the last one the final step
         if i % sample_stride == 0 or i == n_steps:
-            samples[:, -(-i // sample_stride)] = xi
+            k = -(-i // sample_stride)
+            times[k], samples[:, k] = t, xi
 
-    _integrate("lattice model", _stepper(kernel, x, dt_eff), x,
-               map(float, clock), record, _BLOWUP)
-    return Trajectory(clock[sampled], *samples)   # (a,) in the real sector, else (a, b)
+    _integrate("lattice model", _stepper(kernel, x, dt_eff), x, state.t, dt_eff, n_steps,
+               record, _BLOWUP)
+    return Trajectory(times, *samples)   # (a,) in the real sector, else (a, b)

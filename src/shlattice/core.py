@@ -12,10 +12,13 @@ A real solution field corresponds to ``b_j = conj(a_j)`` for every j.
 The lattice model and both direct solvers step through one loop,
 `_integrate`, and take their step counts from one rule, `_step_count`:
 a span is covered by n = max(1, ceil(span/dt - 1e-12)) equal steps of
-span/n, at most `_MAX_STEPS` of them.  A non-finite start state is bad
-input (ValueError); a state that turns non-finite, or runs past a
-solver's bound, is a DivergenceError that names the solver, the step and
-the time.
+span/n, at most `_MAX_STEPS` of them.  The loop holds the start time,
+the step and the step count, and keeps the clock itself: each step
+starts at exactly the time the last one ended at (t += dt), and the
+loop hands that time to its callback, so no caller builds a clock.  A
+non-finite start state is bad input (ValueError); a state that turns
+non-finite, or runs past a solver's bound, is a DivergenceError that
+names the solver, the step and the time.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import pairwise
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -47,8 +49,7 @@ def _positive_dt(dt: float) -> float:
 # The most steps one run may take.  The largest legitimate runs in the
 # repository are the bounded oracle's m = 256 walls references, about
 # 273,000 steps; ten million lattice steps already take minutes.  A run
-# past it is a mistaken span or dt, which would otherwise run for hours
-# or fail to allocate its step clock.
+# past it is a mistaken span or dt, which would otherwise run for hours.
 _MAX_STEPS = 10_000_000
 
 
@@ -86,28 +87,30 @@ def _within(x: np.ndarray, bound: float) -> bool:
     return bool(np.abs(x).max() <= bound)
 
 
-def _integrate(solver: str, step: Callable, x: np.ndarray, times: Iterable[float],
-               callback: Optional[Callable[[int, np.ndarray], None]] = None,
+def _integrate(solver: str, step: Callable, x: np.ndarray, t0: float, dt: float,
+               n_steps: int, callback: Optional[Callable[[int, np.ndarray, float], None]] = None,
                bound: float = _LARGEST) -> np.ndarray:
-    """Step x through times: the start time, then the time after each step.
+    """Take n_steps steps of dt from x at time t0, the clock advancing by
+    accumulation (t += dt).
 
     Step i is x = step(x, t) with t the time it starts at.  After it,
     max|x| must stay within bound (NaN never does), else DivergenceError;
-    then callback(i, x) runs if given.  Overflow on the way to that check
-    is how divergence shows, so numpy's overflow and invalid-value
-    warnings are silenced inside the loop.
+    then callback(i, x, t) runs if given, t the time the step ended at.
+    Overflow on the way to that check is how divergence shows, so numpy's
+    overflow and invalid-value warnings are silenced inside the loop.
     """
     if not np.isfinite(x).all():
         raise ValueError(f"{solver}: start state contains NaN/Inf")
+    t, dt = float(t0), float(dt)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (t, t_next) in enumerate(pairwise(times), 1):
+        for i in range(1, n_steps + 1):
             x = step(x, t)
+            t += dt
             if not _within(x, bound):
                 what = f"runaway past {bound:g}" if np.isfinite(x).all() else "NaN/Inf"
-                raise DivergenceError(
-                    f"{solver} diverged at step {i}, t={t_next:.6g}: {what}")
+                raise DivergenceError(f"{solver} diverged at step {i}, t={t:.6g}: {what}")
             if callback is not None:
-                callback(i, x)
+                callback(i, x, t)
     return x
 
 
@@ -125,12 +128,12 @@ class ForcingKind(Enum):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Validated model parameters.
+    """Validated model parameters; every construction is checked, by
+    `dataclasses.replace` too.
 
     r          bifurcation parameter of u_t = r*u - (1+d_xx)^2 u - u^3
     gamma      inter-element coupling in [0, 1]; 1 is the physical model
     p          whole rolls per element
-    h          element width, exactly 2*pi*p
     n_elements lattice size N
     m_samples  field samples per element (power of two, >= 16)
     """
@@ -138,9 +141,30 @@ class ModelParams:
     r: float
     gamma: float
     p: int
-    h: float
     n_elements: int
     m_samples: int
+
+    def __post_init__(self):
+        if not math.isfinite(self.r):
+            raise ValueError(f"r must be finite, got {self.r}")
+        if int(self.p) != self.p or self.p < 1:
+            raise ValueError(f"p must be a positive integer, got {self.p}")
+        n, m = self.n_elements, self.m_samples
+        if int(n) != n or n < 2:
+            raise ValueError(
+                f"n_elements must be at least 2 (stencils need a neighbour), got {n}")
+        if not 0.0 <= self.gamma <= 1.0:
+            raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
+        if int(m) != m or m < 16 or (int(m) & (int(m) - 1)) != 0:
+            raise ValueError(f"m_samples must be a power of two >= 16, got {m}")
+        for name, kind in (("r", float), ("gamma", float), ("p", int), ("n_elements", int),
+                           ("m_samples", int)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
+
+    @property
+    def h(self) -> float:
+        """Element width, exactly 2*pi*p."""
+        return 2.0 * math.pi * self.p
 
     @property
     def parity_factor(self) -> float:
@@ -151,22 +175,7 @@ class ModelParams:
 def make_params(r: float, gamma: float, p: int, n_elements: int,
                 m_samples: int) -> ModelParams:
     """Build ModelParams, rejecting out-of-range values."""
-    if not math.isfinite(r):
-        raise ValueError(f"r must be finite, got {r}")
-    if int(p) != p or p < 1:
-        raise ValueError(f"p must be a positive integer, got {p}")
-    if int(n_elements) != n_elements or n_elements < 2:
-        raise ValueError(
-            f"n_elements must be at least 2 (stencils need a neighbour), got {n_elements}")
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    m = int(m_samples)
-    if m != m_samples or m < 16 or (m & (m - 1)) != 0:
-        raise ValueError(
-            f"m_samples must be a power of two >= 16, got {m_samples}")
-    return ModelParams(r=float(r), gamma=float(gamma), p=int(p),
-                       h=2.0 * math.pi * int(p), n_elements=int(n_elements),
-                       m_samples=m)
+    return ModelParams(r=r, gamma=gamma, p=p, n_elements=n_elements, m_samples=m_samples)
 
 
 @dataclass

@@ -72,7 +72,6 @@ derivatives flip sign under reflection) to its own signals.
 
 from __future__ import annotations
 
-from itertools import accumulate, repeat
 from math import factorial
 from typing import Callable, Optional
 
@@ -200,8 +199,8 @@ class SpectralStepper:
         """Take n_steps steps from v; callback(i, v) after step i.  The
         step's buffers are released on return."""
         try:
-            return _integrate("spectral solve", lambda v, t: self.step(v), v,
-                              (i * self.dt for i in range(n_steps + 1)), callback)
+            return _integrate("spectral solve", lambda v, t: self.step(v), v, 0.0, self.dt,
+                              n_steps, None if callback is None else lambda i, v, t: callback(i, v))
         finally:
             self.held = None
 
@@ -233,6 +232,17 @@ _MAX_PERIODS = 64   # longest domain, in periods 2*pi, a growth-rate run may tak
 # (rate off by 1.3e-6) and 7.6e-3 for 0.3 (rate off by 0.077; 7.5e-3 at
 # the derived step 0.1, the rate as far off).
 _LINEAR_TOL = 1e-5
+# A decaying mode is fitted down to this fraction of its start.  Far below
+# it the mode meets the rounding that the cubic's transforms leave in it
+# and log|u_k| flattens: at r = -2, k = 2.5 (and r = 0, k = 2.5) it left
+# its line by 1e-6 only below 6e-65 (7e-52) of its start, for eps0 = 1e-6
+# and 1e-3 alike.
+_FIT_FLOOR = 1e-30
+
+
+class _BelowFloor(Exception):
+    """Stops a growth-rate run at its first sample below _FIT_FLOOR; args[0]
+    is that sample's index."""
 
 
 def _commensurate_periods(k: float) -> tuple[int, int]:
@@ -278,9 +288,11 @@ def measure_growth_rate(params: ModelParams, k: float, eps0: float, T: float,
     The seed must stay in the linear regime, else DivergenceError: no
     linear mode outgrows exp(r t), so the run stops once |u_hat_k| passes
     100 |u_hat_k(0)| exp(max(r, 0) t), and the fit is rejected when
-    log|u_hat_k| departs from its line by more than _LINEAR_TOL.  A mode
-    that decays to 0 within T is DivergenceError too, at its first zero
-    sample: its log has no line.
+    log|u_hat_k| departs from its line by more than _LINEAR_TOL.  A
+    decaying mode is fitted down to _FIT_FLOOR = 1e-30 of its start: the
+    run stops at its first sample at or below that (0 among them) and the
+    samples before it are fitted, or, when fewer than 3 are, the fit is
+    DivergenceError.
     """
     if not 0.0 < eps0 < np.inf:
         raise ValueError(f"eps0 must be finite and positive, got {eps0}")
@@ -296,10 +308,11 @@ def measure_growth_rate(params: ModelParams, k: float, eps0: float, T: float,
     n_steps = _fit_steps(params.r, k, T, dt)
     stepper = SpectralStepper(n, length, params.r, T / n_steps)
     v = stepper.to_spectral(u0)
-    amps = np.empty(n_steps + 1)
+    amps = np.full(n_steps + 1, abs(v[mode]))
     times = np.linspace(0.0, T, n_steps + 1)
     with np.errstate(over="ignore"):   # an infinite ceiling bounds nothing
-        ceiling = 100.0 * abs(v[mode]) * np.exp(max(params.r, 0.0) * times)
+        ceiling = 100.0 * amps[0] * np.exp(max(params.r, 0.0) * times)
+    floor = _FIT_FLOOR * amps[0]
 
     def record(i, vv):
         amps[i] = abs(vv[mode])
@@ -307,13 +320,19 @@ def measure_growth_rate(params: ModelParams, k: float, eps0: float, T: float,
             raise DivergenceError(
                 f"spectral solve diverged at step {i}, t={times[i]:.6g}: mode {k} "
                 "reached the nonlinear regime (|u_k| > 100 |u_k(0)| exp(max(r, 0) t))")
-        if not amps[i]:   # log(0) has no line to fit, so the run stops here
-            raise DivergenceError(f"growth-rate fit of mode {k} failed: |u_k| underflowed "
-                                  f"to 0 at t={times[i]:.6g}")
+        if amps[i] <= floor:
+            raise _BelowFloor(i)
 
-    record(0, v)
-    stepper.run(v, n_steps, callback=record)
-    logs = np.log(amps)
+    kept = n_steps + 1
+    try:
+        stepper.run(v, n_steps, callback=record)
+    except _BelowFloor as stop:
+        kept = stop.args[0]
+    if kept < 3:
+        raise DivergenceError(
+            f"growth-rate fit of mode {k} failed: |u_k| fell below {_FIT_FLOOR:g} of its "
+            f"start at t={times[kept]:.6g}, before the 3 samples a fit needs")
+    times, logs = times[:kept], np.log(amps[:kept])
     fit = np.polyfit(times, logs, 1)
     misfit = float(np.max(np.abs(logs - np.polyval(fit, times))))
     if not misfit <= _LINEAR_TOL:   # a NaN misfit fails too
@@ -460,17 +479,17 @@ class BoundedStepper:
 
     def run(self, u: np.ndarray, t0: float, n_steps: int,
             callback: Optional[Callable[[int, np.ndarray], None]] = None) -> np.ndarray:
-        """Take n_steps steps from the field u at time t0, the clock
-        advancing by accumulation (t += dt), so each step starts at exactly
-        the last one's end time; callback(i, v) after step i, v the
+        """Take n_steps steps from the field u at time t0 on the loop's
+        clock (t += dt), so each step starts at exactly the last one's end
+        time; callback(i, v) after step i, v the
         mirrored spectrum (`to_physical` gives its field).  The pinned
         samples start from u's own and end at their data; the field at the
         end is returned."""
         if not np.isfinite(u).all():
             raise ValueError("bounded solve: start state contains NaN/Inf")
         self.walls, self._wall_key, self._end = tuple(u[self.pinned].tolist()), None, (None, None)
-        v = _integrate("bounded solve", self.step, self.to_spectral(u),
-                       accumulate(repeat(self.dt, n_steps), initial=t0), callback)
+        v = _integrate("bounded solve", self.step, self.to_spectral(u), t0, self.dt, n_steps,
+                       None if callback is None else lambda i, v, t: callback(i, v))
         return self.to_physical(v)
 
 

@@ -25,6 +25,13 @@ and beta through fixed quadratic profiles whose coefficients are tabulated
 below.  `eval_field` evaluates every envelope table.  All formulas assume
 the canonical frame (element centres at multiples of 2*pi) so that
 exp(+-ix) = exp(+-iX) inside every element.
+
+Extraction reads fields in the same frame.  Element j starts j h =
+2 pi p j after element 0, so exp(-ix) takes the same values at the
+samples of every element, and `extract_amplitudes` multiplies each
+element's samples by one table formed from the local offsets x0 + k dx.
+The rounding of that phase does not grow with the distance from x = 0,
+as a phase formed from the global coordinate's would.
 """
 
 from __future__ import annotations
@@ -139,8 +146,15 @@ def extract_amplitudes(grid: FieldGrid, params: ModelParams) -> AmplitudeState:
     """Element-average amplitudes of an element-aligned grid.
 
     Trapezoidal rule over each element's samples including both endpoints;
-    samples shared by two elements get half weight on each side.  u and
-    the weights are real, so b is conj(a) exactly and is not integrated.
+    samples shared by two elements get half weight on each side.  Every
+    element multiplies its M + 1 samples by one table, w_k exp(-i(x0 +
+    k dx)), k = 0..M: element j starts j h = 2 pi p j after element 0, so
+    exp(-ix) takes the same values in every element, as the canonical
+    frame assumes.  Element j's first M samples are row j of the field
+    reshaped to (N, M), and its closing sample, the first of element
+    j + 1, takes the table's last entry; a periodic grid appends its first
+    sample as the wrap.  u and the weights are real, so b is conj(a)
+    exactly and is not integrated.
     """
     n = len(grid.u)
     N, M = params.n_elements, params.m_samples
@@ -150,16 +164,12 @@ def extract_amplitudes(grid: FieldGrid, params: ModelParams) -> AmplitudeState:
             f"grid is not element-aligned: {n} samples, expected {expected}")
     if abs(grid.dx * M - params.h) > 1e-9 * params.h:
         raise ValueError("grid spacing does not match h / m_samples")
-
-    # Unwrapped sample index matrix (N, M+1); periodic grids wrap the value
-    # lookup only, the phase uses the unwrapped coordinate (equal mod 2*pi).
-    idx = np.arange(N)[:, None] * M + np.arange(M + 1)[None, :]
-    xs = grid.x0 + grid.dx * idx
-    uvals = grid.u[idx % n] if grid.periodic else grid.u[idx]
+    u = np.append(grid.u, grid.u[0]) if grid.periodic else grid.u
     w = np.full(M + 1, grid.dx / params.h)
     w[0] *= 0.5
     w[-1] *= 0.5
-    a = (uvals * np.exp(-1j * xs)) @ w
+    table = w * np.exp(-1j * (grid.x0 + grid.dx * np.arange(M + 1)))
+    a = u[:-1].reshape(N, M) @ table[:-1] + u[M::M] * table[-1]
     return AmplitudeState(0.0, a, np.conj(a))
 
 

@@ -51,6 +51,16 @@ class TestDispersionExperiment:
         assert manifest["dt_fit"] == [step] * 21
         assert manifest["config"]["dt"] == (step if given else None)
 
+    def test_fast_decaying_mode_exits_zero(self, tmp_path):
+        # a decay of e^-296 over --t-fit 10: the fit stops at 1e-30 of the
+        # start, above where log|u_k| leaves its line (it exited 2, blaming
+        # the seed)
+        code = main(["dispersion", "--r", "-2", "--k-min", "2.5", "--k-max", "2.5",
+                     "--k-steps", "1", "--t-fit", "10", "--output-dir", str(tmp_path)])
+        assert code == 0
+        _, rows = read_rows(newest_csv(tmp_path))
+        assert float(rows[0][2]) == pytest.approx(-29.5625, abs=1e-10)
+
     def test_manifest_written(self, tmp_path):
         main(["dispersion", "--k-steps", "3", "--output-dir", str(tmp_path)])
         manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -373,13 +383,14 @@ class TestOtherExperiments:
 
     def test_dispersion_mode_that_underflows_exits_two(self, tmp_path, capsys):
         # every value in range; the mode reaches 0 at t = 41.98, where the
-        # fit used to take log(0) and write a NaN rate with exit 0
+        # fit used to take log(0) and write a NaN rate with exit 0.  It falls
+        # past the fit's floor at its second step, before a line can be fitted
         code = main(["dispersion", "--k-min", "170", "--k-max", "170", "--k-steps", "1",
                      "--t-fit", "100", "--output-dir", str(tmp_path)])
         assert code == 2
         assert err_lines(capsys.readouterr().err) == [
             "error: numerical divergence: growth-rate fit of mode 170.0 failed: |u_k| "
-            "underflowed to 0 at t=41.98"]
+            "fell below 1e-30 of its start at t=0.04, before the 3 samples a fit needs"]
         assert not list(tmp_path.glob("*.csv"))
 
     @staticmethod

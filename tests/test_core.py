@@ -1,4 +1,6 @@
+import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,6 +50,31 @@ class TestMakeParams:
             make_params(r=0.0, gamma=1.0, p=1, n_elements=1, m_samples=32)
         with pytest.raises(ValueError):
             make_params(r=0.0, gamma=1.0, p=0, n_elements=4, m_samples=32)
+
+    def test_replace_derives_h_from_p(self):
+        params = replace(make_params(0, 1, 1, 4, 32), p=2)
+        assert params.h == 4 * math.pi and params.parity_factor == 1.0
+        assert params == make_params(0, 1, 2, 4, 32)
+        with pytest.raises(TypeError):
+            replace(params, h=1.0)
+        with pytest.raises(AttributeError):
+            params.h = 1.0
+
+    @pytest.mark.parametrize("change, message", [
+        ({"gamma": 5.0}, "gamma must lie in"),
+        ({"m_samples": 20}, "m_samples must be a power of two"),
+        ({"r": float("nan")}, "r must be finite"),
+        ({"p": 1.5}, "p must be a positive integer"),
+        ({"n_elements": 1}, "n_elements must be at least 2"),
+    ])
+    def test_replace_is_checked(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            replace(make_params(0, 1, 1, 4, 32), **change)
+
+    def test_values_take_their_types(self):
+        params = replace(make_params(1, 1, 2.0, 4.0, 32.0), r=1, p=3.0)
+        assert [type(v) for v in (params.r, params.gamma, params.p, params.n_elements,
+                                  params.m_samples)] == [float, float, int, int, int]
 
 
 def stencils(v, j, periodic=False):
@@ -235,39 +262,48 @@ class TestStepRule:
 class TestSteppingLoop:
     def test_steps_times_and_callback(self):
         seen = []
-        x = _integrate("doubler", lambda x, t: 2.0 * x + t, np.zeros(2),
-                       np.array([0.0, 1.0, 2.0, 3.0]),
-                       lambda i, x: seen.append((i, x.copy())))
-        # step i starts at times[i - 1]: 0 -> 0 -> 1 -> 4
+        x = _integrate("doubler", lambda x, t: 2.0 * x + t, np.zeros(2), 0.0, 1.0, 3,
+                       lambda i, x, t: seen.append((i, x.copy(), t)))
+        # step i starts at t0 + (i - 1) dt: 0 -> 0 -> 1 -> 4
         assert np.array_equal(x, [4.0, 4.0])
-        assert [i for i, _ in seen] == [1, 2, 3]
-        assert [v[0] for _, v in seen] == [0.0, 1.0, 4.0]
+        assert [i for i, _, _ in seen] == [1, 2, 3]
+        assert [v[0] for _, v, _ in seen] == [0.0, 1.0, 4.0]
+        # the callback gets the time the step ended at
+        assert [t for _, _, t in seen] == [1.0, 2.0, 3.0]
+
+    def test_clock_accumulates(self):
+        # t += dt step by step, as a cumsum would, not t0 + i dt
+        starts, ends = [], []
+        _integrate("clock", lambda x, t: starts.append(t) or x, np.zeros(1), 0.3, 0.1, 10,
+                   lambda i, x, t: ends.append(t))
+        clock = np.cumsum(np.r_[0.3, np.full(10, 0.1)])
+        assert starts == clock[:-1].tolist() and ends == clock[1:].tolist()
+        assert ends != [0.3 + i * 0.1 for i in range(1, 11)]
 
     def test_single_time_takes_no_step(self):
         x = np.ones(3)
-        assert _integrate("idle", lambda x, t: 1 / 0, x, np.array([5.0])) is x
+        assert _integrate("idle", lambda x, t: 1 / 0, x, 5.0, 1.0, 0) is x
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.inf)])
     def test_nonfinite_start_rejected(self, bad):
         x = np.zeros(4, dtype=complex)
         x[2] = bad
         with pytest.raises(ValueError, match="demo: start state contains NaN/Inf"):
-            _integrate("demo", lambda x, t: x, x, np.arange(3.0))
+            _integrate("demo", lambda x, t: x, x, 0.0, 1.0, 2)
 
     def test_overflow_is_divergence_without_warnings(self):
-        times = 0.5 * np.arange(20)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError,
                                match=r"^demo diverged at step 2, t=1: NaN/Inf$"):
                 # 1e100 -> 1e300 -> inf
-                _integrate("demo", lambda x, t: x * x * x, np.full(3, 1e100), times)
+                _integrate("demo", lambda x, t: x * x * x, np.full(3, 1e100), 0.0, 0.5, 19)
 
     def test_bound_is_a_runaway(self):
         with pytest.raises(DivergenceError,
                            match=r"^demo diverged at step 4, t=4: runaway past 10$"):
-            _integrate("demo", lambda x, t: 2.0 * x, np.ones(2, complex),
-                       np.arange(10.0), bound=10.0)
+            _integrate("demo", lambda x, t: 2.0 * x, np.ones(2, complex), 0.0, 1.0, 9,
+                       bound=10.0)
 
     # The bound check looks at the real view's extremes first (|Re|, |Im|
     # within bound/2) and forms the modulus only when they fail.
@@ -279,16 +315,16 @@ class TestSteppingLoop:
         corner[1, 2] = value
         with pytest.raises(DivergenceError,
                            match=r"^demo diverged at step 1, t=1: runaway past 10$"):
-            _integrate("demo", lambda x, t: corner, np.zeros((2, 3), complex),
-                       np.arange(3.0), bound=10.0)
+            _integrate("demo", lambda x, t: corner, np.zeros((2, 3), complex), 0.0, 1.0, 2,
+                       bound=10.0)
 
     @pytest.mark.parametrize("value", [0.9, -0.9, 0.6 + 0.6j, -0.7j])
     def test_states_within_the_bound_pass(self, value):
         # past bound/2 in one part, so only the modulus decides
         x = _integrate("demo", lambda x, t: np.full(4, value * 10.0), np.zeros(4, complex),
-                       np.arange(4.0), bound=10.0)
+                       0.0, 1.0, 3, bound=10.0)
         assert np.array_equal(x, np.full(4, value * 10.0))
-        real = _integrate("demo", lambda x, t: x + 1e-3, np.zeros(5), np.arange(50.0))
+        real = _integrate("demo", lambda x, t: x + 1e-3, np.zeros(5), 0.0, 1.0, 49)
         assert real[0] == pytest.approx(0.049)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan),
@@ -304,8 +340,8 @@ class TestSteppingLoop:
         kwargs = {} if bound is None else {"bound": bound}
         with pytest.raises(DivergenceError,
                            match=r"^demo diverged at step 3, t=3: NaN/Inf$"):
-            _integrate("demo", step, np.zeros(3, complex), np.arange(6.0), **kwargs)
+            _integrate("demo", step, np.zeros(3, complex), 0.0, 1.0, 5, **kwargs)
         if not isinstance(bad, complex):
             with pytest.raises(DivergenceError,
                                match=r"^demo diverged at step 3, t=3: NaN/Inf$"):
-                _integrate("demo", step, np.zeros(3), np.arange(6.0), **kwargs)
+                _integrate("demo", step, np.zeros(3), 0.0, 1.0, 5, **kwargs)

@@ -246,25 +246,43 @@ class TestMeasureGrowthRate:
         self.assert_curved(eps0, misfit)   # T/50 = 0.1
 
     def test_mode_that_underflows_is_divergence(self):
-        # mode 170 on one period decays at -8.4e8 and reaches 0 within the
+        # mode 170 on one period decays at -8.4e8 and reached 0 within the
         # fit: log(0) used to warn and the NaN misfit passed, so the rate
-        # came back NaN
+        # came back NaN.  It falls past the floor at its second step.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError, match=(
-                    r"^growth-rate fit of mode 170.0 failed: \|u_k\| underflowed to 0 at "
-                    r"t=41.98$")):
+                    r"^growth-rate fit of mode 170.0 failed: \|u_k\| fell below 1e-30 of its "
+                    r"start at t=0.04, before the 3 samples a fit needs$")):
                 measure_growth_rate(params_for(r=0.0), 170.0, eps0=1e-6, T=100.0)
 
-    def test_underflow_stops_the_run_at_its_first_zero(self, monkeypatch):
-        # mode 170 reaches 0 at step 2099 of 5000 (t = 41.98 at dt 0.02):
-        # the fit raises there instead of stepping on to T
+    @staticmethod
+    def counted_steps(monkeypatch):
         steps, step = [], SpectralStepper.step
         monkeypatch.setattr(SpectralStepper, "step",
                             lambda self, v: steps.append(1) or step(self, v))
-        with pytest.raises(DivergenceError, match=r"underflowed to 0 at t=41.98$"):
+        return steps
+
+    def test_floor_stops_the_run_at_its_first_sample_below(self, monkeypatch):
+        # mode 170 reached 0 at step 2099 of 5000 and passes the floor at
+        # step 2: the fit raises there instead of stepping on to T
+        steps = self.counted_steps(monkeypatch)
+        with pytest.raises(DivergenceError, match=r"fell below 1e-30 of its start at t=0.04"):
             measure_growth_rate(params_for(r=0.0), 170.0, eps0=1e-6, T=100.0)
-        assert len(steps) == 2099
+        assert len(steps) == 2
+
+    # at eps0 = 1e-3 the cubic moves the rate by 7.4e-10
+    @pytest.mark.parametrize("eps0, tol", [(1e-6, 1e-10), (1e-3, 1e-8)])
+    def test_fast_decaying_mode_is_fitted_above_the_floor(self, monkeypatch, eps0, tol):
+        # lambda = -29.5625 over T = 10 is a decay of e^-296; past about
+        # 1e-60 of its start log|u_k| flattens at the cubic's rounding, and
+        # the fit through those samples failed by a misfit of 33.  The run
+        # stops at sample 35 of 148 (e^-69.9 < 1e-30 < e^-67.9) and fits
+        # the 35 before it.
+        steps = self.counted_steps(monkeypatch)
+        rate = measure_growth_rate(params_for(r=-2.0), 2.5, eps0=eps0, T=10.0)
+        assert rate == pytest.approx(-29.5625, abs=tol)
+        assert len(steps) == 35
 
     def test_ceiling_past_the_float_range_is_quiet(self):
         # exp(r t) overflows for t > 142 at r = 5: that ceiling bounds

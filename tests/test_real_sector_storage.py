@@ -6,6 +6,7 @@ field.  These tests pin both against references that store or compute b
 the long way, bit for bit, and bound what a real-sector run allocates.
 """
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,7 @@ from shlattice import (
     make_params,
     run_model,
 )
+from shlattice import amplitude_model
 from shlattice.amplitude_model import _kernel, _stepper
 
 FORCINGS = {
@@ -86,8 +88,7 @@ def test_only_the_general_sector_stores_b():
 
 def test_real_sector_run_allocates_little_beyond_its_samples():
     # a run of 1000 steps at N=4096 keeping 101 samples: the samples plus
-    # the kernel's held rows and the clock (1.1 measured; storing b as
-    # well took 2.1)
+    # the kernel's held rows (1.1 measured; storing b as well took 2.1)
     n = 4096
     params = make_params(r=0.05, gamma=1.0, p=1, n_elements=n, m_samples=32)
     state = state_for(n, "real", t=0.0)
@@ -109,8 +110,10 @@ GRIDS = [(n, m, periodic) for n in (2, 3, 5, 8, 16, 64, 4096) for m in (16, 32, 
 
 @pytest.mark.parametrize("n, m, periodic", GRIDS)
 def test_extracted_b_is_the_conjugate_product_bit_for_bit(n, m, periodic):
-    # the reference forms b the long way, (u conj(e)) @ w, as a second
-    # product and matmul
+    # the reference gathers each element's samples by index, multiplies
+    # them by the element-local table w_k exp(-i(x0 + k dx)) (element j
+    # starts 2 pi p j after element 0), the closing sample last, and forms
+    # b the long way, as a second product with the conjugate table
     params = make_params(r=0.05, gamma=1.0, p=1, n_elements=n, m_samples=m)
     grid = FieldGrid.zeros(params, periodic=periodic)
     grid.u = np.random.default_rng(n * m).standard_normal(len(grid.u))
@@ -118,8 +121,67 @@ def test_extracted_b_is_the_conjugate_product_bit_for_bit(n, m, periodic):
     uvals = grid.u[idx % len(grid.u)]
     w = np.full(m + 1, grid.dx / params.h)
     w[[0, -1]] *= 0.5
-    em = np.exp(-1j * (grid.x0 + grid.dx * idx))
+    table = w * np.exp(-1j * (grid.x0 + grid.dx * np.arange(m + 1)))
     st = extract_amplitudes(grid, params)
-    assert np.array_equal(st.a, (uvals * em) @ w)
-    assert np.array_equal(st.b, (uvals * np.conj(em)) @ w)
+    assert np.array_equal(st.a, uvals[:, :m] @ table[:m] + uvals[:, m] * table[m])
+    conj = np.conj(table)
+    assert np.array_equal(st.b, uvals[:, :m] @ conj[:m] + uvals[:, m] * conj[m])
     assert np.array_equal(st.b, np.conj(st.a))
+
+
+def traced_peak(run):
+    """(result, peak bytes that tracemalloc saw run allocate)."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        out = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - before
+
+
+def test_long_run_sampled_at_its_ends_allocates_no_clock(monkeypatch):
+    # 200,000 steps at N=2 keeping two samples: the loop keeps the clock,
+    # so nothing grows with the step count (a stored clock took 1.6 MB).
+    # The step is an identity, since under tracemalloc a real one costs
+    # 50 us; what is measured is run_model and the loop around it.
+    monkeypatch.setattr(amplitude_model, "_stepper", lambda kernel, x, dt: lambda x, t: x)
+    params = make_params(r=0.05, gamma=1.0, p=1, n_elements=2, m_samples=16)
+    state = state_for(2, "real", t=0.0)
+    traj, peak = traced_peak(lambda: run_model(state, params, FORCINGS["periodic"], 2e4, 0.1,
+                                               sample_stride=10 ** 9))
+    assert traj.a.shape == (2, 2) and traj.times[-1] == pytest.approx(2e4)
+    assert peak < 64 * 1024
+
+
+def test_extraction_allocates_no_index_matrices():
+    # N=4096, m=32: the samples are a reshaped view, times one table (the
+    # index, coordinate and exponential matrices took 7.6 MB; 3.2 measured)
+    params = make_params(r=0.05, gamma=1.0, p=1, n_elements=4096, m_samples=32)
+    grid = FieldGrid.zeros(params, periodic=True)
+    grid.u = np.random.default_rng(3).standard_normal(len(grid.u))
+    st, peak = traced_peak(lambda: extract_amplitudes(grid, params))
+    assert st.n == 4096
+    assert peak < 3.8e6
+
+
+def test_extraction_keeps_nothing_between_calls():
+    # a strided view made through numpy's as_strided (sliding_window_view)
+    # left 5-8 KB alive over 1000 calls here (numpy 2.4); the reshaped
+    # view leaves 32 bytes
+    params = make_params(r=0.05, gamma=1.0, p=1, n_elements=16, m_samples=32)
+    grid = FieldGrid.zeros(params, periodic=True)
+    grid.u = np.random.default_rng(4).standard_normal(len(grid.u))
+    extract_amplitudes(grid, params)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for _ in range(1000):
+            extract_amplitudes(grid, params)
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 2048

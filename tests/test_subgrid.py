@@ -119,6 +119,41 @@ class TestExtraction:
         assert errs[0] / errs[1] >= 4.0
         assert errs[1] / errs[2] >= 4.0
 
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_wide_round_trip_is_the_sum_of_small_impulse_responses(self, periodic):
+        # lattice_field -> extract_amplitudes is real-linear and couples an
+        # element to its near neighbours only, so the responses of an
+        # 8-element lattice to real and imaginary unit impulses predict it
+        # at any size.  At N = 4096 that holds to rounding only when every
+        # element is read against one local phase table: a phase formed
+        # from the global coordinate was off by 1.1e-12 of sqrt(r/3).
+        r, n = 0.05, 4096
+        small, wide = params_for(r=r, n=8), params_for(r=r, n=n)
+
+        def round_trip(a, params):
+            grid = lattice_field(conjugate_state(0.0, a), params, periodic=periodic)
+            return extract_amplitudes(grid, params).a
+
+        kernels = {unit: np.array([round_trip(unit * np.eye(8)[j], small) for j in range(8)]).T
+                   for unit in (1.0, 1j)}
+        a = np.sqrt(r / 3.0) * np.exp(1j * np.random.default_rng(5).uniform(0, 2 * np.pi, n))
+        cols = np.arange(n)
+        # the column of the small lattice that stands for each wide one
+        stand = np.full(n, 4)
+        if not periodic:
+            stand = np.where(cols < 3, cols, np.where(cols >= n - 3, cols - n + 8, stand))
+        expect = np.zeros(n, complex)
+        for d in range(-3, 4):
+            rows, srows = cols + d, stand + d
+            if periodic:
+                rows, srows, ok = rows % n, srows % 8, np.ones(n, dtype=bool)
+            else:
+                ok = (srows >= 0) & (srows < 8) & (rows >= 0) & (rows < n)
+            s = stand[ok]
+            np.add.at(expect, rows[ok], a.real[ok] * kernels[1.0][srows[ok], s]
+                      + a.imag[ok] * kernels[1j][srows[ok], s])
+        assert np.max(np.abs(round_trip(a, wide) - expect)) <= 1e-14 * np.sqrt(r / 3.0)
+
 
 def reconstruct(envelopes, xs):
     """Real reconstructed field of one element at local positions xs."""
@@ -381,6 +416,12 @@ class TestIbcResidual:
         st = random_state(4)
         with pytest.raises(IndexError):
             ibc_residual(st, params, 0, 0.5)
+
+    @pytest.mark.parametrize("gamma", [1.5, -0.1, float("nan")])
+    def test_coupling_outside_its_range_rejected(self, gamma):
+        # the residual's parameters are a checked replace of params
+        with pytest.raises(ValueError, match="gamma must lie in"):
+            ibc_residual(random_state(5), params_for(n=5), 2, gamma)
 
 
 class TestBoundaryProfiles:

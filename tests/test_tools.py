@@ -39,9 +39,10 @@ def test_same_numbers_of_the_tree_against_itself():
     header, *rows = done.stdout.splitlines()
     assert header.split() == ["entry", "result"]
     names = [row.split()[0] for row in rows]
-    assert len(names) == 53 and "ladder.slope" in names and "csv.dispersion" in names
+    assert len(names) == 56 and "ladder.slope" in names and "csv.dispersion" in names
     assert "ladder.errors" in names and "ladder.model" in names and "compare.model" in names
-    assert "ladder.oracle" in names
+    assert "ladder.oracle" in names and "model.long.times" in names
+    assert "extract_amplitudes.n4096.periodic.a" in names
     assert "manifest.dispersion.config" in names and "growth_rate_fine" in names
     assert all(row.split()[1:] == ["equal"] for row in rows), done.stdout
 

@@ -11,15 +11,16 @@ largest magnitude of the other tree's entry).
     python tools/same_numbers.py --against-tree DIR    # DIR's src vs this tree
     python tools/same_numbers.py --against HEAD --tiny # small sizes, a few seconds
 
-The catalogue, 53 entries: ``integrate_bounded`` on criterion 5's inputs
+The catalogue, 56 entries: ``integrate_bounded`` on criterion 5's inputs
 for both wall kinds, unforced, with constant and with time-varying
 forcing (the field and its extracted amplitudes), and criterion 5's two
 oracle phases from the unforced runs; ``integrate_spectral`` at n = 512
 and n = 4096; ``run_model`` with periodic, even and odd walls, and with
 time-varying walls at N = 2, either side of the stage-matrix cutoff in
-both sectors and N = 512; ``rk4_step`` and ``model_rhs``;
-``lattice_field`` and ``extract_amplitudes`` on their own, periodic and
-bounded; ``measure_growth_rate`` at four k, at its default step and at
+both sectors and N = 512, and the sample times of a long strided run;
+``rk4_step`` and ``model_rhs``; ``lattice_field`` and
+``extract_amplitudes`` on their own, periodic and bounded, and
+``extract_amplitudes`` at N = 4096; ``measure_growth_rate`` at four k, at its default step and at
 0.02; the ladder slope, the three terminal errors and the last rung's
 model and oracle amplitudes of ``compare_model_vs_direct``, and the model
 amplitudes of its default single run (N = 8, r = 0.1, modulation 1);
@@ -113,6 +114,12 @@ def catalogue(tiny: bool) -> dict[str, np.ndarray]:
         out[f"model.{sector}.n{n}.a"] = traj.a
         if sector == "full":
             out[f"model.{sector}.n{n}.b"] = traj.b
+    # the clock of a long, strided run from a start time off zero: each
+    # sample's time is the loop's, accumulated step by step
+    long_run = sh.run_model(sh.conjugate_state(0.3, a0[:2]),
+                            sh.make_params(r=0.1, gamma=1.0, p=1, n_elements=2, m_samples=16),
+                            varying, 20.0 if tiny else 2000.0, 0.05, sample_stride=7)
+    out["model.long.times"] = long_run.times
     # the last state, general at N = 17
     stepped = sh.rk4_step(state, params, varying, 0.05)
     out["rk4_step.a"], out["rk4_step.b"] = stepped.a, stepped.b
@@ -130,6 +137,13 @@ def catalogue(tiny: bool) -> dict[str, np.ndarray]:
         field = sh.FieldGrid.sample(lambda x: 0.1 * np.cos(1.05 * x) + 0.02 * np.sin(3.0 * x),
                                     params, periodic=on_ring)
         out[f"extract_amplitudes.{label}.a"] = sh.extract_amplitudes(field, params).a
+
+    # the extraction on a wide lattice, 4096 elements of 32 samples
+    wide = sh.make_params(r=0.1, gamma=1.0, p=1, n_elements=64 if tiny else 4096, m_samples=32)
+    for label, on_ring in (("periodic", True), ("bounded", False)):
+        field = sh.FieldGrid.sample(lambda x: 0.1 * np.cos(1.05 * x) + 0.02 * np.sin(3.0 * x),
+                                    wide, periodic=on_ring)
+        out[f"extract_amplitudes.n4096.{label}.a"] = sh.extract_amplitudes(field, wide).a
 
     # the spectral oracle at n = 4096 (128 elements of 32 samples)
     wide = sh.make_params(r=0.1, gamma=1.0, p=1, n_elements=16 if tiny else 128, m_samples=32)
