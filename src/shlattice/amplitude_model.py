@@ -23,9 +23,12 @@ walls prescribing even derivatives lock the rolls onto sin(x); s = -1
 swaps the roles and locks onto cos(x).  A right wall is the mirror image
 under x -> -x, which swaps the roles of a and b.
 
-Every right-hand side here is one `_LatticeKernel`: the wall is a ghost
-neighbour -s b_1 and a cubic weight 3 instead of 3 g^2, so interior and
-wall rows share one slice-based stencil.  The forcing's kind fixes s
+The coefficients, 4 g^2/h^2, 3 g^2 (3 in a wall row), g^2/h and the
+reconstruction's g/4h, are written once, in `_Coefficients`, which the
+kernel, its step rules and `subgrid` read.  Every right-hand side here is
+one `_LatticeKernel`: the wall is a ghost neighbour -s b_1 and the wall
+row's cubic weight, so interior and wall rows share one slice-based
+stencil.  The forcing's kind fixes s
 (`ForcingKind.wall_sign`).  Because the b-equation is the conjugate of
 the a-equation when b = conj(a), `run_model` integrates and stores a
 alone for states in that real sector.  `run_model` takes its step count
@@ -104,24 +107,47 @@ class SignChoice(Enum):
         return make(alpha, beta, p=p)
 
 
+class _Coefficients:
+    """The lattice model's coefficients at coupling g and element width h,
+    the one place they are written: the neighbour coupling c = 4 g^2/h^2,
+    the cubic weight 3 g^2 (3 in a wall row), the wall drive g^2/h per
+    unit alpha + beta, the reconstruction's neighbour correction g/4h
+    (`subgrid`), and the Gershgorin bound |r - 2c| + 2c of the linear
+    stencil's rates, on which the step rules rest.  A wall row's ghost
+    -s b_1 takes its neighbour's place in that bound.
+
+    `analysis.lattice_dispersion`, `boundary_mode_rates` and
+    `boundary_equilibrium`, and `gle_rhs`, stay independent transcriptions
+    of the paper's formulas, so the tests can hold the model to them.
+    """
+
+    def __init__(self, params: ModelParams):
+        g2, h = params.gamma ** 2, params.h
+        self.coupling = c = 4.0 * g2 / h ** 2
+        self.cubic, self.wall_cubic, self.drive = 3.0 * g2, 3.0, g2 / h
+        self.envelope = params.gamma / (4.0 * h)
+        self.bound = abs(params.r - 2.0 * c) + 2.0 * c
+
+
 class _LatticeKernel:
     """Right-hand side and RK4 step of one lattice, with its coefficients
     and working arrays made once per run.
 
     With partner y (b for a, a for b) an amplitude row x evolves by
     dx_j/dt = r x_j + c (x_{j+1} - 2 x_j + x_{j-1}) - w_j x_j^2 y_j, less
-    the wall drives at the ends.  Neighbours come from a ghost-padded
-    buffer: the periodic wrap, or -s y at a wall, where the cubic weight w
-    drops from 3 g^2 to 3.  The b-equation conjugates the drive phases.
+    the wall drives at the ends, with c, w and the drive from
+    `_Coefficients`.  Neighbours come from a ghost-padded buffer: the
+    periodic wrap, or -s y at a wall, where the cubic weight w is the wall
+    row's.  The b-equation conjugates the drive phases.
     """
 
-    def __init__(self, n: int, r: float, c: float, cubic: float,
-                 forcing: BoundaryForcing, g2_h: float):
+    def __init__(self, params: ModelParams, forcing: BoundaryForcing):
+        n, r, coef = params.n_elements, params.r, _Coefficients(params)
         # 0-d arrays scale a short array faster than Python scalars do,
         # with the same complex arithmetic
-        self.r, self.c, self.two = (np.array(v, dtype=complex) for v in (r, c, 2.0))
+        self.r, self.c, self.two = (np.array(v, dtype=complex) for v in (r, coef.coupling, 2.0))
         self.sign = sign = forcing.kind.wall_sign
-        self.forcing, self.g2_h, self.dt, self.shape = forcing, g2_h, None, None
+        self.forcing, self.drive, self.dt, self.shape = forcing, coef.drive, None, None
         self.pad, self.scratch, self.partner = (np.empty(k, dtype=complex)
                                                 for k in (n + 2, n, n))
         self.mid, self.up, self.down = self.pad[1:-1], self.pad[2:], self.pad[:-2]
@@ -129,17 +155,17 @@ class _LatticeKernel:
         step = n - 1
         self.ghosts, self.source = self.pad[::n + 1], slice(None, None, step if sign else -step)
         self.ghost_factor = np.array(-sign if sign else 1.0, dtype=complex)
-        self.cubic = np.full(n, cubic, dtype=complex)
+        self.cubic = np.full(n, coef.cubic, dtype=complex)
         if sign:
-            self.cubic[::step], self.phase = 3.0, sign * (1.0 - 1.0j)
+            self.cubic[::step], self.phase = coef.wall_cubic, sign * (1.0 - 1.0j)
 
     def drives(self, t: float) -> Optional[list[float]]:
-        """Left and right wall drives (g^2/h)(alpha + beta) at time t, None
-        without walls."""
+        """Left and right wall drives, the drive coefficient times alpha +
+        beta, at time t; None without walls."""
         if not self.sign:
             return None
         (al, bl), (ar, br) = self.forcing.signals(t)
-        return [self.g2_h * (al + bl), self.g2_h * (ar + br)]
+        return [self.drive * (al + bl), self.drive * (ar + br)]
 
     def __call__(self, x: np.ndarray, y: np.ndarray, out: np.ndarray, drives=None,
                  conj: bool = False) -> np.ndarray:
@@ -299,9 +325,7 @@ def _kernel(state: AmplitudeState, params: ModelParams,
     if state.n != params.n_elements:
         raise ValueError(
             f"state has {state.n} elements but params expect {params.n_elements}")
-    g2 = params.gamma ** 2
-    return _LatticeKernel(params.n_elements, params.r, 4.0 * g2 / params.h ** 2,
-                          3.0 * g2, forcing, g2 / params.h)
+    return _LatticeKernel(params, forcing)
 
 
 def model_rhs(state: AmplitudeState, params: ModelParams,
@@ -314,15 +338,17 @@ def model_rhs(state: AmplitudeState, params: ModelParams,
     signals from the forcing (`BoundaryForcing.signals`).
     """
     kernel = _kernel(state, params, forcing)
-    da, db = kernel.rhs(np.array((state.a, state.b)), kernel.drives(state.t),
-                        np.empty((2, state.n), dtype=complex))
-    return da, db
+    return tuple(kernel.rhs(np.array((state.a, state.b)), kernel.drives(state.t),
+                            np.empty((2, state.n), dtype=complex)))
 
 
 def gle_rhs(a: np.ndarray, r: float, c: float, d: float, h: float) -> np.ndarray:
     """Discrete Ginzburg-Landau right-hand side on a periodic lattice:
 
         r a_j + (c/h^2)(a_{j+1} - 2 a_j + a_{j-1}) - d |a_j|^2 a_j
+
+    Its coefficients are arguments, apart from `_Coefficients`, so that
+    criterion 2 holds the model to the paper's c = 4 g^2, d = 3 g^2.
     """
     a = np.asarray(a, dtype=complex)
     return (r * a + (c / h ** 2) * (np.roll(a, -1) - 2 * a + np.roll(a, 1))
@@ -334,34 +360,28 @@ def reality_check(state: AmplitudeState) -> float:
     return float(np.max(np.abs(state.b - np.conj(state.a)))) if state.n else 0.0
 
 
-def _stencil_bound(params: ModelParams) -> float:
-    """Gershgorin bound |r - 2c| + 2c, c = 4 g^2/h^2, of the linear stencil's
-    rates; a wall row's ghost -s b_1 takes its neighbour's place in it."""
-    c = 4.0 * params.gamma ** 2 / params.h ** 2
-    return abs(params.r - 2.0 * c) + 2.0 * c
-
-
 def max_stable_dt(params: ModelParams) -> float:
     """The largest step at which RK4 keeps the linear stencil stable:
     2.785, RK4's limit on the negative real axis, over the stencil's
-    Gershgorin bound |r - 2c| + 2c with c = 4 g^2/h^2; inf when that bound
+    Gershgorin bound |r - 2c| + 2c (`_Coefficients`); inf when that bound
     is 0.  Walls add nothing to the bound, and the cubic is not counted: a
     step the cubic makes unstable runs and diverges (DivergenceError)."""
-    bound = _stencil_bound(params)
+    bound = _Coefficients(params).bound
     return _RK4_REAL_LIMIT / bound if bound else math.inf
 
 
 def _derived_dt(params: ModelParams, a0: np.ndarray) -> float:
     """The step a periodic, unforced, real-sector run from a0 allows: S 2.785
     / rho with the safety factor S = 0.5 and rho the stencil's bound plus
-    9 g^2 A^2, the norm of the cubic's Jacobian at the amplitude bound
-    A = max(max|a0|, sqrt(r / 3 g^2)) (9 g^2 A^2 = max(9 g^2 max|a0|^2,
-    3 max(r, 0))).  No |a_j| passes A: at the element of largest |a_j| the
-    coupling cannot raise it, so d|a_j|^2/dt <= 2 |a_j|^2 (r - 3 g^2
-    |a_j|^2).  inf when rho is 0, where the right-hand side is zero."""
-    cubic = max(9.0 * params.gamma ** 2 * float(np.max(np.abs(a0))) ** 2,
-                3.0 * max(params.r, 0.0))
-    rho = _stencil_bound(params) + cubic
+    3 w A^2, the norm of the cubic's Jacobian at the amplitude bound
+    A = max(max|a0|, sqrt(r / w)), w = 3 g^2 the cubic weight
+    (`_Coefficients`), so 3 w A^2 = max(3 w max|a0|^2, 3 max(r, 0)).  No
+    |a_j| passes A: at the element of largest |a_j| the coupling cannot
+    raise it, so d|a_j|^2/dt <= 2 |a_j|^2 (r - w |a_j|^2).  inf when rho is
+    0, where the right-hand side is zero."""
+    coef = _Coefficients(params)
+    rho = coef.bound + max(3.0 * coef.cubic * float(np.max(np.abs(a0))) ** 2,
+                           3.0 * max(params.r, 0.0))
     return _STEP_SAFETY * _RK4_REAL_LIMIT / rho if rho else math.inf
 
 
@@ -410,10 +430,12 @@ def run_model(state: AmplitudeState, params: ModelParams,
               sample_stride: int = 1) -> Trajectory:
     """Integrate the lattice model from state.t to t_end.
 
-    The step is shrunk uniformly so the run lands exactly on t_end, and
-    the time advances by accumulation (t += dt).  The trajectory is
-    recorded every sample_stride steps (the final state is always
-    included; a stride past the run samples its two ends).  Raises
+    The span is covered by n equal steps of span/n, each at most dt, and
+    the time advances by accumulation (t += span/n), so the reported times
+    are sums of span/n that rounding can move off t_end: the last is
+    within (n + 2) eps max(|t0|, |t_end|) of it, eps = 2^-52.  The
+    trajectory is recorded every sample_stride steps (the final state is
+    always included; a stride past the run samples its two ends).  Raises
     DivergenceError on NaN or once |a| or |b| passes 1e6.
 
     A state exactly in the real sector (b == conj(a)) stays there, so only

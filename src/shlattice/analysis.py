@@ -26,7 +26,10 @@ def lattice_dispersion(kappa, params: ModelParams):
     linearised interior stencil: r + (4 g^2/h^2)(2 cos(kappa h) - 2).
 
     For kappa h -> 0 this approaches r - 4 g^2 kappa^2, the dispersion of
-    the continuum Ginzburg-Landau equation with diffusion constant 4.
+    the continuum Ginzburg-Landau equation with diffusion constant 4.  The
+    coupling is written here from the paper, apart from the model's
+    `_Coefficients`: criterion 3 holds it to the continuum limit, and a
+    test that linearises `model_rhs` on Bloch modes holds the model to it.
     """
     kappa = np.asarray(kappa, dtype=float)
     c = 4.0 * params.gamma ** 2 / params.h ** 2
@@ -38,7 +41,9 @@ def boundary_mode_rates(params: ModelParams) -> tuple[float, float]:
     """(fast, slow) linear rates of the wall element, (r - 8 g^2/h^2, r).
 
     Walls with even data apply the fast rate to Re(a_1) and the slow rate
-    to Im(a_1); walls with odd data swap the two components.
+    to Im(a_1); walls with odd data swap the two components.  Written from
+    the paper, apart from the model's `_Coefficients`, so that criterion 7
+    holds the model's wall rows to it.
     """
     return params.r - 8.0 * params.gamma ** 2 / params.h ** 2, params.r
 
@@ -46,7 +51,8 @@ def boundary_mode_rates(params: ModelParams) -> tuple[float, float]:
 def boundary_equilibrium(params: ModelParams, alpha: float, beta: float) -> float:
     """Predicted quasi-steady Re(a_1) = -h (alpha + beta) / 8 under constant
     even-derivative wall forcing (valid while 8/h^2 dominates r and the
-    cubic term)."""
+    cubic term).  Written from the paper, apart from the model's
+    `_Coefficients`, so that the model's forced walls are held to it."""
     return -params.h * (alpha + beta) / 8.0
 
 
@@ -85,10 +91,8 @@ class CompareConfig:
     sqrt(r/3)) of these periodic, unforced, real-sector runs (a maximum
     principle of the lattice; see `amplitude_model._derived_dt`).
 
-    The model's step is `amplitude_model._derived_dt`, 0.5 * 2.785 / rho.
-    Criterion 4's rungs step at 2.08, 2.5 and 3.125, and their terminal
-    errors sit within 3e-10 (relative) of those at the old fixed cap
-    0.1 h^2/8 = 0.49348, which `dt_model=0.4935` reproduces bit for bit.
+    The model's step is `amplitude_model._derived_dt`, 0.5 * 2.785 / rho;
+    criterion 4's rungs step at 2.08, 2.5 and 3.125.
 
     The oracle's step is min(1, S L / 3 U^2), with U = 2 A the bound on the
     seeded field, L = 4.9 the limit on 3 U^2 dt within which ETDRK4 stays

@@ -398,10 +398,8 @@ def run_simulate_direct(cfg: dict, params) -> tuple:
 def run_simulate_model(cfg: dict, params) -> tuple:
     rng = np.random.default_rng(cfg["seed"])
     amp, N = cfg["init-amp"], params.n_elements
-    if cfg["random-init"]:
-        a0 = amp * (rng.standard_normal(N) + 1j * rng.standard_normal(N))
-    else:
-        a0 = np.full(N, amp, complex)
+    a0 = (amp * (rng.standard_normal(N) + 1j * rng.standard_normal(N)) if cfg["random-init"]
+          else np.full(N, amp, complex))
     forcing = _forcing_from(cfg, params, cfg["kind"], cfg["t-end"], cfg["dt"])
     traj = run_model(conjugate_state(0.0, a0), params, forcing, cfg["t-end"], cfg["dt"],
                      sample_stride=cfg["sample-stride"])

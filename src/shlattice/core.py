@@ -15,7 +15,10 @@ a span is covered by n = max(1, ceil(span/dt - 1e-12)) equal steps of
 span/n, at most `_MAX_STEPS` of them.  The loop holds the start time,
 the step and the step count, and keeps the clock itself: each step
 starts at exactly the time the last one ended at (t += dt), and the
-loop hands that time to its callback, so no caller builds a clock.  A
+loop hands that time to its callback, so no caller builds a clock.  The
+clock is a sum of n steps of span/n, so rounding can move its end off
+t0 + span, by at most (n + 2) eps max(|t0|, |t0 + span|), eps = 2^-52:
+a run of 200,000 steps of 0.1 ends at 19999.999999989453.  A
 non-finite start state is bad input (ValueError); a state that turns
 non-finite, or runs past a solver's bound, is a DivergenceError that
 names the solver, the step and the time.
@@ -91,7 +94,8 @@ def _integrate(solver: str, step: Callable, x: np.ndarray, t0: float, dt: float,
                n_steps: int, callback: Optional[Callable[[int, np.ndarray, float], None]] = None,
                bound: float = _LARGEST) -> np.ndarray:
     """Take n_steps steps of dt from x at time t0, the clock advancing by
-    accumulation (t += dt).
+    accumulation (t += dt), so it ends within (n_steps + 2) eps max(|t0|,
+    |t_end|) of the t_end that dt = (t_end - t0)/n_steps was formed from.
 
     Step i is x = step(x, t) with t the time it starts at.  After it,
     max|x| must stay within bound (NaN never does), else DivergenceError;

@@ -212,8 +212,8 @@ def _default_dt(grid: FieldGrid) -> float:
 
 def integrate_spectral(grid: FieldGrid, params: ModelParams, t_end: float,
                        dt: Optional[float] = None) -> FieldGrid:
-    """Advance a periodic grid to t_end (step shrunk to land exactly), in
-    steps of at most dt, `_default_dt` when not given."""
+    """Advance a periodic grid over [0, t_end] in n equal steps of t_end/n,
+    each at most dt, `_default_dt` when not given."""
     if not grid.periodic:
         raise ValueError("spectral stepping needs a periodic grid")
     n_steps = _step_count(t_end, _default_dt(grid) if dt is None else dt)
@@ -238,6 +238,17 @@ _LINEAR_TOL = 1e-5
 # its line by 1e-6 only below 6e-65 (7e-52) of its start, for eps0 = 1e-6
 # and 1e-3 alike.
 _FIT_FLOOR = 1e-30
+# The fewest samples a fit takes.  A mode that decays by e^-x per step,
+# stiff for the cubic's stages when x is large, leaves an error in the
+# first step that the fitted line absorbs (the misfit check sees a third
+# of it at three samples), growing as eps0^2 e^x.  Ten samples above the
+# floor bound x by ln(1e30)/9 = 7.7, and a run that stays above the floor
+# over nine steps decays by less per step.  At r = -10, dt = 0.02 the rate
+# was off by 2e-8 at x = 17 (4 samples) and 3e-5 at x = 25 (3), but by
+# 8e-13 at x = 7.6 (10 samples) for eps0 = 1e-6, and by 7e-7 for 1e-3,
+# within the 1.3e-6 by which the cubic itself moves mode 1's rate at
+# r = 0.1 for that seed (_LINEAR_TOL).
+_FIT_SAMPLES = 10
 
 
 class _BelowFloor(Exception):
@@ -259,11 +270,11 @@ def _commensurate_periods(k: float) -> tuple[int, int]:
 def _fit_steps(r: float, k: float, T: float, dt: Optional[float] = None) -> int:
     """Steps of a growth-rate fit of mode k over T, each at most dt, or when
     dt is None at most the step `measure_growth_rate` derives from T and
-    lambda_k."""
+    lambda_k; at least _FIT_SAMPLES - 1."""
     if dt is None:
         lam = abs(float(growth_symbol(k, r)))
         dt = max(0.02, min(T / 50, 2 / lam if lam else 1.0, 1.0))
-    return max(2, _step_count(T, dt))
+    return max(_FIT_SAMPLES - 1, _step_count(T, dt))
 
 
 def measure_growth_rate(params: ModelParams, k: float, eps0: float, T: float,
@@ -272,7 +283,7 @@ def measure_growth_rate(params: ModelParams, k: float, eps0: float, T: float,
 
     Seeds u = eps0*cos(kx) on the smallest commensurate periodic domain,
     sampled at 512 points, and returns the least-squares slope of
-    log|u_hat_k|(t) over at least two steps of at most dt.
+    log|u_hat_k|(t) over at least _FIT_SAMPLES - 1 = 9 steps of at most dt.
 
     ETDRK4 propagates the linear symbol lambda_k = r - (1 - k^2)^2 exactly,
     so for a linear seed the rate does not depend on the step, and a dt of
@@ -291,8 +302,9 @@ def measure_growth_rate(params: ModelParams, k: float, eps0: float, T: float,
     log|u_hat_k| departs from its line by more than _LINEAR_TOL.  A
     decaying mode is fitted down to _FIT_FLOOR = 1e-30 of its start: the
     run stops at its first sample at or below that (0 among them) and the
-    samples before it are fitted, or, when fewer than 3 are, the fit is
-    DivergenceError.
+    samples before it are fitted, or, when fewer than _FIT_SAMPLES = 10
+    are, the fit is DivergenceError: the step is then too stiff for the
+    cubic's stages to leave the rate alone.
     """
     if not 0.0 < eps0 < np.inf:
         raise ValueError(f"eps0 must be finite and positive, got {eps0}")
@@ -328,10 +340,10 @@ def measure_growth_rate(params: ModelParams, k: float, eps0: float, T: float,
         stepper.run(v, n_steps, callback=record)
     except _BelowFloor as stop:
         kept = stop.args[0]
-    if kept < 3:
+    if kept < _FIT_SAMPLES:
         raise DivergenceError(
             f"growth-rate fit of mode {k} failed: |u_k| fell below {_FIT_FLOOR:g} of its "
-            f"start at t={times[kept]:.6g}, before the 3 samples a fit needs")
+            f"start at t={times[kept]:.6g}, before the {_FIT_SAMPLES} samples a fit needs")
     times, logs = times[:kept], np.log(amps[:kept])
     fit = np.polyfit(times, logs, 1)
     misfit = float(np.max(np.abs(logs - np.polyval(fit, times))))
@@ -496,8 +508,10 @@ class BoundedStepper:
 def integrate_bounded(grid: FieldGrid, params: ModelParams,
                       forcing: BoundaryForcing, t_end: float,
                       dt: Optional[float] = None, t0: float = 0.0) -> FieldGrid:
-    """Advance a bounded grid from t0 to t_end (step shrunk to land exactly),
-    in steps of at most dt, `_default_dt` when not given."""
+    """Advance a bounded grid from t0 to t_end in n equal steps of
+    span/n, each at most dt, `_default_dt` when not given.  The wall
+    signals are read at the loop's accumulated clock, sums of span/n that
+    rounding can move off t_end (`core._integrate`)."""
     span = t_end - t0
     n_steps = _step_count(span, _default_dt(grid) if dt is None else dt)
     stepper = BoundedStepper(grid, params, forcing, span / n_steps)

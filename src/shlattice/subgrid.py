@@ -15,8 +15,11 @@ E+/E- are low-degree polynomials in X.  In the interior the envelopes carry
 first-order neighbour corrections built from the integer-offset composites
 d2 v_j = v_{j+1} - 2 v_j + v_{j-1} and md v_j = (v_{j+1} - v_{j-1})/2:
 
-    E+ = a_j + (g/4h) [ (d2 a_j - 2i md b_j) + (4 md a_j - 2i d2 b_j) X ]
-    E- = b_j + (g/4h) [ (d2 b_j + 2i md a_j) + (4 md b_j + 2i d2 a_j) X ]
+    E+ = a_j + e [ (d2 a_j - 2i md b_j) + (4 md a_j - 2i d2 b_j) X ]
+    E- = b_j + e [ (d2 b_j + 2i md a_j) + (4 md b_j + 2i d2 a_j) X ]
+
+with e = g/4h the envelope coefficient of the lattice model's one table,
+`amplitude_model._Coefficients`, which also gives the wall drive g^2/h.
 
 The wall element takes the same formula, with the missing neighbour
 replaced by the wall ghosts a_0 = -s b_1, b_0 = -s a_1 of the lattice
@@ -48,11 +51,12 @@ from .core import (
     ForcingKind,
     ModelParams,
 )
-from .amplitude_model import SignChoice
+from .amplitude_model import SignChoice, _Coefficients
 
 # Wall-element forcing-profile coefficients for the exp(+ix) sector.  Each
-# signal contributes  s*(g^2/h) * [CONST + SLOPE*X + CURVE*(h^2 - 12 X^2)]
-# with s = +1/-1 for even/odd wall data.  The exp(-ix) sector
+# signal contributes  s*d * [CONST + SLOPE*X + CURVE*(h^2 - 12 X^2)], with
+# d the lattice model's wall drive (`_Coefficients`) and s = +1/-1 for
+# even/odd wall data.  The exp(-ix) sector
 # carries the complex conjugates (exactly, since the signals are real).
 ALPHA_PLUS_CONST = (7 + 5j) / 16
 ALPHA_PLUS_SLOPE = -(2 + 3j) / 4
@@ -82,7 +86,7 @@ def _interior_coefficients(a: np.ndarray, b: np.ndarray, params: ModelParams,
     d2b = b[jp] - 2.0 * b[j] + b[jm]
     mda = (a[jp] - a[jm]) / 2.0
     mdb = (b[jp] - b[jm]) / 2.0
-    g4h = params.gamma / (4.0 * params.h)
+    g4h = _Coefficients(params).envelope
     return (np.array([a[j] + g4h * (d2a - 2j * mdb), g4h * (4.0 * mda - 2j * d2b)]),
             np.array([b[j] + g4h * (d2b + 2j * mda), g4h * (4.0 * mdb + 2j * d2a)]))
 
@@ -103,7 +107,7 @@ def boundary_envelopes(state: AmplitudeState, params: ModelParams,
     The amplitude part is the interior formula on the lattice padded with
     the wall ghosts a_0 = -s b_1, b_0 = -s a_1 of the lattice kernel, where
     the forcing's kind fixes the sign alternative s; the forcing profiles,
-    times s, are added on top.
+    times s and the wall drive of `_Coefficients`, are added on top.
     """
     if state.n < 2:
         raise ValueError("the wall element needs an interior neighbour")
@@ -119,7 +123,7 @@ def boundary_envelopes(state: AmplitudeState, params: ModelParams,
     pc = al * ALPHA_PLUS_CONST + be * BETA_PLUS_CONST
     ps = al * ALPHA_PLUS_SLOPE + be * BETA_PLUS_SLOPE
     pq = al * ALPHA_PLUS_CURVE + be * BETA_PLUS_CURVE
-    profile = s * params.gamma ** 2 / h * np.array([pc + pq * h ** 2, ps, -12.0 * pq])
+    profile = s * _Coefficients(params).drive * np.array([pc + pq * h ** 2, ps, -12.0 * pq])
     return np.append(plus, 0.0) + profile, np.append(minus, 0.0) + np.conj(profile)
 
 

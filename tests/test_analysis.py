@@ -75,6 +75,27 @@ class TestLatticeDispersion:
         coef = longwave_quadratic_coefficient(params)
         assert coef == pytest.approx(-4.0, abs=0.05)
 
+    @pytest.mark.parametrize("r", [0.1, -0.05])
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("gamma", [0.3, 0.7, 1.0])
+    def test_matches_model_rhs_on_bloch_modes(self, gamma, p, r):
+        # the closed form against the model: model_rhs on a_j = e exp(i kappa
+        # j h), b = conj(a), is (lambda e - 3 g^2 e^3) a_j / e at every j, so
+        # criterion 7's Richardson elimination L = (8 f(e) - f(2e)) / (6 e)
+        # leaves lambda, at each kappa = 2 pi m / (N h) of a periodic lattice
+        n = 8
+        params = params_for(r=r, gamma=gamma, p=p, n=n)
+        periodic = BoundaryForcing.periodic()
+        for m in range(n):
+            kappa = 2.0 * np.pi * m / (n * params.h)
+            mode = np.exp(1j * kappa * params.h * np.arange(n))
+
+            def f(eps):
+                return model_rhs(conjugate_state(0.0, eps * mode), params, periodic)[0] / mode
+
+            rate = (8.0 * f(1e-2) - f(2e-2)) / 6e-2
+            assert np.max(np.abs(rate - lattice_dispersion(kappa, params))) <= 1e-12
+
 
 class TestBoundaryModeRates:
     def test_frozen_values(self):

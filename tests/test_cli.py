@@ -61,6 +61,21 @@ class TestDispersionExperiment:
         _, rows = read_rows(newest_csv(tmp_path))
         assert float(rows[0][2]) == pytest.approx(-29.5625, abs=1e-10)
 
+    def test_stiff_fit_with_few_samples_exits_two(self, tmp_path, capsys):
+        # lambda = -1235 at the step 0.02 passes the fit's floor at sample
+        # 3, where the misfit check let -1234.99997252 through; --dt 0.001
+        # keeps the samples a fit needs and writes -1235
+        argv = ["dispersion", "--r", "-10", "--k-min", "6", "--k-max", "6", "--k-steps", "1",
+                "--t-fit", "1", "--output-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert err_lines(capsys.readouterr().err) == [
+            "error: numerical divergence: growth-rate fit of mode 6.0 failed: |u_k| "
+            "fell below 1e-30 of its start at t=0.06, before the 10 samples a fit needs"]
+        assert not list(tmp_path.glob("*.csv"))
+        assert main(argv + ["--dt", "0.001"]) == 0
+        _, rows = read_rows(newest_csv(tmp_path))
+        assert rows[0][2] == "-1235"
+
     def test_manifest_written(self, tmp_path):
         main(["dispersion", "--k-steps", "3", "--output-dir", str(tmp_path)])
         manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -390,7 +405,7 @@ class TestOtherExperiments:
         assert code == 2
         assert err_lines(capsys.readouterr().err) == [
             "error: numerical divergence: growth-rate fit of mode 170.0 failed: |u_k| "
-            "fell below 1e-30 of its start at t=0.04, before the 3 samples a fit needs"]
+            "fell below 1e-30 of its start at t=0.04, before the 10 samples a fit needs"]
         assert not list(tmp_path.glob("*.csv"))
 
     @staticmethod

@@ -280,6 +280,21 @@ class TestSteppingLoop:
         assert starts == clock[:-1].tolist() and ends == clock[1:].tolist()
         assert ends != [0.3 + i * 0.1 for i in range(1, 11)]
 
+    @pytest.mark.parametrize("t0, t_end, n", [(0.0, 2e4, 200_000), (0.3, 1000.3, 30_001),
+                                              (-7.0, 5.0, 99_999)])
+    def test_clock_ends_within_its_bound(self, t0, t_end, n):
+        # the clock is the sum of n steps of span/n, not t_end: rounding
+        # moves it by at most (n + 2) eps max(|t0|, |t_end|), eps = 2^-52
+        dt, ends, t = (t_end - t0) / n, [], t0
+        _integrate("clock", lambda x, t: x, np.zeros(1), t0, dt, n,
+                   lambda i, x, t: i == n and ends.append(t))
+        for _ in range(n):
+            t += dt
+        assert ends == [t]
+        assert abs(t - t_end) <= (n + 2) * 2.0 ** -52 * max(abs(t0), abs(t_end))
+        if t_end == 2e4:   # 200,000 steps of 0.1 do not land on 2e4
+            assert t == 19999.999999989453
+
     def test_single_time_takes_no_step(self):
         x = np.ones(3)
         assert _integrate("idle", lambda x, t: 1 / 0, x, 5.0, 1.0, 0) is x

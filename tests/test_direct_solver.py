@@ -253,7 +253,7 @@ class TestMeasureGrowthRate:
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError, match=(
                     r"^growth-rate fit of mode 170.0 failed: \|u_k\| fell below 1e-30 of its "
-                    r"start at t=0.04, before the 3 samples a fit needs$")):
+                    r"start at t=0.04, before the 10 samples a fit needs$")):
                 measure_growth_rate(params_for(r=0.0), 170.0, eps0=1e-6, T=100.0)
 
     @staticmethod
@@ -283,6 +283,27 @@ class TestMeasureGrowthRate:
         rate = measure_growth_rate(params_for(r=-2.0), 2.5, eps0=eps0, T=10.0)
         assert rate == pytest.approx(-29.5625, abs=tol)
         assert len(steps) == 35
+
+    def test_stiff_mode_with_few_samples_is_divergence(self):
+        # lambda = -1235 at the step floor 0.02 decays by e^-24.7 a step and
+        # passes the floor at sample 3; the cubic's stages, held over that
+        # step, put -1234.99997 through the misfit check of three samples.
+        # A finer step keeps the fit's samples and its rate
+        params = params_for(r=-10.0)
+        with pytest.raises(DivergenceError, match=(
+                r"^growth-rate fit of mode 6.0 failed: \|u_k\| fell below 1e-30 of its "
+                r"start at t=0.06, before the 10 samples a fit needs$")):
+            measure_growth_rate(params, 6.0, eps0=1e-6, T=1.0)
+        rate = measure_growth_rate(params, 6.0, eps0=1e-6, T=1.0, dt=0.001)
+        assert rate == pytest.approx(-1235.0, abs=1e-9)
+
+    def test_fit_takes_at_least_nine_steps(self):
+        # a short fit, or a coarse explicit step, still has ten samples
+        assert _fit_steps(0.1, 1.0, 0.04) == 9
+        assert _fit_steps(0.1, 1.0, 0.1, 0.05) == 9
+        assert _fit_steps(0.1, 1.0, 5.0) == 50
+        assert measure_growth_rate(params_for(r=0.1), 1.0, eps0=1e-6, T=0.04) == pytest.approx(
+            0.1, abs=1e-9)
 
     def test_ceiling_past_the_float_range_is_quiet(self):
         # exp(r t) overflows for t > 142 at r = 5: that ceiling bounds

@@ -20,8 +20,10 @@ from shlattice import (
     rk4_step,
     run_model,
 )
-from shlattice.amplitude_model import _derived_dt
+from shlattice import amplitude_model
+from shlattice.amplitude_model import _Coefficients, _derived_dt
 from shlattice.analysis import modulated_profile
+from shlattice.subgrid import ALPHA_PLUS_SLOPE, boundary_envelopes, interior_envelopes
 
 
 def params_for(r=0.0, gamma=1.0, p=1, n=8):
@@ -332,6 +334,16 @@ class TestIntegration:
         else:
             assert gate == math.inf
 
+    def test_reported_end_is_the_accumulated_clock(self, monkeypatch):
+        # run_model's docstring: the times are sums of span/n, within
+        # (n + 2) eps max(|t0|, |t_end|) of t_end but not on it.  The step
+        # is an identity, since the clock is what is measured
+        monkeypatch.setattr(amplitude_model, "_stepper", lambda kernel, x, dt: lambda x, t: x)
+        traj = run_model(random_state(2, conjugate=True), params_for(r=0.05, n=2),
+                         BoundaryForcing.periodic(), 2e4, 0.1, sample_stride=10 ** 9)
+        assert traj.times[-1] == 19999.999999989453
+        assert abs(traj.times[-1] - 2e4) <= (200_000 + 2) * 2.0 ** -52 * 2e4
+
     def test_rejects_bad_dt_and_stride(self):
         params = params_for(n=4)
         st = random_state(4, conjugate=True)
@@ -600,3 +612,62 @@ class TestLyapunovDecrease:
             grad[j] = (d_re + 1j * d_im) / 2
         da, _ = model_rhs(conjugate_state(0.0, a), params, forcing)
         assert np.max(np.abs(da + grad)) <= 1e-8 * np.max(np.abs(da))
+
+
+class TestCoefficientTable:
+    """The lattice model's coefficients are written once, in
+    `_Coefficients`; the kernel, its step rules and the reconstruction read
+    them from there, and the table is the paper's O(g^2) algebra."""
+
+    @staticmethod
+    def cubic_weight(params, forcing, row, n=4):
+        # da_row/dt on a_row = b_row = x (every other amplitude 0) is
+        # L x - w x^3, so w = (2 f(1) - f(2)) / 6 eliminates the linear part
+        def f(x):
+            e = np.zeros(n, complex)
+            e[row] = x
+            return model_rhs(AmplitudeState(0.0, e, e), params, forcing)[0][row].real
+        return (2.0 * f(1.0) - f(2.0)) / 6.0
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(gamma=st.floats(0.0, 1.0), p=st.integers(1, 3), r=st.floats(-1.0, 1.0),
+           kind=st.sampled_from(["even", "odd"]), amp=st.floats(0.0, 1.0))
+    def test_consumers_read_the_table(self, gamma, p, r, kind, amp):
+        params = params_for(r=r, gamma=gamma, p=p, n=4)
+        table, h = _Coefficients(params), 2.0 * math.pi * p
+        # the paper's coefficients: coupling 4 g^2/h^2, cubic 3 g^2 (3 in a
+        # wall row), wall drive g^2/h, envelope correction g/4h
+        for got, paper in ((table.coupling, 4.0 * gamma ** 2 / h ** 2),
+                           (table.cubic, 3.0 * gamma ** 2), (table.wall_cubic, 3.0),
+                           (table.drive, gamma ** 2 / h), (table.envelope, gamma / (4.0 * h))):
+            assert got == pytest.approx(paper, rel=1e-15, abs=0.0)
+        c = table.coupling
+        # the kernel's stencil rates, probed from model_rhs: a unit a_1 with
+        # b = 0 (no cubic) gives r - 2c on its own row and c on its neighbour's
+        unit = AmplitudeState(0.0, np.eye(4, dtype=complex)[1], np.zeros(4, complex))
+        da, _ = model_rhs(unit, params, BoundaryForcing.periodic())
+        assert da[2] == c and da[1] == r - 2.0 * c
+        forcing = WALLS[kind](0.0, 0.0, p=p)
+        for row, weight in ((1, table.cubic), (0, table.wall_cubic)):
+            assert self.cubic_weight(params, forcing, row) == pytest.approx(
+                weight, rel=1e-12, abs=1e-14)
+        # the wall drive: a zero lattice under unit alpha feels -s (1 - i) g^2/h
+        s = forcing.kind.wall_sign
+        zero = AmplitudeState(0.0, np.zeros(4, complex), np.zeros(4, complex))
+        da, _ = model_rhs(zero, params, WALLS[kind](1.0, 0.0, p=p))
+        assert da[0] == -s * (1.0 - 1.0j) * table.drive
+        # the step rules: RK4's 2.785 over the Gershgorin bound, and compare's
+        # step with the cubic's Jacobian norm 3 w A^2 added
+        bound = abs(r - 2.0 * c) + 2.0 * c
+        assert table.bound == bound
+        assert max_stable_dt(params) == (2.785 / bound if bound else math.inf)
+        a0 = amp * np.exp(1j * np.linspace(0.0, 3.0, 4))
+        rho = bound + max(3.0 * table.cubic * float(np.max(np.abs(a0))) ** 2,
+                          3.0 * max(r, 0.0))
+        assert _derived_dt(params, a0) == (0.5 * 2.785 / rho if rho else math.inf)
+        # the reconstruction: a unit neighbour corrects the envelope by g/4h,
+        # and a unit alpha drives the wall profile's slope by s g^2/h
+        plus, _ = interior_envelopes(unit, params, 2)
+        assert plus[0] == table.envelope
+        plus, _ = boundary_envelopes(zero, params, WALLS[kind](1.0, 0.0, p=p))
+        assert plus[1] == s * table.drive * ALPHA_PLUS_SLOPE

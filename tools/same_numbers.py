@@ -11,7 +11,7 @@ largest magnitude of the other tree's entry).
     python tools/same_numbers.py --against-tree DIR    # DIR's src vs this tree
     python tools/same_numbers.py --against HEAD --tiny # small sizes, a few seconds
 
-The catalogue, 56 entries: ``integrate_bounded`` on criterion 5's inputs
+The catalogue, 62 entries: ``integrate_bounded`` on criterion 5's inputs
 for both wall kinds, unforced, with constant and with time-varying
 forcing (the field and its extracted amplitudes), and criterion 5's two
 oracle phases from the unforced runs; ``integrate_spectral`` at n = 512
@@ -24,7 +24,9 @@ both sectors and N = 512, and the sample times of a long strided run;
 0.02; the ladder slope, the three terminal errors and the last rung's
 model and oracle amplitudes of ``compare_model_vs_direct``, and the model
 amplitudes of its default single run (N = 8, r = 0.1, modulation 1);
-and the CSVs of the six README commands other than ``compare``, with
+at gamma = 0.6 and p = 2, where the lattice model's coefficients round,
+``model_rhs``, ``run_model`` with forced even walls, ``lattice_field``,
+``boundary_profiles`` and one ``compare_model_vs_direct`` run; and the CSVs of the six README commands other than ``compare``, with
 ``--seed 7``, and the configuration each of their manifests echoes (as
 ``json.dumps(..., sort_keys=True)``, so the values and their JSON
 types).  It calls only API that older revisions have too.  Exits 1 when
@@ -172,6 +174,24 @@ def catalogue(tiny: bool) -> dict[str, np.ndarray]:
     config = sh.CompareConfig(params=sh.make_params(r=0.1, gamma=1.0, p=1, n_elements=8,
                                                     m_samples=32), modulation=1.0)
     out["compare.model"] = sh.compare_model_vs_direct(config).model_amplitudes
+
+    # the lattice model's coefficients at gamma = 0.6 and p = 2, where their
+    # float operations round (at gamma = 1, p = 1 they are exact), so an ulp
+    # moved in the coefficient table shows: the right-hand side, a run with
+    # forced even walls, the reconstruction, the wall profiles and compare
+    coupled = sh.make_params(r=0.1, gamma=0.6, p=2, n_elements=8, m_samples=32)
+    a, b = 0.1 * (rng.standard_normal((2, 8)) + 1j * rng.standard_normal((2, 8)))
+    general = sh.AmplitudeState(0.0, a, np.conj(a) + 0.1 * b)
+    forced = sh.BoundaryForcing.even_given(lambda t: 0.02 * np.cos(0.3 * t), 0.01, p=2)
+    out["model_rhs.g06p2.da"], out["model_rhs.g06p2.db"] = sh.model_rhs(general, coupled, forced)
+    out["model.g06p2.even.a"] = sh.run_model(sh.conjugate_state(0.0, a), coupled, forced,
+                                             2.0 if tiny else 20.0, 0.05).a
+    out["lattice_field.g06p2.u"] = sh.lattice_field(general, coupled, periodic=True).u
+    xs = np.linspace(-coupled.h / 2, coupled.h / 2, 33)
+    profiles = sh.boundary_profiles(coupled, sh.SignChoice.UPPER, xs)
+    out["boundary_profiles.g06p2"] = np.array([profiles[key] for key in sorted(profiles)])
+    config = sh.CompareConfig(params=coupled, modulation=1.0, t_end=10.0 if tiny else None)
+    out["compare.g06p2.model"] = sh.compare_model_vs_direct(config).model_amplitudes
 
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
