@@ -25,37 +25,43 @@ under x -> -x, which swaps the roles of a and b.
 
 The coefficients, 4 g^2/h^2, 3 g^2 (3 in a wall row), g^2/h and the
 reconstruction's g/4h, are written once, in `_Coefficients`, which the
-kernel, its step rules and `subgrid` read.  Every right-hand side here is
-one `_LatticeKernel`: the wall is a ghost neighbour -s b_1 and the wall
-row's cubic weight, so interior and wall rows share one slice-based
-stencil.  The forcing's kind fixes s
-(`ForcingKind.wall_sign`).  Because the b-equation is the conjugate of
-the a-equation when b = conj(a), `run_model` integrates and stores a
-alone for states in that real sector.  `run_model` takes its step count
-from `core._step_count` and steps RK4 through the loop `core._integrate`
-that the direct solvers share, with a runaway bound of 1e6 on |a| and |b|.
+kernel, its step rules and `subgrid` read.  The model itself is written
+once, in `_LatticeKernel`: the wall is a ghost neighbour -s b_1 and the
+wall row's cubic weight, so interior and wall rows share one slice-based
+stencil.  The forcing's kind fixes s (`ForcingKind.wall_sign`).  Because
+the b-equation is the conjugate of the a-equation when b = conj(a),
+`run_model` integrates and stores a alone for states in that real sector.
+`run_model` takes its step count from `core._step_count` and steps RK4
+through the loop `core._integrate` that the direct solvers share, with a
+runaway bound of 1e6 on |a| and |b|.
 
-A kernel holds its working arrays for the run: the padded row, a scratch
-row and the conjugate partner from the start, and the four RK4 stages and
-the stage state from the first step, sized for an (N,) or a (2, N) state.
-Every operation writes into them through a ufunc's out argument and keeps
-the operands and order of the allocating expression, so the results are
-the same bit for bit; each step returns a fresh state.
+A kernel is built for one run, with the state's shape, (N,) or (2, N),
+and the step fixed.  It has one routine per term of the model, each
+working on a whole state: the linear stencil, the cubic (w (x x)) y with
+one partner rule y, and the wall drives, read on one schedule of stage
+times.  It holds its working arrays for the run, and every operation
+writes into them through a ufunc's out argument, keeping the operands and
+order of the allocating expression, so the results are the same bit for
+bit; each step returns a fresh state.
 
-On small lattices that stencil step costs its ~65 numpy calls, 25-50 us
-whatever N is.  So `run_model` steps a state of at most 64 floats
-(N <= 32 in the real sector, N <= 16 in the general one) with stage
-matrices instead (`_StageRK4`): with the model written x' = M x + F(x, t)
-on the state's float view, M the real-linear stencil and F the cubic and
-the wall drives, every RK4 stage state is one precomputed matrix times
-[drives, x, F_1, ...], so a step is four cubic evaluations and four
-matmuls, about 22 calls.  M and the drive patterns are probed from the
-kernel's own right-hand side on the unit vectors, so the stencil stays
-the one source of the coefficients and ghosts.  The matmuls reorder the
-stencil's sums: a stage-matrix run agrees with `rk4_step` to about 1e-15
-of max|a| per step, and is held to 1e-14.  Their cost grows as the
-square of the float count, and from 96 floats the stencil costs less;
-`rk4_step`, `model_rhs` and larger lattices keep the stencil.
+Two classical RK4 schemes step that kernel, both as step(x, t).  The
+stencil RK4, `_LatticeKernel.rk4`, costs some 65 numpy calls a step,
+25-50 us whatever N is.  So `run_model` steps a state of at most 64
+floats (N <= 32 in the real sector, N <= 16 in the general one) with
+stage matrices instead (`_StageRK4`): with the model written x' = M x +
+P d(t) - C(x) on the state's float view, M the kernel's linear part, P
+its drive patterns and C its cubic, every RK4 stage state is one
+precomputed matrix times [drives, x, C_1, ...], so a step is four cubic
+evaluations and four matmuls, about 22 calls.  M and P are probed from
+the kernel's linear and drive routines on the unit vectors, without
+setting anything on it, so the kernel stays the one source of the
+coefficients and ghosts.  The matmuls reorder the stencil's sums: a
+stage-matrix run agrees with `rk4_step` to about 1e-15 of max|a| per
+step, and is held to 1e-14.  Their cost grows as the square of the float
+count: at 64 floats they cost 21-49% less than the stencil, at 96 floats
+10-31% less.  The cutoff stays at 64 floats, so that no run moves to
+the other scheme's rounding; `rk4_step`, `model_rhs` and larger lattices
+keep the stencil.
 """
 
 from __future__ import annotations
@@ -82,7 +88,7 @@ from .core import (
 _BLOWUP = 1e6
 # Stage matrices step a state of at most this many floats (N <= 32 in the
 # real sector, N <= 16 in the general one); their matmuls grow as the
-# square of it, and from 96 floats the stencil's calls cost less.
+# square of it (see the module docstring for where they cost less).
 _STAGE_FLOATS = 64
 # RK4's stability limit on the negative real axis, and the share of it a
 # derived step takes (_derived_dt)
@@ -130,48 +136,55 @@ class _Coefficients:
 
 
 class _LatticeKernel:
-    """Right-hand side and RK4 step of one lattice, with its coefficients
-    and working arrays made once per run.
+    """The lattice model of one run: its right-hand side and stencil RK4
+    step, with the state's shape, the step dt and the working arrays fixed
+    at construction.
 
-    With partner y (b for a, a for b) an amplitude row x evolves by
-    dx_j/dt = r x_j + c (x_{j+1} - 2 x_j + x_{j-1}) - w_j x_j^2 y_j, less
-    the wall drives at the ends, with c, w and the drive from
-    `_Coefficients`.  Neighbours come from a ghost-padded buffer: the
+    With partner y (`partner`: conj(a) in the real sector, (b, a)
+    otherwise) a state x evolves by dx_j/dt = r x_j + c (x_{j+1} - 2 x_j +
+    x_{j-1}) - w_j x_j^2 y_j, less the wall drives at the ends, with c, w
+    and the drive from `_Coefficients`.  Each term has one routine, on a
+    whole state: `linear`, the stencil on a ghost-padded buffer (the
     periodic wrap, or -s y at a wall, where the cubic weight w is the wall
-    row's.  The b-equation conjugates the drive phases.
+    row's); `cubic`, (w (x x)) y; and `drive`, the wall drives, whose
+    phases the b-row conjugates.  `stage_drives` is the one drive schedule
+    of both RK4 paths, `rk4` and `_StageRK4`.
     """
 
-    def __init__(self, params: ModelParams, forcing: BoundaryForcing):
+    def __init__(self, params: ModelParams, forcing: BoundaryForcing, shape: tuple,
+                 dt: float = 0.0):
         n, r, coef = params.n_elements, params.r, _Coefficients(params)
         # 0-d arrays scale a short array faster than Python scalars do,
         # with the same complex arithmetic
         self.r, self.c, self.two = (np.array(v, dtype=complex) for v in (r, coef.coupling, 2.0))
+        self.steps = tuple(np.array(v, dtype=complex) for v in (dt / 2, dt, dt / 6))
+        self.shape, self.floats, self.dt = shape, 2 * math.prod(shape), dt
         self.sign = sign = forcing.kind.wall_sign
-        self.forcing, self.drive, self.dt, self.shape = forcing, coef.drive, None, None
-        self.pad, self.scratch, self.partner = (np.empty(k, dtype=complex)
-                                                for k in (n + 2, n, n))
-        self.mid, self.up, self.down = self.pad[1:-1], self.pad[2:], self.pad[:-2]
-        # ghosts (0, N+1) take x at (N-1, 0) to wrap, or -s y at (0, N-1)
+        self.forcing, self.drive_coef, self.t_end = forcing, coef.drive, None
+        self.pad = np.empty(shape[:-1] + (n + 2,), dtype=complex)
+        self.scratch, self.conj, self.k1, self.k2, self.k3, self.k4, self.stage = np.empty(
+            (7,) + shape, dtype=complex)
+        self.mid, self.up, self.down = self.pad[..., 1:-1], self.pad[..., 2:], self.pad[..., :-2]
+        # ghosts (0, N+1) take x at (N-1, 0) to wrap, or -s y at the ends (0, N-1)
         step = n - 1
-        self.ghosts, self.source = self.pad[::n + 1], slice(None, None, step if sign else -step)
+        self.ends, self.ghosts = (..., slice(None, None, step)), self.pad[..., ::n + 1]
+        self.source = self.ends if sign else (..., slice(None, None, -step))
         self.ghost_factor = np.array(-sign if sign else 1.0, dtype=complex)
-        self.cubic = np.full(n, coef.cubic, dtype=complex)
+        self.w = np.full(n, coef.cubic, dtype=complex)
         if sign:
-            self.cubic[::step], self.phase = coef.wall_cubic, sign * (1.0 - 1.0j)
+            self.w[::step] = coef.wall_cubic
+        # the a-row's (left, right) drive phases; the b-row's are conjugate
+        phase = sign * (1.0 - 1.0j)
+        row = [phase, phase.conjugate()]
+        self.phases = np.array(row if len(shape) == 1 else [row, row[::-1]])
 
-    def drives(self, t: float) -> Optional[list[float]]:
-        """Left and right wall drives, the drive coefficient times alpha +
-        beta, at time t; None without walls."""
-        if not self.sign:
-            return None
-        (al, bl), (ar, br) = self.forcing.signals(t)
-        return [self.drive * (al + bl), self.drive * (ar + br)]
+    def partner(self, x: np.ndarray) -> np.ndarray:
+        """y of the state x: conj(a) in the real sector, (b, a) otherwise."""
+        return np.conjugate(x, self.conj) if x.ndim == 1 else x[::-1]
 
-    def __call__(self, x: np.ndarray, y: np.ndarray, out: np.ndarray, drives=None,
-                 conj: bool = False) -> np.ndarray:
-        """Write dx/dt given the partner y into out; conj selects the
-        b-equation's phases.  out is r x + c((up - 2x) + down) - (w (x x)) y,
-        each operation in that order, with s the scratch row."""
+    def linear(self, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write r x + c((up - 2x) + down) into out, each operation in that
+        order, the wall ghosts taken from the partner y."""
         s = self.scratch
         self.mid[...] = x
         np.multiply((y if self.sign else x)[self.source], self.ghost_factor, self.ghosts)
@@ -180,41 +193,54 @@ class _LatticeKernel:
         np.add(s, self.down, s)
         np.multiply(self.c, s, s)
         np.multiply(self.r, x, out)
-        np.add(out, s, out)
-        np.multiply(x, x, s)
-        np.multiply(self.cubic, s, s)
-        np.multiply(s, y, s)
-        np.subtract(out, s, out)
+        return np.add(out, s, out)
+
+    def cubic(self, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the cubic term (w (x x)) y into out, y the partner of x."""
+        np.multiply(x, x, out)
+        np.multiply(self.w, out, out)
+        return np.multiply(out, y, out)
+
+    def drive(self, out: np.ndarray, drives) -> np.ndarray:
+        """Subtract the wall drives' terms from the end rows of out; none
+        when drives is None."""
         if drives is not None:
-            phase = self.phase.conjugate() if conj else self.phase
-            out[0] -= phase * drives[0]
-            out[-1] -= phase.conjugate() * drives[1]
+            ends = out[self.ends]
+            np.subtract(ends, self.phases * drives, ends)
         return out
+
+    def drives(self, t: float) -> Optional[list[float]]:
+        """Left and right wall drives, the drive coefficient times alpha +
+        beta, at time t; None without walls."""
+        if not self.sign:
+            return None
+        (al, bl), (ar, br) = self.forcing.signals(t)
+        return [self.drive_coef * (al + bl), self.drive_coef * (ar + br)]
+
+    def stage_drives(self, t: float) -> tuple:
+        """The drives at a step's stage times t, t + dt/2 and t + dt.  A step
+        that starts where the last one ended reuses its end drives, so k
+        steps read the signals 2k + 1 times."""
+        start = self.end if t == self.t_end else self.drives(t)
+        self.t_end, mid = t + self.dt, self.drives(t + self.dt / 2)
+        self.end = self.drives(self.t_end)
+        return start, mid, self.end
 
     def rhs(self, x: np.ndarray, drives, out: np.ndarray) -> np.ndarray:
         """Write the derivative of x = a in the real sector, or of
-        x = (a, b), into out."""
-        if x.ndim == 1:
-            return self(x, np.conjugate(x, self.partner), out, drives)
-        self(x[0], x[1], out[0], drives)
-        self(x[1], x[0], out[1], drives, True)
-        return out
+        x = (a, b), into out: linear, less cubic, less drives."""
+        y = self.partner(x)
+        np.subtract(self.linear(x, y, out), self.cubic(x, y, self.scratch), out)
+        return self.drive(out, drives)
 
-    def rk4(self, t: float, x: np.ndarray, dt: float) -> np.ndarray:
-        """One classical RK4 step, with the drives at the stage times.  The
-        stages live in buffers sized by the first call; only the returned
-        state x + sixth(((k1 + 2 k2) + 2 k3) + k4) is a fresh array."""
-        if dt != self.dt:
-            self.dt = dt
-            self.steps = tuple(np.array(v, dtype=complex) for v in (dt / 2, dt, dt / 6))
-        if x.shape != self.shape:
-            self.shape = x.shape
-            self.k1, self.k2, self.k3, self.k4, self.stage = (
-                np.empty(x.shape, dtype=complex) for _ in range(5))
+    def rk4(self, x: np.ndarray, t: float) -> np.ndarray:
+        """One classical RK4 step of dt from time t, the drives at the stage
+        times.  Only the returned state x + sixth(((k1 + 2 k2) + 2 k3) + k4)
+        is a fresh array."""
         half, full, sixth = self.steps
         k1, k2, k3, k4, stage, two = self.k1, self.k2, self.k3, self.k4, self.stage, self.two
-        mid = self.drives(t + dt / 2)
-        self.rhs(x, self.drives(t), k1)
+        start, mid, end = self.stage_drives(t)
+        self.rhs(x, start, k1)
         np.multiply(half, k1, stage)
         np.add(x, stage, stage)
         self.rhs(stage, mid, k2)
@@ -223,7 +249,7 @@ class _LatticeKernel:
         self.rhs(stage, mid, k3)
         np.multiply(full, k3, stage)
         np.add(x, stage, stage)
-        self.rhs(stage, self.drives(t + dt), k4)
+        self.rhs(stage, end, k4)
         np.multiply(two, k2, k2)
         np.add(k1, k2, k1)
         np.multiply(two, k3, k3)
@@ -234,39 +260,35 @@ class _LatticeKernel:
 
 
 class _StageRK4:
-    """Classical RK4 of a small lattice as four matrix products per step.
+    """Classical RK4 of a small lattice as four matrix products per step,
+    over the same kernel as the stencil RK4.
 
-    The model is x' = M x + F(x, t) on the float view of the state, with M
-    the real-linear stencil (r, coupling, wall ghosts) and F the cubic
-    term plus the wall drives.  Each RK4 stage state is then s_i = A_i x +
-    sum_{j<i} B_ij F_j with F_j = F(s_j, t_j), and the new state
-    A_5 x + sum_j B_5j F_j.  The drives enter F_j as P d(t_j), P the two
-    drive patterns, so the maps take z = [d(t), d(t + dt/2), d(t + dt),
-    x, C_1 .. C_4] with C_j the cubic term of s_j; stage i reads the first
-    6 + i L floats of z (L floats per state).  M and P are probed from the
-    kernel's own right-hand side, cubic weight zeroed, on the unit
-    vectors, so the stencil stays the one definition of the
-    coefficients and ghosts.
+    The model is x' = M x + P d(t) - C(x) on the float view of the state,
+    with M the kernel's `linear` part (r, coupling, wall ghosts), P its two
+    drive patterns and C its `cubic` term.  Each RK4 stage state is then
+    s_i = A_i x + sum_{j<i} B_ij (P d(t_j) - C_j), C_j = C(s_j), and the new
+    state A_5 x + sum_j B_5j (P d(t_j) - C_j).  So the maps take z = [d(t),
+    d(t + dt/2), d(t + dt), x, C_1 .. C_4], the drives from the kernel's
+    `stage_drives`; stage i reads the first 6 + i L floats of z (L floats
+    per state).  M and P are probed from `linear` and `drive` on the unit
+    vectors, which reads the kernel and sets nothing on it, so the kernel
+    stays the one definition of the coefficients and ghosts.
     """
 
-    def __init__(self, kernel: _LatticeKernel, shape: tuple, dt: float):
-        self.drives, self.walls, self.dt, self.shape = kernel.drives, bool(kernel.sign), dt, shape
-        self.t_end = self.end = None
-        size = 2 * int(np.prod(shape))
-        out = np.empty(shape, dtype=complex)
-        # [M | P] column by column: the kernel with its cubic weight zeroed,
-        # on each unit vector without drives, then on zero with each drive
+    def __init__(self, kernel: _LatticeKernel):
+        self.kernel, self.walls, shape, dt = kernel, bool(kernel.sign), kernel.shape, kernel.dt
+        size = kernel.floats
+        # [M | P] column by column: the linear part on each unit vector,
+        # then each drive alone on a zero state
         probe = np.zeros((size, size + 2))
-        columns = [(e.view(complex).reshape(shape), None) for e in np.eye(size)]
-        if self.walls:
-            columns += [(np.zeros(shape, dtype=complex), d) for d in ([1.0, 0.0], [0.0, 1.0])]
-        weights, kernel.cubic = kernel.cubic, np.zeros_like(kernel.cubic)
-        for k, (x, d) in enumerate(columns):
-            probe[:, k] = kernel.rhs(x, d, out).view(float).ravel()
-        kernel.cubic, self.w = weights, -weights
+        for k, e in enumerate(np.eye(size)):
+            x = e.view(complex).reshape(shape)
+            probe[:, k] = kernel.linear(x, kernel.partner(x), np.empty_like(x)).view(float).ravel()
+        for k, d in enumerate(([1.0, 0.0], [0.0, 1.0]), size):
+            probe[:, k] = kernel.drive(np.zeros(shape, dtype=complex), d).view(float).ravel()
         m, p = probe[:, :size], probe[:, size:]
-        # the maps on the blocks of [x, F_1 .. F_4], built by RK4's own
-        # recurrence: s_1 = x, k_j = M s_j + F_j, s_{j+1} = x + c_j dt k_j
+        # the maps on the blocks of [x, F_1 .. F_4], F_j = P d(t_j) - C_j, built
+        # by RK4's own recurrence: s_1 = x, k_j = M s_j + F_j, s_{j+1} = x + c_j dt k_j
         blocks = np.eye(5 * size).reshape(5, size, 5 * size)
         stages, slopes = [blocks[0]], []
         for j, frac in enumerate((dt / 2, dt / 2, dt, None), 1):
@@ -279,53 +301,41 @@ class _StageRK4:
         for i, g in enumerate(stages[1:], 2):
             f = g[:, size:].reshape(size, 4, size)   # F_1 .. F_4 take P d(t_j)
             drive = (f[:, 0] @ p, (f[:, 1] + f[:, 2]) @ p, f[:, 3] @ p)
-            self.maps.append(np.hstack((*drive, g[:, :i * size])))
+            self.maps.append(np.hstack((*drive, g[:, :size], -g[:, size:i * size])))
         self.z = z = np.zeros(6 + 5 * size)
         self.inputs = [z[:6 + i * size] for i in range(2, 5)]
         self.x, *self.cubics = (z[6 + j * size:6 + (j + 1) * size].view(complex).reshape(shape)
                                 for j in range(5))
         self.s = np.empty((3, size))
         self.states = [s.view(complex).reshape(shape) for s in self.s]
-        self.partner = np.empty(shape, dtype=complex)
-
-    def cubic(self, x: np.ndarray, out: np.ndarray) -> None:
-        """Write -(w (x x)) y into out, y the partner of x."""
-        np.multiply(x, x, out)
-        np.multiply(self.w, out, out)
-        np.multiply(out, np.conjugate(x, self.partner) if x.ndim == 1 else x[::-1], out)
 
     def __call__(self, x: np.ndarray, t: float) -> np.ndarray:
-        """One step from time t; only the returned state is a fresh array.
-        A step that starts where the last one ended reuses its end drives."""
-        z = self.z
+        """One step from time t; only the returned state is a fresh array."""
+        z, kernel = self.z, self.kernel
         if self.walls:
-            start = self.end if t == self.t_end else self.drives(t)
-            self.t_end = t + self.dt
-            self.end = self.drives(self.t_end)
-            z[:6] = start + self.drives(t + self.dt / 2) + self.end
+            start, mid, end = kernel.stage_drives(t)
+            z[:6] = start + mid + end
         self.x[...] = x
-        self.cubic(x, self.cubics[0])
+        kernel.cubic(x, kernel.partner(x), self.cubics[0])
         for g, z_i, s, state, c in zip(self.maps, self.inputs, self.s, self.states,
                                        self.cubics[1:]):
             np.matmul(g, z_i, out=s)
-            self.cubic(state, c)
-        return (self.maps[3] @ z).view(complex).reshape(self.shape)
+            kernel.cubic(state, kernel.partner(state), c)
+        return (self.maps[3] @ z).view(complex).reshape(kernel.shape)
 
 
-def _stepper(kernel: _LatticeKernel, x: np.ndarray, dt: float):
+def _stepper(kernel: _LatticeKernel):
     """run_model's step (x, t) -> x: stage matrices while the state has at
     most _STAGE_FLOATS floats, else the kernel's stencil RK4."""
-    if 2 * x.size <= _STAGE_FLOATS:
-        return _StageRK4(kernel, x.shape, dt)
-    return lambda x, t: kernel.rk4(t, x, dt)
+    return _StageRK4(kernel) if kernel.floats <= _STAGE_FLOATS else kernel.rk4
 
 
-def _kernel(state: AmplitudeState, params: ModelParams,
-            forcing: BoundaryForcing) -> _LatticeKernel:
+def _kernel(state: AmplitudeState, params: ModelParams, forcing: BoundaryForcing,
+            shape: tuple, dt: float = 0.0) -> _LatticeKernel:
     if state.n != params.n_elements:
         raise ValueError(
             f"state has {state.n} elements but params expect {params.n_elements}")
-    return _LatticeKernel(params, forcing)
+    return _LatticeKernel(params, forcing, shape, dt)
 
 
 def model_rhs(state: AmplitudeState, params: ModelParams,
@@ -337,9 +347,9 @@ def model_rhs(state: AmplitudeState, params: ModelParams,
     j = 2 element needs no special treatment).  Each wall takes its own
     signals from the forcing (`BoundaryForcing.signals`).
     """
-    kernel = _kernel(state, params, forcing)
-    return tuple(kernel.rhs(np.array((state.a, state.b)), kernel.drives(state.t),
-                            np.empty((2, state.n), dtype=complex)))
+    x = np.array((state.a, state.b))
+    kernel = _kernel(state, params, forcing, x.shape)
+    return tuple(kernel.rhs(x, kernel.drives(state.t), np.empty_like(x)))
 
 
 def gle_rhs(a: np.ndarray, r: float, c: float, d: float, h: float) -> np.ndarray:
@@ -378,7 +388,13 @@ def _derived_dt(params: ModelParams, a0: np.ndarray) -> float:
     (`_Coefficients`), so 3 w A^2 = max(3 w max|a0|^2, 3 max(r, 0)).  No
     |a_j| passes A: at the element of largest |a_j| the coupling cannot
     raise it, so d|a_j|^2/dt <= 2 |a_j|^2 (r - w |a_j|^2).  inf when rho is
-    0, where the right-hand side is zero."""
+    0, where the right-hand side is zero.
+
+    The step bounds stability, not accuracy: a start that decays fast is
+    stepped coarsely.  From a0 = full(2, sqrt(4/3)) at r = -4, g = 0, p = 1
+    it is 0.348.  A run to t = 7 at 0.175, the step `compare` takes there
+    (its 40 samples cap it), sits 1.25e-3 of its peak |a| off a
+    quarter-step run; at 0.348 it sits 3.6e-2 off."""
     coef = _Coefficients(params)
     rho = coef.bound + max(3.0 * coef.cubic * float(np.max(np.abs(a0))) ** 2,
                            3.0 * max(params.r, 0.0))
@@ -399,8 +415,8 @@ def rk4_step(state: AmplitudeState, params: ModelParams,
     slowly varying signals (the model itself is only valid in that regime).
     """
     _check_dt(dt, params)
-    kernel = _kernel(state, params, forcing)
-    a, b = kernel.rk4(state.t, np.array((state.a, state.b)), dt)
+    x = np.array((state.a, state.b))
+    a, b = _kernel(state, params, forcing, x.shape, dt).rk4(x, state.t)
     return AmplitudeState(state.t + dt, a, b)
 
 
@@ -452,9 +468,9 @@ def run_model(state: AmplitudeState, params: ModelParams,
     sample_stride = min(sample_stride, n_steps)   # a longer stride keeps the ends alone
     dt_eff = span / n_steps
     _check_dt(dt_eff, params)
-    kernel = _kernel(state, params, forcing)
     real = bool(np.array_equal(state.b, np.conj(state.a)))
     x = state.a if real else np.array((state.a, state.b))
+    kernel = _kernel(state, params, forcing, x.shape, dt_eff)
 
     count = -(-n_steps // sample_stride) + 1   # steps 0, stride, 2 stride, ..., and the last
     times = np.full(count, state.t, dtype=float)   # record writes the loop's times after 0
@@ -467,6 +483,6 @@ def run_model(state: AmplitudeState, params: ModelParams,
             k = -(-i // sample_stride)
             times[k], samples[:, k] = t, xi
 
-    _integrate("lattice model", _stepper(kernel, x, dt_eff), x, state.t, dt_eff, n_steps,
+    _integrate("lattice model", _stepper(kernel), x, state.t, dt_eff, n_steps,
                record, _BLOWUP)
     return Trajectory(times, *samples)   # (a,) in the real sector, else (a, b)

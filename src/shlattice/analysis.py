@@ -92,7 +92,11 @@ class CompareConfig:
     principle of the lattice; see `amplitude_model._derived_dt`).
 
     The model's step is `amplitude_model._derived_dt`, 0.5 * 2.785 / rho;
-    criterion 4's rungs step at 2.08, 2.5 and 3.125.
+    criterion 4's rungs step at 2.08, 2.5 and 3.125.  It is a stability
+    bound, not an accuracy one: from an explicit a0 that decays fast,
+    a0 = full(2, sqrt(4/3)) at r = -4, gamma = 0 and t_end = 7, the model
+    sits 1.25e-3 of its peak |a| off a quarter-step run.  compare's own
+    start does not decay so (it is zero for r <= 0).
 
     The oracle's step is min(1, S L / 3 U^2), with U = 2 A the bound on the
     seeded field, L = 4.9 the limit on 3 U^2 dt within which ETDRK4 stays

@@ -151,15 +151,15 @@ class ModelParams:
     def __post_init__(self):
         if not math.isfinite(self.r):
             raise ValueError(f"r must be finite, got {self.r}")
-        if int(self.p) != self.p or self.p < 1:
+        if not math.isfinite(self.p) or int(self.p) != self.p or self.p < 1:
             raise ValueError(f"p must be a positive integer, got {self.p}")
         n, m = self.n_elements, self.m_samples
-        if int(n) != n or n < 2:
+        if not math.isfinite(n) or int(n) != n or n < 2:
             raise ValueError(
                 f"n_elements must be at least 2 (stencils need a neighbour), got {n}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if int(m) != m or m < 16 or (int(m) & (int(m) - 1)) != 0:
+        if not math.isfinite(m) or int(m) != m or m < 16 or (int(m) & (int(m) - 1)) != 0:
             raise ValueError(f"m_samples must be a power of two >= 16, got {m}")
         for name, kind in (("r", float), ("gamma", float), ("p", int), ("n_elements", int),
                            ("m_samples", int)):

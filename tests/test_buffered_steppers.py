@@ -22,7 +22,7 @@ from shlattice import (
     rk4_step,
     run_model,
 )
-from shlattice.amplitude_model import _STAGE_FLOATS, _LatticeKernel, _kernel
+from shlattice.amplitude_model import _STAGE_FLOATS, _LatticeKernel, _StageRK4, _kernel
 
 FORCINGS = {
     "periodic": BoundaryForcing.periodic(),
@@ -183,17 +183,40 @@ def test_the_cutoff_picks_the_path(monkeypatch, sector, n, stencil):
     assert len(calls) == (5 if stencil else 0)
 
 
-def test_stage_steps_reuse_the_end_drives():
-    # a step starting where the last ended reuses its drives: signals at
-    # the start once, then at the midpoint and end of each step
+@pytest.mark.parametrize("kind", ["periodic", "even", "odd"])
+def test_stage_matrices_probe_the_kernel_without_setting_it(kind):
+    # M and P are read off the kernel's linear and drive routines: building
+    # the stage matrices sets no attribute of the kernel, not even for a
+    # while, and leaves its cubic weights as they were
+    sets = []
+
+    class Watched(_LatticeKernel):
+        def __setattr__(self, name, value):
+            sets.append(name)
+            super().__setattr__(name, value)
+
+    state = state_for(4, "full")
+    params = make_params(r=0.05, gamma=0.8, p=1, n_elements=4, m_samples=16)
+    kernel = _kernel(state, params, FORCINGS[kind], (2, 4), 0.05)
+    weights = kernel.w.copy()
+    kernel.__class__ = Watched
+    _StageRK4(kernel)
+    assert sets == [] and np.array_equal(kernel.w, weights)
+
+
+@pytest.mark.parametrize("n", [4, 33], ids=["stage", "stencil"])
+def test_stage_steps_reuse_the_end_drives(n):
+    # on either path (stage matrices at N = 4, the stencil at N = 33), a
+    # step starting where the last ended reuses its drives: signals at the
+    # start once, then at the midpoint and end of each step
     calls = []
 
     def alpha(t):
         calls.append(t)
         return 0.02 * math.cos(0.3 * t)
 
-    params = make_params(r=0.05, gamma=1.0, p=1, n_elements=4, m_samples=16)
-    run_model(state_for(4, "real"), params, BoundaryForcing.even_given(alpha, 0.01, p=1),
+    params = make_params(r=0.05, gamma=1.0, p=1, n_elements=n, m_samples=16)
+    run_model(state_for(n, "real"), params, BoundaryForcing.even_given(alpha, 0.01, p=1),
               0.3 + 40 * 0.05, 0.05)
     assert len(calls) == 2 * 40 + 1
 
@@ -253,14 +276,14 @@ def test_consecutive_rk4_results_are_not_overwritten():
     for sector in ("real", "full"):
         state = state_for(16, sector)
         params = make_params(r=0.05, gamma=1.0, p=1, n_elements=16, m_samples=16)
-        kernel = _kernel(state, params, FORCINGS["even"])
         x0 = state.a.copy() if sector == "real" else np.array((state.a, state.b))
+        kernel = _kernel(state, params, FORCINGS["even"], x0.shape, 0.05)
         start = x0.copy()
-        x1 = kernel.rk4(0.0, x0, 0.05)
+        x1 = kernel.rk4(x0, 0.0)
         first = x1.copy()
-        x2 = kernel.rk4(0.05, x1, 0.05)
+        x2 = kernel.rk4(x1, 0.05)
         second = x2.copy()
-        kernel.rk4(0.1, x2, 0.05)
+        kernel.rk4(x2, 0.1)
         assert np.array_equal(x0, start)
         assert np.array_equal(x1, first) and np.array_equal(x2, second)
 
@@ -285,9 +308,9 @@ def test_warm_rk4_step_allocates_at_most_two_states(sector):
     # allocating stages took 8.0 in the real sector, 7.0 in the full one)
     state = state_for(4096, sector)
     params = make_params(r=0.05, gamma=1.0, p=1, n_elements=4096, m_samples=16)
-    kernel = _kernel(state, params, FORCINGS["periodic"])
     x = state.a if sector == "real" else np.array((state.a, state.b))
-    assert allocated(lambda: kernel.rk4(0.0, x, 0.05)) <= 2 * x.nbytes
+    kernel = _kernel(state, params, FORCINGS["periodic"], x.shape, 0.05)
+    assert allocated(lambda: kernel.rk4(x, 0.0)) <= 2 * x.nbytes
 
 
 def test_warm_etdrk4_step_allocates_at_most_two_and_a_half_states():

@@ -66,6 +66,10 @@ class TestMakeParams:
         ({"r": float("nan")}, "r must be finite"),
         ({"p": 1.5}, "p must be a positive integer"),
         ({"n_elements": 1}, "n_elements must be at least 2"),
+        ({"p": math.inf}, "p must be a positive integer"),
+        ({"p": math.nan}, "p must be a positive integer"),
+        ({"n_elements": math.inf}, "n_elements must be at least 2"),
+        ({"m_samples": math.inf}, "m_samples must be a power of two"),
     ])
     def test_replace_is_checked(self, change, message):
         with pytest.raises(ValueError, match=message):

@@ -193,6 +193,21 @@ class TestPocketfftTransforms:
         assert np.array_equal(stepper.run(v, 20), expected)
 
 
+def test_nonlinear_keeps_the_lower_two_thirds_of_the_modes():
+    # the two-thirds rule at n = 64: u = cos 7x + cos 8x cubes into modes
+    # up to 24, and every mode above 64 // 3 = 21 is zeroed, while modes up
+    # to 21, with 21 = 7 + 7 + 7 among them, keep rfft(-u^3)
+    n = 64
+    x = 2.0 * np.pi * np.arange(n) / n
+    u = np.cos(7 * x) + np.cos(8 * x)
+    stepper = SpectralStepper(n, 2.0 * np.pi, 0.1, 0.05)
+    got = stepper.nonlinear(np.fft.rfft(u), np.empty(n // 2 + 1, dtype=complex))
+    full = np.fft.rfft(-u ** 3)
+    assert np.all(np.abs(full[21:25]) > 1.0)   # the cube reaches both sides of the cut
+    assert np.all(got[n // 3 + 1:] == 0.0)
+    assert np.max(np.abs(got[:n // 3 + 1] - full[:n // 3 + 1])) <= 1e-12
+
+
 class TestMeasureGrowthRate:
     def test_at_critical_wavenumber(self):
         params = params_for(r=0.1, n=8, m=32)

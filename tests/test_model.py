@@ -338,7 +338,7 @@ class TestIntegration:
         # run_model's docstring: the times are sums of span/n, within
         # (n + 2) eps max(|t0|, |t_end|) of t_end but not on it.  The step
         # is an identity, since the clock is what is measured
-        monkeypatch.setattr(amplitude_model, "_stepper", lambda kernel, x, dt: lambda x, t: x)
+        monkeypatch.setattr(amplitude_model, "_stepper", lambda kernel: lambda x, t: x)
         traj = run_model(random_state(2, conjugate=True), params_for(r=0.05, n=2),
                          BoundaryForcing.periodic(), 2e4, 0.1, sample_stride=10 ** 9)
         assert traj.times[-1] == 19999.999999989453

@@ -47,7 +47,7 @@ def stored_reference(state, params, forcing, t_end, dt, stride):
     times = np.cumsum(np.r_[state.t, np.full(n_steps, dt_eff)])
     real = np.array_equal(state.b, np.conj(state.a))
     x = state.a if real else np.array((state.a, state.b))
-    step = _stepper(_kernel(state, params, forcing), x, dt_eff)
+    step = _stepper(_kernel(state, params, forcing, x.shape, dt_eff))
     rows = [x]
     for i in range(1, n_steps + 1):
         x = step(x, float(times[i - 1]))
@@ -147,7 +147,7 @@ def test_long_run_sampled_at_its_ends_allocates_no_clock(monkeypatch):
     # so nothing grows with the step count (a stored clock took 1.6 MB).
     # The step is an identity, since under tracemalloc a real one costs
     # 50 us; what is measured is run_model and the loop around it.
-    monkeypatch.setattr(amplitude_model, "_stepper", lambda kernel, x, dt: lambda x, t: x)
+    monkeypatch.setattr(amplitude_model, "_stepper", lambda kernel: lambda x, t: x)
     params = make_params(r=0.05, gamma=1.0, p=1, n_elements=2, m_samples=16)
     state = state_for(2, "real", t=0.0)
     traj, peak = traced_peak(lambda: run_model(state, params, FORCINGS["periodic"], 2e4, 0.1,

@@ -39,7 +39,8 @@ def test_same_numbers_of_the_tree_against_itself():
     header, *rows = done.stdout.splitlines()
     assert header.split() == ["entry", "result"]
     names = [row.split()[0] for row in rows]
-    assert len(names) == 62 and "ladder.slope" in names and "csv.dispersion" in names
+    assert len(names) == 64 and "ladder.slope" in names and "csv.dispersion" in names
+    assert "model.odd.real.n33" in names and "model.odd.full.n17" in names
     assert "compare.g06p2.model" in names
     assert "ladder.errors" in names and "ladder.model" in names and "compare.model" in names
     assert "ladder.oracle" in names and "model.long.times" in names

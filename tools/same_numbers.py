@@ -11,13 +11,15 @@ largest magnitude of the other tree's entry).
     python tools/same_numbers.py --against-tree DIR    # DIR's src vs this tree
     python tools/same_numbers.py --against HEAD --tiny # small sizes, a few seconds
 
-The catalogue, 62 entries: ``integrate_bounded`` on criterion 5's inputs
+The catalogue, 64 entries: ``integrate_bounded`` on criterion 5's inputs
 for both wall kinds, unforced, with constant and with time-varying
 forcing (the field and its extracted amplitudes), and criterion 5's two
 oracle phases from the unforced runs; ``integrate_spectral`` at n = 512
 and n = 4096; ``run_model`` with periodic, even and odd walls, and with
 time-varying walls at N = 2, either side of the stage-matrix cutoff in
-both sectors and N = 512, and the sample times of a long strided run;
+both sectors and N = 512, with time-varying odd walls on the stencil at
+N = 33 in the real sector and N = 17 in the general one, and the sample
+times of a long strided run;
 ``rk4_step`` and ``model_rhs``; ``lattice_field`` and
 ``extract_amplitudes`` on their own, periodic and bounded, and
 ``extract_amplitudes`` at N = 4096; ``measure_growth_rate`` at four k, at its default step and at
@@ -126,6 +128,20 @@ def catalogue(tiny: bool) -> dict[str, np.ndarray]:
     stepped = sh.rk4_step(state, params, varying, 0.05)
     out["rk4_step.a"], out["rk4_step.b"] = stepped.a, stepped.b
     out["model_rhs.da"], out["model_rhs.db"] = sh.model_rhs(state, params, varying)
+    # the stencil with time-varying odd walls, whose ghost sign and drive
+    # phases differ from the even walls': N = 33 in the real sector, and
+    # N = 17 off it (a and b stacked)
+    odd = sh.BoundaryForcing.odd_given(lambda t: 0.02 * np.cos(0.3 * t), 0.01, p=1,
+                                       right=(lambda t: 0.01 * np.sin(t), 0.03))
+    rng_odd = np.random.default_rng(13)
+    for sector, n in (("real", 33), ("full", 17)):
+        a, b = 0.1 * (rng_odd.standard_normal((2, n)) + 1j * rng_odd.standard_normal((2, n)))
+        start = (sh.conjugate_state(0.0, a) if sector == "real"
+                 else sh.AmplitudeState(0.0, a, np.conj(a) + 0.1 * b))
+        traj = sh.run_model(start, sh.make_params(r=0.1, gamma=1.0, p=1, n_elements=n,
+                                                  m_samples=16), odd, 2.0 if tiny else 20.0, 0.05)
+        out[f"model.odd.{sector}.n{n}"] = traj.a if sector == "real" else np.array(
+            (traj.a, traj.b))
 
     # the reconstruction and the extraction on their own, periodic and
     # bounded: a general state at N = 16, and a sampled field that no
