@@ -26,9 +26,10 @@ Two schemes:
 * BoundedStepper: second-order central differences on a bounded domain
   with two ghost samples per end.  Walls prescribe either (u, u_xx) or
   (u_x, u_xxx); ghost values are eliminated through the wall data.  Time
-  stepping is Crank-Nicolson on the linear operator with a Heun (explicit
-  trapezoid) treatment of the cubic, second order overall and self-starting;
-  the step obeys dt <= dx^2/2.
+  stepping is Crank-Nicolson on the linear operator with second-order
+  Adams-Bashforth on the cubic (CN/AB2; Ascher, Ruuth & Wetton, SIAM J.
+  Numer. Anal. 32, 1995), second order overall with one evaluation of the
+  cubic per step; the step obeys dt <= dx^2/2.
   The linear algebra is diagonal on a mirrored grid, as in the
   fast-transform direct solvers (Hockney, J. ACM 12, 1965; Buzbee, Golub
   & Nielson, SIAM J. Numer. Anal. 7, 1970).  With zero wall data the
@@ -42,10 +43,13 @@ Two schemes:
   m = 1 - dt/2 symbol are tabulated once, and a step's source is four
   weights times that table, derived again only when the signal values,
   or the pinned samples a step starts from, change.  The state inside
-  `run` is the mirrored spectrum v; a step costs four transforms,
-  u = irfft(v), v* = R v + (S - dt rfft(u^3))/m with
-  R = (1 + dt/2 symbol)/m, u* = irfft(v*), and v* - dt/2 rfft(u*^3 - u^3)/m,
-  through the pocketfft gufuncs as SpectralStepper calls them.  Even
+  `run` is the mirrored spectrum v; a step costs two transforms,
+  u = irfft(v) and G = dt/2 rfft(-u^3), and returns R v + S + (3 G - G')/m
+  with R = (1 + dt/2 symbol)/m, through the pocketfft gufuncs as
+  SpectralStepper calls them.  G' is the last step's G when v is the
+  array that step returned; any other v, the first of every `run`
+  included, starts afresh with G' = G, an IMEX Euler step on the cubic,
+  so no caller resets the stepper.  Even
   walls keep the pinned samples as stepper state: the first step starts
   from the field's own, and the field `run` returns holds the data at
   its end time.
@@ -355,7 +359,7 @@ def measure_growth_rate(params: ModelParams, k: float, eps0: float, T: float,
 
 
 class BoundedStepper:
-    """Crank-Nicolson/Heun stepper for a bounded grid with wall data at both
+    """Crank-Nicolson/AB2 stepper for a bounded grid with wall data at both
     ends, state held as the mirrored spectrum.
 
     The linear operator is A u + g(t): the five-point stencil of
@@ -370,7 +374,9 @@ class BoundedStepper:
     wall data, and for even walls the pinned samples through A[1, 0] and
     A[2, 0], enter as sources on four rows.  Both walls sit h/2 from an
     element centre, so both carry the parity factor (-1)^p of the
-    parameters.
+    parameters.  The cubic is Adams-Bashforth: a step carries the last
+    step's cubic term forward when its input is the array that step
+    returned, and starts afresh otherwise (see `step`).
     """
 
     def __init__(self, grid: FieldGrid, params: ModelParams,
@@ -411,11 +417,14 @@ class BoundedStepper:
         self.walls = (0.0,) * len(self.pinned)   # the pinned samples, see `run`
         self._wall_key = None   # what `_source` was derived from
         self._end = (None, None)   # the last step's end time and its signals
-        # the step's buffers: the mirrored field, two cubes and a spectrum;
+        # the step's buffers: the mirrored field, its cube and a spectrum;
         # the mirrored length 2(n - 1) is even, so rfft takes the even kernel
         self._inv_len, self._spec = 1 / (2 * (n - 1)), np.empty(n, dtype=complex)
-        self._u, self._cube, self._diff = np.empty((3, 2 * (n - 1)))
+        self._u, self._cube = np.empty((2, 2 * (n - 1)))
         self._spec_re = self._spec.view(float)
+        # the cubic terms G of the last step and of this one, and the array
+        # the last step returned, see `step`
+        self._cubic, self._last = tuple(np.empty((2, n), dtype=complex)), None
 
     def to_spectral(self, u: np.ndarray) -> np.ndarray:
         """rfft of the mirror image of u (along its last axis), the pinned
@@ -468,25 +477,26 @@ class BoundedStepper:
         return self._source
 
     def step(self, v: np.ndarray, t: float) -> np.ndarray:
-        """One step from time t of the mirrored spectrum v, four transforms:
-        u* = M^-1 (base + dt n(u)) and u_new = u* + M^-1 dt/2 (n(u*) - n(u)),
-        base = u + dt/2 (A u + g), n(u) = -u^3, M = 1 - dt/2 symbol."""
-        u, cube, diff, spec, spec_re = self._u, self._cube, self._diff, self._spec, self._spec_re
+        """One step from time t of the mirrored spectrum v, two transforms:
+        v_new = R v + S + (3 G - G_prev)/m with G = dt/2 rfft(-u^3),
+        u = irfft(v), R = (1 + dt/2 symbol)/m, m = 1 - dt/2 symbol and S
+        the wall terms of `_wall_terms`.  G_prev is the last step's G when
+        v is the very array that step returned (an identity test); any
+        other v starts afresh with G_prev = G, an IMEX Euler step on the
+        cubic."""
+        u, cube, spec, spec_re = self._u, self._cube, self._spec, self._spec_re
+        prev, g = self._cubic
         out = self._gain * v
         out += self._wall_terms(t)
         _pocketfft.irfft(v, self._inv_len, out=u)
         np.multiply(u, u, cube)
         cube *= u
-        _pocketfft.rfft_n_even(cube, -self.dt, out=spec)
+        _pocketfft.rfft_n_even(cube, -self.dt / 2.0, out=g)
+        np.multiply(g, 3.0, spec)
+        spec -= prev if v is self._last else g
         np.multiply(spec_re, self._inv_m, spec_re)
         out += spec
-        _pocketfft.irfft(out, self._inv_len, out=u)
-        np.multiply(u, u, diff)
-        diff *= u
-        diff -= cube
-        _pocketfft.rfft_n_even(diff, -self.dt / 2.0, out=spec)
-        np.multiply(spec_re, self._inv_m, spec_re)
-        out += spec
+        self._cubic, self._last = (g, prev), out
         return out
 
     def run(self, u: np.ndarray, t0: float, n_steps: int,

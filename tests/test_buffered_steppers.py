@@ -1,9 +1,10 @@
 """The lattice RK4 and the spectral ETDRK4 write their stages into held
 buffers.  These tests pin that they still compute, bit for bit, what the
 allocating expressions below compute, that no state they hand out is
-overwritten later, and how much one warm step allocates.  A `run_model`
-on a small lattice steps with stage matrices, whose sums are ordered
-differently: it is held to 1e-14 of max|a| instead."""
+overwritten later, and how much one warm step allocates, the bounded
+CN/AB2 step's included (its dense reference is in test_direct_solver).
+A `run_model` on a small lattice steps with stage matrices, whose sums
+are ordered differently: it is held to 1e-14 of max|a| instead."""
 
 import math
 import tracemalloc
@@ -15,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 from shlattice import (
     AmplitudeState,
     BoundaryForcing,
+    BoundedStepper,
+    FieldGrid,
     SpectralStepper,
     conjugate_state,
     make_params,
@@ -319,3 +322,24 @@ def test_warm_etdrk4_step_allocates_at_most_two_and_a_half_states():
     # allocating stages)
     stepper, v = spectral_start(4096)
     assert allocated(lambda: stepper.step(v)) <= 2.5 * v.nbytes
+
+
+@pytest.mark.parametrize("kind", ["even", "odd"])
+def test_warm_bounded_step_allocates_about_one_state(kind):
+    # a step continuing from the array the last one returned, under
+    # constant wall data that the pinned samples already hold: the
+    # returned state is the one fresh array (1.009 states measured at
+    # n = 4097, both kinds)
+    params = make_params(r=0.05, gamma=1.0, p=1, n_elements=64, m_samples=64)
+    grid = FieldGrid.sample(lambda x: 0.1 * np.cos(x) + 0.05 * np.sin(3 * x), params,
+                            periodic=False)
+    make = BoundaryForcing.even_given if kind == "even" else BoundaryForcing.odd_given
+    stepper = BoundedStepper(grid, params, make(0.02, 0.01, p=1), 0.4 * grid.dx ** 2)
+    grid.u[stepper.pinned] = 0.02 * params.parity_factor
+    stepper.walls = tuple(grid.u[stepper.pinned].tolist())
+    held = [stepper.to_spectral(grid.u)]
+
+    def step():
+        held[0] = stepper.step(held[0], 0.0)
+
+    assert allocated(step) <= 1.5 * held[0].nbytes

@@ -368,8 +368,8 @@ class TestOtherExperiments:
         err = capsys.readouterr().err
         assert "bounded solve diverged" in err
         assert err_lines(err) == [
-            "error: numerical divergence: bounded solve diverged at step 3, "
-            "t=0.0461538: NaN/Inf"]
+            "error: numerical divergence: bounded solve diverged at step 5, "
+            "t=0.0769231: NaN/Inf"]
 
     def test_spectral_divergence_exits_two_without_warnings(self, tmp_path, capsys):
         with warnings.catch_warnings(record=True) as caught:

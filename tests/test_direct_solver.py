@@ -461,19 +461,36 @@ class TestStepBounded:
         nb = len(out_b.u)
         assert np.max(np.abs(out_b.u - out_p.u[:nb])) <= 1e-4
 
-    def test_self_convergence(self):
+    @staticmethod
+    def convergence_order(kind, alpha, beta):
+        """log2(e1/e2) of the successive differences of integrate_bounded
+        at r = 0.2, m = 64 to t = 0.5, at dt0 = 0.25 dx^2 divided by 1, 2
+        and 4, from a seed that meets zero wall data: sin modes for even
+        walls, cos modes for odd ones."""
         params = params_for(r=0.2, n=2, m=64)
         x0 = -params.h / 2
+        wave = np.sin if kind == "even" else np.cos
         grid = FieldGrid.sample(
-            lambda x: 0.2 * np.cos(x - x0) + 0.05 * np.cos(3 * (x - x0)),
+            lambda x: 0.2 * wave(x - x0) + 0.05 * wave(3 * (x - x0)),
             params, periodic=False)
-        forcing = BoundaryForcing.odd_given(0.0, 0.0, p=1)
+        forcing = WALLS[kind](alpha, beta, p=1)
         dt0 = 0.25 * grid.dx ** 2
         sols = [integrate_bounded(grid, params, forcing, 0.5, dt0 / f).u
                 for f in (1, 2, 4)]
         e1 = np.max(np.abs(sols[0] - sols[1]))
         e2 = np.max(np.abs(sols[1] - sols[2]))
-        assert np.log2(e1 / e2) >= 1.9
+        return np.log2(e1 / e2)
+
+    def test_self_convergence(self):
+        assert self.convergence_order("odd", 0.0, 0.0) >= 1.9
+
+    @pytest.mark.parametrize("kind", ["even", "odd"])
+    def test_self_convergence_under_forced_walls(self, kind):
+        # time-varying data that start at zero, so the seed meets them
+        # (2.00 measured for both kinds, e1 = 1.95e-8 and 2.02e-8)
+        order = self.convergence_order(kind, lambda t: 0.03 * np.sin(0.7 * t),
+                                       lambda t: 0.02 * np.sin(1.3 * t))
+        assert order >= 1.9
 
     @pytest.mark.parametrize("kind", ["even", "odd"])
     def test_default_step_is_the_oracles_own(self, kind):
@@ -671,35 +688,33 @@ def close(got, ref, rtol=1e-12):
     return np.abs(np.asarray(got) - ref).max() <= rtol * np.abs(ref).max()
 
 
-def reference_step(stepper, r, u, t):
-    """One Crank-Nicolson/Heun step assembled densely from dense_operator:
-    the explicit half u + dt/2 (A u + g(t) + g(t + dt)), then two
-    np.linalg.solve calls against I - dt/2 A, each right-hand side's
-    pinned rows set to the wall data at t + dt."""
+def reference_step(stepper, r, u, t, previous=None):
+    """One Crank-Nicolson/AB2 step assembled densely from dense_operator:
+    u + dt/2 (A u + g(t) + g(t + dt) + 3 n(u) - n(previous)), n(u) = -u^3
+    off the pinned rows, solved by np.linalg.solve against I - dt/2 A with
+    the pinned rows of the right-hand side set to the wall data at t + dt.
+    With no previous field it is the IMEX Euler step, previous = u."""
     dt, parity = stepper.dt, stepper.parity
     A, g0, pinned, _ = dense_operator(stepper, r, parity, t)
     _, g1, _, walls = dense_operator(stepper, r, parity, t + dt)
-    M = np.eye(stepper.n) - dt / 2.0 * A
 
     def cubic(v):
         w = -v * v * v
         w[pinned] = 0.0
         return w
 
-    base = u + dt / 2.0 * (A @ u + g0 + g1)
-    n0 = cubic(u)
-    rhs = base + dt * n0
+    previous = u if previous is None else previous
+    rhs = u + dt / 2.0 * (A @ u + g0 + g1 + 3.0 * cubic(u) - cubic(previous))
     rhs[pinned] = walls
-    u_star = np.linalg.solve(M, rhs)
-    rhs = base + dt / 2.0 * (n0 + cubic(u_star))
-    rhs[pinned] = walls
-    return np.linalg.solve(M, rhs)
+    return np.linalg.solve(np.eye(stepper.n) - dt / 2.0 * A, rhs)
 
 
 def reference_trajectory(stepper, r, u, t0, n_steps):
-    states = []
+    """The fields after n_steps reference steps from u at t0, the first an
+    IMEX Euler step and each later one carrying the field before it."""
+    states, previous = [], None
     for i in range(n_steps):
-        u = reference_step(stepper, r, u, t0 + i * stepper.dt)
+        previous, u = u, reference_step(stepper, r, u, t0 + i * stepper.dt, previous)
         states.append(u)
     return states
 
@@ -788,6 +803,23 @@ class TestMirroredSolve:
             t += stepper.dt
             walls = [params.parity_factor * pair[0] for pair in forcing.signals(t)]
             assert u[stepper.pinned].tolist() == (walls if kind == "even" else [])
+
+    @pytest.mark.parametrize("kind", ["even", "odd"])
+    def test_a_fresh_input_takes_the_imex_euler_step(self, kind):
+        # a step whose input is not the array the last step returned starts
+        # afresh: from to_spectral(u), and from a copy of a step's output
+        params = make_params(r=0.1, gamma=1.0, p=1, n_elements=2, m_samples=32)
+        grid = lattice_field(conjugate_state(0.0, np.full(2, 0.05 + 0.03j)), params,
+                             periodic=False)
+        forcing = WALLS[kind](lambda t: 0.03 * np.cos(0.7 * t), 0.02, p=1)
+        stepper = BoundedStepper(grid, params, forcing, 0.45 * grid.dx ** 2)
+        stepper.walls = tuple(grid.u[stepper.pinned].tolist())
+        t0, dt = 0.25, stepper.dt
+        v = stepper.step(stepper.to_spectral(grid.u), t0)
+        u1 = stepper.to_physical(v)
+        assert close(u1, reference_step(stepper, params.r, grid.u, t0), 1e-11)
+        u2 = stepper.to_physical(stepper.step(v.copy(), t0 + dt))
+        assert close(u2, reference_step(stepper, params.r, u1, t0 + dt), 1e-11)
 
 
 class TestWallTermsMemo:
