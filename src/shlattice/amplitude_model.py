@@ -463,8 +463,8 @@ def run_model(state: AmplitudeState, params: ModelParams,
     """
     span = t_end - state.t
     n_steps = _step_count(span, dt)
-    if sample_stride < 1:
-        raise ValueError(f"sample_stride must be at least 1, got {sample_stride}")
+    if not isinstance(sample_stride, (int, np.integer)) or sample_stride < 1:
+        raise ValueError(f"sample_stride must be a whole number >= 1, got {sample_stride}")
     sample_stride = min(sample_stride, n_steps)   # a longer stride keeps the ends alone
     dt_eff = span / n_steps
     _check_dt(dt_eff, params)

@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (AmplitudeState, BoundaryForcing, FieldGrid, ForcingKind, ModelParams,
-                   _check_budget, _step_count)
+                   _step_count)
 from .amplitude_model import _derived_dt, run_model
 from .direct_solver import BoundedStepper, SpectralStepper, _default_dt, growth_symbol
 from .subgrid import extract_amplitudes, lattice_field
@@ -139,16 +139,6 @@ def modulated_profile(params: ModelParams, modulation: float) -> np.ndarray:
         * np.ones(params.n_elements, dtype=complex)
 
 
-def _sample_counts(t_end: float, dt: float, n_samples: int) -> tuple[int, int]:
-    """(steps, steps per sample) for n_samples equal samples, each covered
-    by whole steps of at most dt."""
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    per = _step_count(t_end, dt * n_samples)
-    _check_budget(per * n_samples, t_end, dt)
-    return per * n_samples, per
-
-
 def oracle_amplitudes(state: AmplitudeState, params: ModelParams, forcing: BoundaryForcing,
                       t_end: float, n_samples: int = 1, dt: Optional[float] = None) -> np.ndarray:
     """(n_samples + 1, N) amplitudes of the oracle that forcing.kind picks,
@@ -163,14 +153,15 @@ def oracle_amplitudes(state: AmplitudeState, params: ModelParams, forcing: Bound
     periodic = forcing.kind is ForcingKind.PERIODIC
     grid = lattice_field(state, params, periodic=periodic)
     span = t_end - state.t
-    n_steps, per = _sample_counts(span, _default_dt(grid) if dt is None else dt, n_samples)
+    per = _step_count(span, _default_dt(grid) if dt is None else dt, n_samples)
+    n_steps = per * n_samples
     out = np.empty((n_samples + 1, params.n_elements), dtype=complex)
     out[0] = extract_amplitudes(grid, params).a
 
     def amplitudes(u):
         return extract_amplitudes(FieldGrid(grid.x0, grid.dx, u, periodic), params).a
 
-    def record(i, v):
+    def record(i, v, t):
         if i % per == 0 and i < n_steps:
             out[i // per] = amplitudes(stepper.to_physical(v))
 
@@ -203,8 +194,8 @@ def _run_pair(params: ModelParams, a0: np.ndarray, t_end: float, n_samples: int,
     periodic = BoundaryForcing.periodic()
     dt_model = _derived_dt(params, state0.a) if dt_model is None else dt_model
     dt_oracle = _oracle_dt(params, state0.a) if dt_oracle is None else dt_oracle
-    m_steps, m_per = _sample_counts(t_end, dt_model, n_samples)
-    o_steps, _ = _sample_counts(t_end, dt_oracle, n_samples)
+    m_per = _step_count(t_end, dt_model, n_samples)
+    m_steps, o_steps = m_per * n_samples, _step_count(t_end, dt_oracle, n_samples) * n_samples
     oracle = oracle_amplitudes(state0, params, periodic, t_end, n_samples, dt_oracle)
     model = run_model(state0, params, periodic, t_end, t_end / m_steps, sample_stride=m_per).a
     sup_error = np.max(np.abs(model - oracle), axis=1)

@@ -12,13 +12,17 @@ A real solution field corresponds to ``b_j = conj(a_j)`` for every j.
 The lattice model and both direct solvers step through one loop,
 `_integrate`, and take their step counts from one rule, `_step_count`:
 a span is covered by n = max(1, ceil(span/dt - 1e-12)) equal steps of
-span/n, at most `_MAX_STEPS` of them.  The loop holds the start time,
-the step and the step count, and keeps the clock itself: each step
-starts at exactly the time the last one ended at (t += dt), and the
-loop hands that time to its callback, so no caller builds a clock.  The
-clock is a sum of n steps of span/n, so rounding can move its end off
-t0 + span, by at most (n + 2) eps max(|t0|, |t0 + span|), eps = 2^-52:
-a run of 200,000 steps of 0.1 ends at 19999.999999989453.  A
+span/n, at most `_MAX_STEPS` of them; a run sampled n_samples times
+takes that many whole steps per sample of span/n_samples.  Each
+integrator hands the loop its own bound step(x, t) and its caller's
+callback as they are.  The loop holds the start time, the step and the
+step count, and keeps the clock itself: each step starts at exactly the
+time the last one ended at (t += dt), and the loop hands its callback
+(i, x, t), that end time included, so no caller builds a clock; a
+callback that returns a true value ends the run with that step's state.
+The clock is a sum of n steps of span/n, so rounding can move its end
+off t0 + span, by at most (n + 2) eps max(|t0|, |t0 + span|), eps =
+2^-52: a run of 200,000 steps of 0.1 ends at 19999.999999989453.  A
 non-finite start state is bad input (ValueError); a state that turns
 non-finite, or runs past a solver's bound, is a DivergenceError that
 names the solver, the step and the time.
@@ -56,25 +60,25 @@ def _positive_dt(dt: float) -> float:
 _MAX_STEPS = 10_000_000
 
 
-def _check_budget(steps: float, span: float, dt: float) -> None:
-    if not steps <= _MAX_STEPS:
-        raise ValueError(f"a span of {span:g} at dt={dt:g} needs {steps:.4g} steps, "
-                         f"more than the budget of {_MAX_STEPS:,}")
+def _step_count(span: float, dt: float, n_samples: int = 1) -> int:
+    """Number of equal steps, each at most dt, that cover each of n_samples
+    equal parts of span exactly, so the run takes n_samples times as many;
+    more than _MAX_STEPS in all is a ValueError.
 
-
-def _step_count(span: float, dt: float) -> int:
-    """Number of equal steps, each at most dt, that cover span exactly;
-    more than _MAX_STEPS is a ValueError.
-
-    The 1e-12 slack keeps a span that is a whole number of dt up to
+    The 1e-12 slack keeps a part that is a whole number of dt up to
     rounding from taking one step more.
     """
     if not 0 < span < math.inf:
         raise ValueError(
             f"t_end must exceed the start time and be finite, got a span of {span}")
-    steps = span / _positive_dt(dt) - 1e-12
-    _check_budget(steps, span, dt)
-    return max(1, math.ceil(steps))
+    if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
+        raise ValueError(f"n_samples must be a whole number >= 1, got {n_samples}")
+    # np.ceil keeps a count past the largest float infinite, where math.ceil raises
+    per = max(1.0, np.ceil(span / (_positive_dt(dt) * n_samples) - 1e-12))
+    if not per * n_samples <= _MAX_STEPS:
+        raise ValueError(f"a span of {span:g} at dt={dt:g} needs {per * n_samples:.4g} steps, "
+                         f"more than the budget of {_MAX_STEPS:,}")
+    return int(per)
 
 
 def _within(x: np.ndarray, bound: float) -> bool:
@@ -91,7 +95,7 @@ def _within(x: np.ndarray, bound: float) -> bool:
 
 
 def _integrate(solver: str, step: Callable, x: np.ndarray, t0: float, dt: float,
-               n_steps: int, callback: Optional[Callable[[int, np.ndarray, float], None]] = None,
+               n_steps: int, callback: Optional[Callable[[int, np.ndarray, float], object]] = None,
                bound: float = _LARGEST) -> np.ndarray:
     """Take n_steps steps of dt from x at time t0, the clock advancing by
     accumulation (t += dt), so it ends within (n_steps + 2) eps max(|t0|,
@@ -100,8 +104,10 @@ def _integrate(solver: str, step: Callable, x: np.ndarray, t0: float, dt: float,
     Step i is x = step(x, t) with t the time it starts at.  After it,
     max|x| must stay within bound (NaN never does), else DivergenceError;
     then callback(i, x, t) runs if given, t the time the step ended at.
-    Overflow on the way to that check is how divergence shows, so numpy's
-    overflow and invalid-value warnings are silenced inside the loop.
+    A callback that returns a true value ends the run there, and the
+    loop returns that step's state.  Overflow on the way to the bound
+    check is how divergence shows, so numpy's overflow and invalid-value
+    warnings are silenced inside the loop.
     """
     if not np.isfinite(x).all():
         raise ValueError(f"{solver}: start state contains NaN/Inf")
@@ -113,8 +119,8 @@ def _integrate(solver: str, step: Callable, x: np.ndarray, t0: float, dt: float,
             if not _within(x, bound):
                 what = f"runaway past {bound:g}" if np.isfinite(x).all() else "NaN/Inf"
                 raise DivergenceError(f"{solver} diverged at step {i}, t={t:.6g}: {what}")
-            if callback is not None:
-                callback(i, x, t)
+            if callback is not None and callback(i, x, t):
+                break
     return x
 
 

@@ -57,14 +57,17 @@ Two schemes:
 Each oracle has its own default step, `_default_dt`: 0.05 on a periodic
 grid and 0.4 dx^2 on a bounded one, which `integrate_spectral`,
 `integrate_bounded` and `analysis.oracle_amplitudes` take when no dt is
-given.  Both steppers' `run` hand a callback the state they hold, the
-spectrum, which their `to_physical` turns into the field.
+given.
 
 Both steppers reject dt <= 0 and run through the loop `core._integrate`
-that the lattice model shares: a non-finite initial field is rejected
-(ValueError) and a field that turns non-finite while stepping raises
-DivergenceError.  `integrate_spectral`, `integrate_bounded` and
-`measure_growth_rate` take their step counts from `core._step_count`.
+that the lattice model shares, handing it their own `step(v, t)` and
+their caller's callback as they are: the callback gets (i, v, t), v the
+state the stepper holds, the spectrum, which its `to_physical` turns
+into the field, and t the loop's clock, and a true return ends the run.
+A non-finite initial field is rejected (ValueError) and a field that
+turns non-finite while stepping raises DivergenceError.
+`integrate_spectral`, `integrate_bounded` and `measure_growth_rate`
+take their step counts from `core._step_count`.
 
 Both walls sit h/2 from an element centre, so wall data carries the parity
 factor (-1)**p of the parameters: the prescribed physical values are
@@ -165,8 +168,9 @@ class SpectralStepper:
         out[self.cutoff:] = 0.0
         return out
 
-    def step(self, v: np.ndarray) -> np.ndarray:
-        """One ETDRK4 step.  The four stage nonlinear terms, two stage
+    def step(self, v: np.ndarray, t: float) -> np.ndarray:
+        """One ETDRK4 step of v; the problem is autonomous, so the start
+        time t is not read.  The four stage nonlinear terms, two stage
         states and a scratch array are buffers made by the first step and
         held until `run` returns; each operation keeps the order of the
         closed formulas, and only the returned state is a fresh array."""
@@ -199,12 +203,13 @@ class SpectralStepper:
         return out
 
     def run(self, v: np.ndarray, n_steps: int,
-            callback: Optional[Callable[[int, np.ndarray], None]] = None) -> np.ndarray:
-        """Take n_steps steps from v; callback(i, v) after step i.  The
+            callback: Optional[Callable[[int, np.ndarray, float], object]] = None) -> np.ndarray:
+        """Take n_steps steps from v on the loop's clock, which always
+        starts at 0; callback(i, v, t) after step i, t the time it ended
+        at, and a true return ends the run (`core._integrate`).  The
         step's buffers are released on return."""
         try:
-            return _integrate("spectral solve", lambda v, t: self.step(v), v, 0.0, self.dt,
-                              n_steps, None if callback is None else lambda i, v, t: callback(i, v))
+            return _integrate("spectral solve", self.step, v, 0.0, self.dt, n_steps, callback)
         finally:
             self.held = None
 
@@ -255,11 +260,6 @@ _FIT_FLOOR = 1e-30
 _FIT_SAMPLES = 10
 
 
-class _BelowFloor(Exception):
-    """Stops a growth-rate run at its first sample below _FIT_FLOOR; args[0]
-    is that sample's index."""
-
-
 def _commensurate_periods(k: float) -> tuple[int, int]:
     """Smallest q <= _MAX_PERIODS with q*k a whole number; returns (q, mode
     index q*k)."""
@@ -305,10 +305,11 @@ def measure_growth_rate(params: ModelParams, k: float, eps0: float, T: float,
     100 |u_hat_k(0)| exp(max(r, 0) t), and the fit is rejected when
     log|u_hat_k| departs from its line by more than _LINEAR_TOL.  A
     decaying mode is fitted down to _FIT_FLOOR = 1e-30 of its start: the
-    run stops at its first sample at or below that (0 among them) and the
-    samples before it are fitted, or, when fewer than _FIT_SAMPLES = 10
-    are, the fit is DivergenceError: the step is then too stiff for the
-    cubic's stages to leave the rate alone.
+    run's callback ends it at its first sample at or below that (0 among
+    them) by returning True, and the samples before it are fitted, or,
+    when fewer than _FIT_SAMPLES = 10 are, the fit is DivergenceError:
+    the step is then too stiff for the cubic's stages to leave the rate
+    alone.
     """
     if not 0.0 < eps0 < np.inf:
         raise ValueError(f"eps0 must be finite and positive, got {eps0}")
@@ -330,20 +331,18 @@ def measure_growth_rate(params: ModelParams, k: float, eps0: float, T: float,
         ceiling = 100.0 * amps[0] * np.exp(max(params.r, 0.0) * times)
     floor = _FIT_FLOOR * amps[0]
 
-    def record(i, vv):
+    def record(i, vv, t):
         amps[i] = abs(vv[mode])
         if amps[i] > ceiling[i]:
             raise DivergenceError(
                 f"spectral solve diverged at step {i}, t={times[i]:.6g}: mode {k} "
                 "reached the nonlinear regime (|u_k| > 100 |u_k(0)| exp(max(r, 0) t))")
-        if amps[i] <= floor:
-            raise _BelowFloor(i)
+        return amps[i] <= floor
 
-    kept = n_steps + 1
-    try:
-        stepper.run(v, n_steps, callback=record)
-    except _BelowFloor as stop:
-        kept = stop.args[0]
+    stepper.run(v, n_steps, callback=record)
+    # the samples past the one the run stopped at still hold amps[0], which is
+    # above the floor, so the first sample at or below it is where the run stopped
+    kept = next((i for i in range(1, n_steps + 1) if amps[i] <= floor), n_steps + 1)
     if kept < _FIT_SAMPLES:
         raise DivergenceError(
             f"growth-rate fit of mode {k} failed: |u_k| fell below {_FIT_FLOOR:g} of its "
@@ -500,18 +499,19 @@ class BoundedStepper:
         return out
 
     def run(self, u: np.ndarray, t0: float, n_steps: int,
-            callback: Optional[Callable[[int, np.ndarray], None]] = None) -> np.ndarray:
+            callback: Optional[Callable[[int, np.ndarray, float], object]] = None) -> np.ndarray:
         """Take n_steps steps from the field u at time t0 on the loop's
         clock (t += dt), so each step starts at exactly the last one's end
-        time; callback(i, v) after step i, v the
-        mirrored spectrum (`to_physical` gives its field).  The pinned
+        time; callback(i, v, t) after step i, v the mirrored spectrum
+        (`to_physical` gives its field) and t the time the step ended at,
+        and a true return ends the run (`core._integrate`).  The pinned
         samples start from u's own and end at their data; the field at the
         end is returned."""
         if not np.isfinite(u).all():
             raise ValueError("bounded solve: start state contains NaN/Inf")
         self.walls, self._wall_key, self._end = tuple(u[self.pinned].tolist()), None, (None, None)
         v = _integrate("bounded solve", self.step, self.to_spectral(u), t0, self.dt, n_steps,
-                       None if callback is None else lambda i, v, t: callback(i, v))
+                       callback)
         return self.to_physical(v)
 
 

@@ -257,6 +257,17 @@ class TestCompare:
         assert np.all(gap <= 1e-3 * np.sqrt(r / 3))
         assert np.array_equal(derived.oracle_amplitudes, fixed.oracle_amplitudes)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"dt_model": -0.1}, "dt must be positive, got -0.1"),
+        ({"dt_oracle": -0.1}, "dt must be positive, got -0.1"),
+        ({"n_samples": 2.5}, "n_samples must be a whole number >= 1, got 2.5"),
+        ({"n_samples": 0}, "n_samples must be a whole number >= 1, got 0"),
+    ])
+    def test_bad_step_or_sample_count_is_named(self, kwargs, message):
+        cfg = CompareConfig(params=params_for(r=0.1, n=4), t_end=1.0, **kwargs)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            compare_model_vs_direct(cfg)
+
     @pytest.mark.parametrize("ladder", [(), (0.1,), (0.1, 0.1), [0.05, 0.05, 0.05]])
     def test_ladder_needs_two_distinct_rungs(self, monkeypatch, ladder):
         def no_run(*args, **kwargs):
@@ -346,7 +357,7 @@ class TestOracleAmplitudes:
         stepper = SpectralStepper(len(grid.u), grid.length, params.r, 1.0 / 20)
         fields = [grid.u]
         stepper.run(stepper.to_spectral(grid.u), 20,
-                    callback=lambda i, v: fields.append(stepper.to_physical(v)))
+                    callback=lambda i, v, t: fields.append(stepper.to_physical(v)))
         rows = [extract_amplitudes(FieldGrid(grid.x0, grid.dx, u, True), params).a
                 for u in fields[::5]]
         assert got.shape == (5, 4) and got.tobytes() == np.array(rows).tobytes()
@@ -377,7 +388,7 @@ class TestOracleAmplitudes:
         stepper = BoundedStepper(grid, params, forcing, (0.55 - 0.25) / 300)
         fields = [grid.u]
         stepper.run(grid.u, 0.25, 300,
-                    callback=lambda i, v: fields.append(stepper.to_physical(v)))
+                    callback=lambda i, v, t: fields.append(stepper.to_physical(v)))
         rows = [extract_amplitudes(FieldGrid(grid.x0, grid.dx, u, False), params).a
                 for u in fields[::100]]
         assert got.tobytes() == np.array(rows).tobytes()
@@ -397,6 +408,11 @@ class TestOracleAmplitudes:
 
     def test_needs_a_sample(self):
         params = params_for(r=0.1, n=2, m=16)
-        with pytest.raises(ValueError, match="n_samples must be at least 1"):
+        for n_samples in (0, 2.5, float("nan")):
+            with pytest.raises(ValueError, match="n_samples must be a whole number >= 1"):
+                analysis.oracle_amplitudes(self.state(2), params, BoundaryForcing.periodic(),
+                                           1.0, n_samples=n_samples)
+        # a sampled run's error names the step given, not dt * n_samples
+        with pytest.raises(ValueError, match=r"^dt must be positive, got -0.1$"):
             analysis.oracle_amplitudes(self.state(2), params, BoundaryForcing.periodic(),
-                                       1.0, n_samples=0)
+                                       1.0, n_samples=40, dt=-0.1)

@@ -255,7 +255,7 @@ def spectral_start(n):
 def test_spectral_run_matches_allocating_reference():
     stepper, v0 = spectral_start(512)
     kept = []
-    final = stepper.run(v0, 30, callback=lambda i, v: kept.append(v))
+    final = stepper.run(v0, 30, callback=lambda i, v, t: kept.append(v))
     v = v0
     for got in kept:
         v = reference_etdrk4(stepper, v)
@@ -321,7 +321,7 @@ def test_warm_etdrk4_step_allocates_at_most_two_and_a_half_states():
     # array while it multiplies (2.0 states measured; 11.5 with
     # allocating stages)
     stepper, v = spectral_start(4096)
-    assert allocated(lambda: stepper.step(v)) <= 2.5 * v.nbytes
+    assert allocated(lambda: stepper.step(v, 0.0)) <= 2.5 * v.nbytes
 
 
 @pytest.mark.parametrize("kind", ["even", "odd"])

@@ -349,6 +349,16 @@ class TestOtherExperiments:
             "error: numerical divergence: lattice model diverged at step 1, "
             "t=0.05: NaN/Inf"]
 
+    def test_compare_step_budget_names_the_given_step(self, tmp_path, capsys):
+        # 40 samples over 10/r = 200 at the given 1e-12: 2e14 steps in all
+        code = main(["compare", "--r", "0.05", "--dt-model", "1e-12",
+                     "--output-dir", str(tmp_path)])
+        assert code == 1
+        assert err_lines(capsys.readouterr().err) == [
+            "error: a span of 200 at dt=1e-12 needs 2e+14 steps, more than the budget "
+            "of 10,000,000"]
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_model_step_gate_counts_r(self, tmp_path, capsys):
         # the gate is 2.785 / (|r - 2c| + 2c), not a fixed 0.49: a step of
         # 1.0 runs at r = 0.05 (gate 7.8), and 0.45 is refused at r = -6

@@ -14,7 +14,6 @@ from shlattice import (
     make_params,
     model_rhs,
 )
-from shlattice.analysis import _sample_counts
 from shlattice.core import _integrate, _step_count
 from shlattice.subgrid import interior_envelopes
 
@@ -256,11 +255,30 @@ class TestStepRule:
             _step_count(1e300, 1e-10)
 
     def test_sampled_runs_count_every_step(self):
-        # 1000 samples of 20,000 steps each: each sample is within budget,
-        # the run is not
-        assert _sample_counts(1e5, 0.05, 1000) == (2_000_000, 2000)
+        # whole steps per sample: 1000 samples of 2000 steps each fit the
+        # budget; 1000 samples of 20,000 steps each fit it one by one, but
+        # the run does not
+        assert _step_count(1e5, 0.05, 1000) == 2000
         with pytest.raises(ValueError, match=r"needs 2e\+07 steps"):
-            _sample_counts(1e6, 0.05, 1000)
+            _step_count(1e6, 0.05, 1000)
+        # a sample's count is the count of one step of n_samples dt
+        for span, dt, n in ((10.0, 0.01, 40), (0.3, 0.1, 3), (1.05, 0.1, 7), (200.0, 2.5, 40)):
+            assert _step_count(span, dt, n) == _step_count(span, dt * n)
+        assert _step_count(1.0, 0.01, np.int64(4)) == 25   # numpy integers count
+
+    def test_sampled_errors_name_the_given_step(self):
+        # the budget names the dt given and the run's total, not dt * n_samples
+        with pytest.raises(ValueError, match=r"^a span of 200 at dt=1e-12 needs 2e\+14 steps, "
+                                             r"more than the budget of 10,000,000$"):
+            _step_count(200.0, 1e-12, 40)
+        with pytest.raises(ValueError, match=r"^dt must be positive, got -0.1$"):
+            _step_count(1.0, -0.1, 40)
+
+    @pytest.mark.parametrize("n_samples", [0, -2, 2.5, float("nan"), np.int64(0)])
+    def test_sample_count_must_be_whole(self, n_samples):
+        with pytest.raises(ValueError,
+                           match=rf"^n_samples must be a whole number >= 1, got {n_samples}$"):
+            _step_count(1.0, 0.1, n_samples)
 
 
 class TestSteppingLoop:
@@ -274,6 +292,21 @@ class TestSteppingLoop:
         assert [v[0] for _, v, _ in seen] == [0.0, 1.0, 4.0]
         # the callback gets the time the step ended at
         assert [t for _, _, t in seen] == [1.0, 2.0, 3.0]
+
+    def test_callback_can_end_the_run(self):
+        # a true return ends the run after that step, with its state; None
+        # runs every step
+        starts = []
+
+        def step(x, t):
+            starts.append(t)
+            return x + 1.0
+
+        x = _integrate("stopper", step, np.zeros(2), 0.0, 1.0, 10, lambda i, x, t: i == 3)
+        assert np.array_equal(x, [3.0, 3.0]) and starts == [0.0, 1.0, 2.0]
+        starts.clear()
+        x = _integrate("stopper", step, np.zeros(2), 0.0, 1.0, 10, lambda i, x, t: None)
+        assert np.array_equal(x, np.full(2, 10.0)) and len(starts) == 10
 
     def test_clock_accumulates(self):
         # t += dt step by step, as a cumsum would, not t0 + i dt

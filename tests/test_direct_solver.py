@@ -33,7 +33,7 @@ def params_for(r=0.0, gamma=1.0, p=1, n=4, m=64):
 def one_step(grid, params, dt):
     """One ETDRK4 step of a periodic grid through SpectralStepper.step."""
     stepper = SpectralStepper(len(grid.u), grid.length, params.r, dt)
-    return stepper.to_physical(stepper.step(stepper.to_spectral(grid.u)))
+    return stepper.to_physical(stepper.step(stepper.to_spectral(grid.u), 0.0))
 
 
 class TestStepSpectral:
@@ -106,7 +106,7 @@ class TestStepSpectral:
         norms = [np.linalg.norm(grid.u)]
         steps = []
 
-        def record(i, v):
+        def record(i, v, t):
             steps.append(i)
             norms.append(np.linalg.norm(stepper.to_physical(v)))
 
@@ -130,7 +130,7 @@ class TestStepSpectral:
         stepper = SpectralStepper(len(grid.u), grid.length, params.r, 0.05)
         v = stepper.to_spectral(grid.u)
         for _ in range(40):
-            v = stepper.step(v)
+            v = stepper.step(v, 0.0)
         assert np.array_equal(stepper.run(stepper.to_spectral(grid.u), 40), v)
         out = integrate_spectral(grid, params, 2.0, 0.05)
         assert np.array_equal(out.u, stepper.to_physical(v))
@@ -275,7 +275,7 @@ class TestMeasureGrowthRate:
     def counted_steps(monkeypatch):
         steps, step = [], SpectralStepper.step
         monkeypatch.setattr(SpectralStepper, "step",
-                            lambda self, v: steps.append(1) or step(self, v))
+                            lambda self, v, t: steps.append(1) or step(self, v, t))
         return steps
 
     def test_floor_stops_the_run_at_its_first_sample_below(self, monkeypatch):
@@ -722,7 +722,7 @@ def reference_trajectory(stepper, r, u, t0, n_steps):
 def run_states(stepper, u, t0, n_steps):
     """The field after each step of stepper.run."""
     states = []
-    stepper.run(u, t0, n_steps, callback=lambda i, v: states.append(stepper.to_physical(v)))
+    stepper.run(u, t0, n_steps, callback=lambda i, v, t: states.append(stepper.to_physical(v)))
     return states
 
 
@@ -732,21 +732,32 @@ EXACT = settings(max_examples=40, deadline=None, derandomize=True, database=None
 
 @pytest.mark.parametrize("kind", ["periodic", "even", "odd"])
 def test_run_hands_the_callback_its_spectrum(kind):
-    # both steppers pass the state they hold; to_physical makes the field
+    # both steppers pass the state they hold, which to_physical makes the
+    # field, and the loop's clock: the bounded one's from the t0 given, the
+    # spectral one's always from 0
     params = make_params(r=0.1, gamma=1.0, p=1, n_elements=2, m_samples=32)
     grid = lattice_field(conjugate_state(0.0, np.full(2, 0.05 + 0.03j)), params,
                          periodic=kind == "periodic")
-    seen = []
+    seen, times = [], []
+
+    def record(i, v, t):
+        seen.append(v)
+        times.append(t)
+
     if kind == "periodic":
-        stepper = SpectralStepper(len(grid.u), grid.length, params.r, 0.05)
-        out = stepper.to_physical(stepper.run(stepper.to_spectral(grid.u), 5,
-                                              callback=lambda i, v: seen.append(v)))
+        t0, stepper = 0.0, SpectralStepper(len(grid.u), grid.length, params.r, 0.05)
+        out = stepper.to_physical(stepper.run(stepper.to_spectral(grid.u), 5, callback=record))
     else:
+        t0 = 0.25
         stepper = BoundedStepper(grid, params, WALLS[kind](0.02, 0.01, p=1),
                                  0.4 * grid.dx ** 2)
-        out = stepper.run(grid.u, 0.0, 5, callback=lambda i, v: seen.append(v))
+        out = stepper.run(grid.u, t0, 5, callback=record)
     assert len(seen) == 5 and all(np.iscomplexobj(v) for v in seen)
     assert stepper.to_physical(seen[-1]).tobytes() == out.tobytes()
+    clock = [t0]
+    for _ in range(5):
+        clock.append(clock[-1] + stepper.dt)
+    assert times == clock[1:]
 
 
 def switching(t):

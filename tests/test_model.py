@@ -351,6 +351,15 @@ class TestIntegration:
             with pytest.raises(ValueError):
                 run_model(st, params, BoundaryForcing.periodic(), 1.0, dt,
                           sample_stride=stride)
+        # a stride is a whole number: not 2.5, and not NaN, which no < test catches
+        for stride in (0, 2.5, float("nan"), np.int64(0)):
+            with pytest.raises(ValueError,
+                               match=rf"^sample_stride must be a whole number >= 1, got {stride}$"):
+                run_model(st, params, BoundaryForcing.periodic(), 1.0, 0.1,
+                          sample_stride=stride)
+        strided = run_model(st, params, BoundaryForcing.periodic(), 1.0, 0.1,
+                            sample_stride=np.int64(5))
+        assert strided.times.shape == (3,)   # numpy integers count
 
     def test_divergence_abort(self):
         # b = -conj(a) flips the cubic sign and blows up

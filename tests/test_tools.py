@@ -39,13 +39,14 @@ def test_same_numbers_of_the_tree_against_itself():
     header, *rows = done.stdout.splitlines()
     assert header.split() == ["entry", "result"]
     names = [row.split()[0] for row in rows]
-    assert len(names) == 64 and "ladder.slope" in names and "csv.dispersion" in names
+    assert len(names) == 65 and "ladder.slope" in names and "csv.dispersion" in names
     assert "model.odd.real.n33" in names and "model.odd.full.n17" in names
     assert "compare.g06p2.model" in names
     assert "ladder.errors" in names and "ladder.model" in names and "compare.model" in names
     assert "ladder.oracle" in names and "model.long.times" in names
     assert "extract_amplitudes.n4096.periodic.a" in names
     assert "manifest.dispersion.config" in names and "growth_rate_fine" in names
+    assert "growth_rate.floor" in names
     assert all(row.split()[1:] == ["equal"] for row in rows), done.stdout
 
 

@@ -11,7 +11,7 @@ largest magnitude of the other tree's entry).
     python tools/same_numbers.py --against-tree DIR    # DIR's src vs this tree
     python tools/same_numbers.py --against HEAD --tiny # small sizes, a few seconds
 
-The catalogue, 64 entries: ``integrate_bounded`` on criterion 5's inputs
+The catalogue, 65 entries: ``integrate_bounded`` on criterion 5's inputs
 for both wall kinds, unforced, with constant and with time-varying
 forcing (the field and its extracted amplitudes), and criterion 5's two
 oracle phases from the unforced runs; ``integrate_spectral`` at n = 512
@@ -23,7 +23,7 @@ times of a long strided run;
 ``rk4_step`` and ``model_rhs``; ``lattice_field`` and
 ``extract_amplitudes`` on their own, periodic and bounded, and
 ``extract_amplitudes`` at N = 4096; ``measure_growth_rate`` at four k, at its default step and at
-0.02; the ladder slope, the three terminal errors and the last rung's
+0.02, and on a decaying mode whose fit stops at its floor; the ladder slope, the three terminal errors and the last rung's
 model and oracle amplitudes of ``compare_model_vs_direct``, and the model
 amplitudes of its default single run (N = 8, r = 0.1, modulation 1);
 at gamma = 0.6 and p = 2, where the lattice model's coefficients round,
@@ -173,6 +173,9 @@ def catalogue(tiny: bool) -> dict[str, np.ndarray]:
     for name, step in (("growth_rate", {}), ("growth_rate_fine", {"dt": 0.02})):
         out[name] = np.array([sh.measure_growth_rate(periodic, k, 1e-6, 1.0 if tiny else 5.0,
                                                      **step) for k in (0.5, 0.9, 1.0, 1.25)])
+    # a decaying mode that reaches the fit's floor: the run stops at sample 35 of 148
+    out["growth_rate.floor"] = np.array(sh.measure_growth_rate(
+        sh.make_params(r=-2.0, gamma=1.0, p=1, n_elements=2, m_samples=16), 2.5, 1e-6, 10.0))
     # criterion 5's oracle phases, in degrees, of the unforced runs above
     out["criterion5.phases"] = np.degrees(np.angle(
         [out[f"bounded.{kind}.unforced.a"][0] for kind in ("even", "odd")]))
